@@ -6,7 +6,7 @@ a generic "transferred" Hopf-algebra construction, duality involutions and
 transfer maps, and exact truncated q-series evaluators for the four standard
 q-analogue models of multiple zeta values (Schlesinger-Zudilin, its star
 version, Bradley-Zhao, and Ohno-Okuda-Zudilin), plus a floating-point
-classical evaluator used as an approximate oracle.
+classical evaluator with a proven error bound, used as an oracle.
 
 Modules
 -------

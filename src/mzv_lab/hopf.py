@@ -456,3 +456,8 @@ def coideal_witness(
             if c and not predicate(pick(a, b)):
                 return (w, pick(a, b))
     return None
+
+
+def clear_caches() -> None:
+    _ANTIPODE_MEMO.clear()
+    _INF_MEMO.clear()

@@ -234,3 +234,7 @@ def get_map(name: str) -> LinearMap:
     except KeyError:
         known = ", ".join(sorted(_REGISTRY) + ["dn:<n>"])
         raise WordError(f"unknown map {name!r}; known: {known}") from None
+
+
+def clear_caches() -> None:
+    _IHARA_MEMO.clear()

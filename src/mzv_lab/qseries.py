@@ -1,4 +1,5 @@
-"""q-series evaluators, a Rota-Baxter style evaluator, and float oracles.
+"""q-series evaluators, a Rota-Baxter style evaluator, and a float MZV oracle
+with a proven error bound.
 
 Four q-models, each summing over chains m_1 > m_2 > ... > m_n >= 1 (the
 starred model relaxes to >=) with per-index factors:
@@ -21,19 +22,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 from typing import Iterable, Sequence, Union
 
-import numpy as np
-
 from mzv_lab.words import (
+    H2,
     NotInSubalgebraError,
     Poly,
     Rational,
     Word,
     WordError,
     as_poly,
+    reverse_swap,
     z_decode,
+    z_encode,
 )
 
 Comp = tuple[int, ...]
@@ -392,7 +395,7 @@ def rota_baxter_eval_OOZ(comp: Iterable[int], order: int) -> QPoly:
 
 
 # ---------------------------------------------------------------------------
-# float oracles
+# float oracle
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -405,14 +408,41 @@ class FloatResult:
         return {"value": self.value, "tail_bound": self.tail_bound, "cutoff": self.cutoff}
 
 
-def zeta_classical_float(comp: Iterable[int], cutoff: int = 1_000_000) -> FloatResult:
-    """Classical nested-sum value over chains m_1 > ... > m_n in [1, cutoff].
+def _li_half(s: Comp, cutoff: int) -> tuple[Fraction, Fraction]:
+    """Li_s(1/2), the sum over n_1 > ... > n_d of 2^-n_1 / prod n_i^s_i, exact
+    through n_1 = N, and a bound on the rest: at n_1 = m at most m^(d-1) chains
+    add at most 2^-m each: a geometric series bounds them once the (falling)
+    ratio of these terms is below 1, and before that Li_s(1/2) <= ln 2 < 1 does.
+    N is the first index whose bound is below 1e-17, capped at cutoff."""
+    if not s:
+        return Fraction(1), Fraction(0)
+    d, n, num, den = len(s), 0, 1, 1  # the tail bound is num/den
+    while n < cutoff and num * 10**17 >= den:
+        n += 1
+        a, b = (n + 1) ** (d - 1), (n + 2) ** (d - 1)
+        if 2 * a > b:
+            num, den = 2 * a * a, 2 ** (n + 1) * (2 * a - b)
+    # int numerators over lcm(1..N)^(weight of s[i+1:]): exact, with no gcds
+    lcm = math.lcm(*range(1, n + 1))
+    below = [0] * (d - 1) + [1]  # chains of s[i+1:] with indices below m
+    total = 0
+    for m in range(1, n + 1):
+        total += below[0] * (lcm // m) ** s[0] << (n - m)
+        for i in range(1, d):  # ascending, so below[i] still excludes m
+            below[i - 1] += below[i] * (lcm // m) ** s[i]
+    return Fraction(total, lcm ** sum(s) << n), Fraction(num, den)
 
-    Needs k1 >= 2, kj >= 1 and depth <= 4.  The tail bound uses
-    sum over chains below m of 1/prod m_j^(k_j) <= (1 + ln m)^(n-1) together
-    with the integral bound, integrated by parts:
-    I_0 = 1/((k1-1) M^(k1-1)),  I_j = (1+ln M)^j/((k1-1) M^(k1-1)) + j/(k1-1) I_(j-1),
-    and tail <= I_(n-1).
+
+def zeta_classical_float(comp: Iterable[int], cutoff: int = 1_000_000) -> FloatResult:
+    """Classical multiple zeta value with a proven error bound.
+
+    Hoelder convolution at 1/2 (Borwein, Bradley, Broadhurst and Lisonek,
+    Trans. AMS 353, 2001): over the splits w = uv of the x0/x1 word of comp,
+    zeta(w) = sum Li_tau(u)(1/2) Li_v(1/2), tau the reverse-and-swap duality.
+    Each factor lies in [0, 1] and is truncated from below, so a product errs
+    by at most the sum of its two tails.  ``tail_bound`` adds all tails and
+    |value| 2^-52 for the rounding to float.  ``cutoff`` caps each truncation
+    index.  Needs k1 >= 2, kj >= 1 and depth <= 4.
     """
     comp = tuple(comp)
     if not comp:
@@ -423,20 +453,16 @@ def zeta_classical_float(comp: Iterable[int], cutoff: int = 1_000_000) -> FloatR
         )
     if len(comp) > 4:
         raise WordError("classical float oracle supports depth <= 4")
-    ms = np.arange(1, cutoff + 1, dtype=np.float64)
-    t = ms ** float(-comp[-1])
-    for k in comp[-2::-1]:
-        prefix = np.concatenate(([0.0], np.cumsum(t)[:-1]))
-        t = prefix * ms ** float(-k)
-    value = float(np.sum(t))
-
-    k1 = comp[0]
-    base = 1.0 / ((k1 - 1) * cutoff ** (k1 - 1))
-    log_m = 1.0 + math.log(cutoff)
-    bound = base
-    for j in range(1, len(comp)):
-        bound = (log_m ** j) * base + (j / (k1 - 1)) * bound
-    return FloatResult(value, bound, cutoff)
+    letters = z_encode(comp, H2).letters
+    total, err = Fraction(0), Fraction(0)
+    for j in range(len(letters) + 1):
+        a, err_a = _li_half(z_decode(reverse_swap(Word(H2, letters[:j]))), cutoff)
+        b, err_b = _li_half(z_decode(Word(H2, letters[j:])), cutoff)
+        total += a * b
+        err += err_a + err_b
+    value = float(total)
+    bound = err + abs(Fraction(value)) / 2**52
+    return FloatResult(value, math.nextafter(float(bound), math.inf), cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -457,29 +483,20 @@ class ScalingReport:
 
 def _model_value_at(model: Model, comp: Comp, q: float, eps: float = 1e-12) -> float:
     cutoff = max(len(comp) + 1, int(math.log(eps) / math.log(q)) + 1)
-    qm = q ** np.arange(1, cutoff + 1, dtype=np.float64)
-    t = np.ones(cutoff, dtype=np.float64)
-    first = True
+    qm = [q**m for m in range(1, cutoff + 1)]
+    t = [1.0] * cutoff
     for pos, k in enumerate(reversed(comp)):
-        position = 0 if pos == len(comp) - 1 else 1
         if model.tag in ("SZ", "SZstar"):
-            factor = qm ** k / (1.0 - qm) ** k
+            factor = [x**k / (1.0 - x) ** k for x in qm]
         elif model.tag == "BZ":
-            factor = qm ** (k - 1) / (1.0 - qm) ** k
-        elif position == 0:
-            factor = qm / (1.0 - qm) ** k
+            factor = [x ** (k - 1) / (1.0 - x) ** k for x in qm]
+        elif pos == len(comp) - 1:
+            factor = [x / (1.0 - x) ** k for x in qm]
         else:
-            factor = (1.0 - qm) ** float(-k)
-        if first:
-            t = factor
-            first = False
-        else:
-            if model.strict:
-                prefix = np.concatenate(([0.0], np.cumsum(t)[:-1]))
-            else:
-                prefix = np.cumsum(t)
-            t = factor * prefix
-    return float(np.sum(t))
+            factor = [(1.0 - x) ** float(-k) for x in qm]
+        prefix = list(accumulate(t, initial=0.0))[0 if model.strict else 1 :]
+        t = [f * p for f, p in zip(factor, prefix)] if pos else factor
+    return math.fsum(t)
 
 
 def limit_scaling_check(

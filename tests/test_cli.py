@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzv_lab import cli, products
+from mzv_lab import cli, hopf, maps, products, qseries, words
 from mzv_lab.cli import (
     ParseError,
     SUITES,
@@ -240,6 +240,13 @@ def test_main_exit_codes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("lam", ["abc", "1/0"])
+def test_main_bad_lambda_is_one_line_usage_error(capsys, lam):
+    assert main(["product", "z{2} * z{2}", "--alphabet", "h", "--lambda", lam]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --lambda") and len(err.splitlines()) == 1
+
+
 def test_main_verify_failure_exit_code(capsys, monkeypatch):
     def broken_suite(mw, order):
         yield cli.Case("always-fails", {}, lambda: (1, 2))
@@ -307,3 +314,25 @@ def test_every_registered_suite_runs_small():
 def test_run_suite_all_aggregates():
     rep = run_suite("all", 2, 6)
     assert rep.suite == "all" and rep.passed and rep.cases > 0
+
+
+def test_clear_caches_empties_every_module_memo():
+    modules = (cli, hopf, maps, products, qseries, words)
+
+    def memos():
+        return {
+            f"{m.__name__}.{name}": v
+            for m in modules
+            for name, v in vars(m).items()
+            if name.endswith(("_MEMO", "_CACHE")) and isinstance(v, dict)
+        }
+
+    run_suite("all", 3, 6)
+    filled = memos()
+    named = {"mzv_lab.hopf._ANTIPODE_MEMO", "mzv_lab.hopf._INF_MEMO", "mzv_lab.maps._IHARA_MEMO"}
+    assert named <= set(filled)
+    assert all(filled.values()), {k: len(v) for k, v in filled.items()}
+    for m in modules:
+        if hasattr(m, "clear_caches"):
+            m.clear_caches()
+    assert not any(memos().values()), {k: len(v) for k, v in memos().items()}

@@ -7,7 +7,12 @@ suffix-cached evaluators in mzv_lab.qseries.
 """
 
 import math
+import os
+import subprocess
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -247,3 +252,74 @@ def test_limit_scaling_rejects_szstar():
 def test_clear_caches_runs():
     qseries.clear_caches()
     assert str(zeta_SZ((2,), 4)) == "q^2 + 2q^3 + 4q^4"
+
+
+# -- Hoelder-convolution oracle: known values, a plain nested sum, no numpy -------------
+
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510")
+_ZETA3 = Decimal("1.20205690315959428539973816151144999076498629234049")
+
+
+def _known_values():
+    with localcontext() as ctx:
+        ctx.prec = 45
+        return [
+            ((2,), _PI**2 / 6),
+            ((3,), _ZETA3),
+            ((2, 1), _ZETA3),
+            ((4,), _PI**4 / 90),
+            ((2, 1, 1), _PI**4 / 90),
+            ((3, 1), _PI**4 / 360),
+            ((2, 2), _PI**4 / 120),
+        ]
+
+
+@pytest.mark.parametrize("comp, exact", _known_values())
+def test_float_known_values_within_proven_bound(comp, exact):
+    r = zeta_classical_float(comp)
+    with localcontext() as ctx:
+        ctx.prec = 45
+        assert abs(Decimal(r.value) - exact) <= Decimal(r.tail_bound) <= Decimal("1e-12")
+
+
+def _nested_sum(comp, cutoff=2000):
+    """Sum over chains cutoff >= m_1 > ... > m_n >= 1 of 1/prod m_j^k_j, and a
+    bound on the chains left out (m_1 > cutoff).
+
+    The inner sum below m is at most (1 + ln m)^(n-1), and
+    x^-k1 (1 + ln x)^(n-1) decreases past the cutoff, so the tail is at most
+    I_(n-1), where I_0 = M^(1-k1)/(k1-1) and, integrating by parts,
+    I_j = (1 + ln M)^j M^(1-k1)/(k1-1) + j/(k1-1) I_(j-1).
+    """
+    ms = range(1, cutoff + 1)
+    t = [m ** -comp[-1] for m in ms]
+    for k in comp[-2::-1]:
+        below, acc = [], 0.0
+        for x in t:
+            below.append(acc)
+            acc += x
+        t = [b * m**-k for b, m in zip(below, ms)]
+    k1 = comp[0]
+    base = cutoff ** (1 - k1) / (k1 - 1)
+    tail = base
+    for j in range(1, len(comp)):
+        tail = (1 + math.log(cutoff)) ** j * base + j / (k1 - 1) * tail
+    return sum(t), tail
+
+
+@pytest.mark.parametrize(
+    "comp", [(2,), (3,), (5,), (2, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (3, 1, 2, 1)]
+)
+def test_float_agrees_with_plain_nested_sum(comp):
+    r = zeta_classical_float(comp)
+    partial, tail = _nested_sum(comp)
+    # the truncated sum undershoots by at most its tail; 1e-12 covers its float rounding
+    assert -1e-12 <= r.value - partial <= tail + 1e-12
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, mzv_lab.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
