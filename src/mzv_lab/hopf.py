@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from mzv_lab.products import (
     IsoConsistencyError,
@@ -23,10 +23,13 @@ from mzv_lab.words import (
     PY,
     Alphabet,
     AlphabetMismatchError,
+    LinComb,
     Poly,
     Rational,
     Word,
     WordError,
+    add_into,
+    add_scaled,
     as_poly,
     reverse_swap,
     z_decode,
@@ -37,135 +40,83 @@ Operand = Union[Word, Poly]
 Pair = tuple[Word, Word]
 
 
-class Tensor2:
+def _outer_into(terms: dict, left: Poly, right: Poly, c: Rational, alphabet: Alphabet) -> None:
+    """terms += c * (left (x) right) in place."""
+    if left.alphabet is not alphabet or right.alphabet is not alphabet:
+        raise AlphabetMismatchError("tensor factors must share the alphabet")
+    for a, ca in left.terms.items():
+        for b, cb in right.terms.items():
+            add_into(terms, (a, b), c * ca * cb)
+
+
+class Tensor2(LinComb):
     """Finite linear combination of word pairs a (x) b."""
 
-    __slots__ = ("alphabet", "terms")
+    __slots__ = ()
 
-    def __init__(self, alphabet: Alphabet, terms: Mapping[Pair, Rational] | None = None):
-        clean: dict[Pair, Fraction] = {}
-        if terms:
-            for (a, b), c in terms.items():
-                if a.alphabet is not alphabet or b.alphabet is not alphabet:
-                    raise AlphabetMismatchError("tensor factors must share the alphabet")
-                c = Fraction(c)
-                if c:
-                    key = (a, b)
-                    clean[key] = clean.get(key, Fraction(0)) + c
-                    if not clean[key]:
-                        del clean[key]
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "terms", clean)
+    @staticmethod
+    def _check_key(key: Pair, alphabet: Alphabet) -> None:
+        a, b = key
+        if a.alphabet is not alphabet or b.alphabet is not alphabet:
+            raise AlphabetMismatchError("tensor factors must share the alphabet")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Tensor2 is immutable")
+    @staticmethod
+    def _order(key: Pair) -> tuple:
+        return (key[0].sort_key(), key[1].sort_key())
 
     @classmethod
     def of(cls, left: Operand, right: Operand) -> "Tensor2":
         L, R = as_poly(left), as_poly(right)
-        terms: dict[Pair, Fraction] = {}
-        for a, ca in L.terms.items():
-            for b, cb in R.terms.items():
-                terms[(a, b)] = terms.get((a, b), Fraction(0)) + ca * cb
-        return cls(L.alphabet, terms)
+        terms: dict[Pair, Rational] = {}
+        _outer_into(terms, L, R, 1, L.alphabet)
+        return cls._make(L.alphabet, terms)
 
-    def __add__(self, other: "Tensor2") -> "Tensor2":
-        if self.alphabet is not other.alphabet:
-            raise AlphabetMismatchError("tensor alphabets differ")
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + c
-        return Tensor2(self.alphabet, terms)
-
-    def __sub__(self, other: "Tensor2") -> "Tensor2":
-        return self + other.scale(-1)
-
-    def scale(self, coeff: Rational) -> "Tensor2":
-        coeff = Fraction(coeff)
-        if not coeff:
-            return Tensor2(self.alphabet)
-        return Tensor2(self.alphabet, {k: c * coeff for k, c in self.terms.items()})
-
-    def __rmul__(self, coeff):
-        if isinstance(coeff, (int, Fraction)):
-            return self.scale(coeff)
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Tensor2)
-            and self.alphabet is other.alphabet
-            and self.terms == other.terms
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __iter__(self) -> Iterator[tuple[Word, Word, Fraction]]:
-        def key(item):
-            (a, b), _ = item
-            return (a.sort_key(), b.sort_key())
-
-        for (a, b), c in sorted(self.terms.items(), key=key):
+    def __iter__(self) -> Iterator[tuple[Word, Word, Rational]]:
+        for (a, b), c in self.sorted_terms():
             yield a, b, c
 
     def flip(self) -> "Tensor2":
-        return Tensor2(self.alphabet, {(b, a): c for (a, b), c in self.terms.items()})
+        return Tensor2._make(self.alphabet, {(b, a): c for (a, b), c in self.terms.items()})
 
     def map_factors(
         self,
         f_left: Callable[[Poly], Poly],
         f_right: Callable[[Poly], Poly],
     ) -> "Tensor2":
-        out = Tensor2(self.alphabet)
+        terms: dict[Pair, Rational] = {}
         for (a, b), c in self.terms.items():
-            piece = Tensor2.of(f_left(Poly.of(a)), f_right(Poly.of(b)))
-            out = out + piece.scale(c)
-        return out
+            _outer_into(terms, f_left(Poly.of(a)), f_right(Poly.of(b)), c, self.alphabet)
+        return Tensor2._make(self.alphabet, terms)
 
     def concat_mul(self, other: "Tensor2") -> "Tensor2":
         """Componentwise concatenation product (a x b)(c x d) = ac x bd."""
-        if self.alphabet is not other.alphabet:
-            raise AlphabetMismatchError("tensor alphabets differ")
-        terms: dict[Pair, Fraction] = {}
+        self._same_space(other)
+        terms: dict[Pair, Rational] = {}
         for (a, b), c1 in self.terms.items():
             for (c, d), c2 in other.terms.items():
-                key = (a * c, b * d)
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return Tensor2(self.alphabet, terms)
+                add_into(terms, (a * c, b * d), c1 * c2)
+        return Tensor2._make(self.alphabet, terms)
 
     def mul_with(self, other: "Tensor2", product: Callable[[Poly, Poly], Poly]) -> "Tensor2":
         """Componentwise product of tensors for an arbitrary algebra product."""
-        out = Tensor2(self.alphabet)
+        terms: dict[Pair, Rational] = {}
         for (a, b), c1 in self.terms.items():
             for (c, d), c2 in other.terms.items():
-                piece = Tensor2.of(product(Poly.of(a), Poly.of(c)), product(Poly.of(b), Poly.of(d)))
-                out = out + piece.scale(c1 * c2)
-        return out
+                left = product(Poly.of(a), Poly.of(c))
+                _outer_into(terms, left, product(Poly.of(b), Poly.of(d)), c1 * c2, self.alphabet)
+        return Tensor2._make(self.alphabet, terms)
 
     def contract(self, product: Callable[[Poly, Poly], Poly]) -> Poly:
         """Multiply the two slots together: sum of c * product(a, b)."""
-        acc = Poly.zero(self.alphabet)
+        terms: dict[Word, Rational] = {}
         for (a, b), c in self.terms.items():
-            acc = acc + product(Poly.of(a), Poly.of(b)).scale(c)
-        return acc
+            piece = product(Poly.of(a), Poly.of(b))
+            self._same_space(piece)
+            add_scaled(terms, piece.terms, c)
+        return Poly._make(self.alphabet, terms)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for a, b, c in self:
-            body = f"{a} (x) {b}"
-            if c == 1:
-                bits.append(body)
-            elif c == -1:
-                bits.append(f"-{body}")
-            else:
-                bits.append(f"{c}*{body}")
-        out = bits[0]
-        for t in bits[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        return self.format_terms(lambda k: f"{k[0]} (x) {k[1]}")
 
     def __repr__(self) -> str:
         return f"Tensor2({self.alphabet.tag}: {self})"
@@ -178,18 +129,15 @@ class Tensor2:
 def deconcat(x: Operand) -> Tensor2:
     """Cut a z-decodable word at every z-letter boundary: sum of u (x) v."""
     X = as_poly(x)
-    out = Tensor2(X.alphabet)
+    terms: dict[Pair, Rational] = {}
     for w, c in X.terms.items():
         comp = z_decode(w)
-        terms: dict[Pair, Fraction] = {}
         for i in range(len(comp) + 1):
-            key = (z_encode(comp[:i], X.alphabet), z_encode(comp[i:], X.alphabet))
-            terms[key] = terms.get(key, Fraction(0)) + c
-        out = out + Tensor2(X.alphabet, terms)
-    return out
+            add_into(terms, (z_encode(comp[:i], X.alphabet), z_encode(comp[i:], X.alphabet)), c)
+    return Tensor2._make(X.alphabet, terms)
 
 
-def counit(x: Operand) -> Fraction:
+def counit(x: Operand) -> Rational:
     """Coefficient of the empty word."""
     X = as_poly(x)
     return X.coeff(Word(X.alphabet))
@@ -222,14 +170,12 @@ def antipode(x: Operand, lam: Rational = 1) -> Poly:
         if hit is not None:
             return hit
         comp = z_decode(w)
-        if not comp:
-            out = Poly.unit(alphabet)
-        else:
-            out = Poly.of(w, -1)
-            for i in range(1, len(comp)):
-                u = z_encode(comp[:i], alphabet)
-                v = z_encode(comp[i:], alphabet)
-                out = out - mul(s_word(u), Poly.of(v))
+        terms: dict[Word, Rational] = {w: -1} if comp else {w: 1}
+        for i in range(1, len(comp)):
+            u = z_encode(comp[:i], alphabet)
+            v = z_encode(comp[i:], alphabet)
+            add_scaled(terms, mul(s_word(u), Poly.of(v)).terms, -1)
+        out = Poly._make(alphabet, terms)
         _ANTIPODE_MEMO[key] = out
         return out
 
@@ -248,7 +194,7 @@ class HopfStructure:
     alphabet: Alphabet
     product: Callable[[Operand, Operand], Poly]
     coproduct: Callable[[Operand], Tensor2]
-    counit: Callable[[Operand], Fraction]
+    counit: Callable[[Operand], Rational]
     antipode: Callable[[Operand], Poly]
     unit_elem: Poly = field(repr=False, default=None)  # type: ignore[assignment]
 
@@ -311,7 +257,7 @@ def transfer_hopf(
         X = check(as_poly(x))
         return base.coproduct(iso(X)).map_factors(iso_inv, iso_inv)
 
-    def counit_t(x: Operand) -> Fraction:
+    def counit_t(x: Operand) -> Rational:
         return base.counit(iso(check(as_poly(x))))
 
     def antipode_t(x: Operand) -> Poly:
@@ -388,10 +334,10 @@ def infinitesimal_coproduct(x: Operand) -> Tensor2:
         _INF_MEMO[key] = out
         return out
 
-    out = Tensor2(alphabet)
+    terms: dict[Pair, Rational] = {}
     for w, c in X.terms.items():
-        out = out + d_word(w).scale(c)
-    return out
+        add_scaled(terms, d_word(w).terms, c)
+    return Tensor2._make(alphabet, terms)
 
 
 def _split_rule(u: Word, v: Word, d: Callable[[Word], Tensor2]) -> Tensor2:

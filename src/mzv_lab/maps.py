@@ -8,7 +8,6 @@ memoized where they are not already cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iterprod
 from math import comb
 from typing import Callable, Union
@@ -21,8 +20,10 @@ from mzv_lab.words import (
     AlphabetMismatchError,
     NotInSubalgebraError,
     Poly,
+    Rational,
     Word,
     WordError,
+    add_into,
     as_poly,
     reverse_swap,
     z_decode,
@@ -76,12 +77,12 @@ def derivation(x: Operand, n: int) -> Poly:
     letter_image = _derivation_letter(n)
 
     def d_word(w: Word) -> Poly:
-        acc = Poly.zero(H2)
+        terms: dict[Word, Rational] = {}
         for i, a in enumerate(w.letters):
-            prefix = Poly.of(Word(H2, w.letters[:i]))
-            suffix = Poly.of(Word(H2, w.letters[i + 1:]))
-            acc = acc + prefix * letter_image[a] * suffix
-        return acc
+            prefix, suffix = w.letters[:i], w.letters[i + 1:]
+            for x, c in letter_image[a].terms.items():
+                add_into(terms, Word(H2, prefix + x.letters + suffix), c)
+        return Poly._make(H2, terms)
 
     return X.map_words(d_word)
 
@@ -95,12 +96,12 @@ def _binom_transform(
     first_lo: int,
     rest_lo: int,
     signed: bool,
-) -> dict[tuple[int, ...], Fraction]:
+) -> dict[tuple[int, ...], int]:
     """sum over r with first_lo <= r1 <= k1, rest_lo <= rj <= kj of
     C(k1-first_lo, r1-first_lo) prod C(kj-rest_lo, rj-rest_lo) z_r,
     with the sign (-1)^(sum k - sum r) when signed."""
     if not comp:
-        return {(): Fraction(1)}
+        return {(): 1}
     if comp[0] < first_lo or any(k < rest_lo for k in comp[1:]):
         raise NotInSubalgebraError(
             f"composition {comp} outside the transform domain "
@@ -109,14 +110,14 @@ def _binom_transform(
     ranges = [range(first_lo, comp[0] + 1)]
     ranges.extend(range(rest_lo, k + 1) for k in comp[1:])
     total = sum(comp)
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], int] = {}
     for r in iterprod(*ranges):
         coeff = comb(comp[0] - first_lo, r[0] - first_lo)
         for k, rj in zip(comp[1:], r[1:]):
             coeff *= comb(k - rest_lo, rj - rest_lo)
         if signed and (total - sum(r)) % 2:
             coeff = -coeff
-        out[r] = out.get(r, Fraction(0)) + coeff
+        add_into(out, r, coeff)
     return out
 
 
@@ -128,7 +129,7 @@ def _binom_map(alphabet: Alphabet, first_lo: int, rest_lo: int, signed: bool):
 
         def on_word(w: Word) -> Poly:
             images = _binom_transform(z_decode(w), first_lo, rest_lo, signed)
-            return Poly(alphabet, {z_encode(r, alphabet): c for r, c in images.items()})
+            return Poly._make(alphabet, {z_encode(r, alphabet): c for r, c in images.items()})
 
         return X.map_words(on_word)
 

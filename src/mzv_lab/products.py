@@ -29,10 +29,13 @@ from mzv_lab.words import (
     Alphabet,
     AlphabetMismatchError,
     NotInSubalgebraError,
+    LinComb,
     Poly,
     Rational,
     Word,
     WordError,
+    add_into,
+    add_scaled,
     as_poly,
     reverse_swap,
     z_decode,
@@ -41,26 +44,25 @@ from mzv_lab.words import (
 
 Operand = Union[Word, Poly]
 
-# comp-level linear combinations: dict composition -> coefficient
+# comp-level linear combinations: dict composition -> nonzero coefficient
 Comp = tuple[int, ...]
-CompDict = dict[Comp, Fraction]
+CompDict = dict[Comp, Rational]
 
 
-def _dadd(acc: CompDict, comp: Comp, coeff: Fraction) -> None:
-    c = acc.get(comp, Fraction(0)) + coeff
-    if c:
-        acc[comp] = c
-    else:
-        acc.pop(comp, None)
-
-
-def _dcombine(acc: CompDict, other: Mapping[Comp, Fraction], scale: Fraction, head: Comp) -> None:
+def _dcombine(acc: CompDict, other: Mapping[Comp, Rational], scale: Rational, head: Comp) -> None:
     for comp, c in other.items():
-        _dadd(acc, head + comp, scale * c)
+        add_into(acc, head + comp, scale * c)
 
 
-def _comps_to_poly(d: Mapping[Comp, Fraction], alphabet: Alphabet) -> Poly:
-    return Poly(alphabet, {z_encode(comp, alphabet): c for comp, c in d.items()})
+def _comps_to_poly(d: Mapping[Comp, Rational], alphabet: Alphabet) -> Poly:
+    return Poly._make(alphabet, {z_encode(comp, alphabet): c for comp, c in d.items()})
+
+
+def _lam(lam: Rational) -> Rational:
+    # a deformation parameter as an int when integral, so integer inputs keep
+    # integer coefficients
+    lam = Fraction(lam)
+    return lam.numerator if lam.denominator == 1 else lam
 
 
 def _bilinear_words(
@@ -69,12 +71,12 @@ def _bilinear_words(
     U, V = as_poly(u), as_poly(v)
     if U.alphabet is not alphabet or V.alphabet is not alphabet:
         raise AlphabetMismatchError(f"operands must be {alphabet} polynomials")
-    acc = Poly.zero(alphabet)
+    terms: dict[Word, Rational] = {}
     for wu, cu in U.terms.items():
         for wv, cv in V.terms.items():
             a, b = (wu, wv) if wu <= wv else (wv, wu)
-            acc = acc + word_fn(a, b).scale(cu * cv)
-    return acc
+            add_scaled(terms, word_fn(a, b).terms, cu * cv)
+    return Poly._make(alphabet, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -115,28 +117,28 @@ def shuffle(u: Operand, v: Operand) -> Poly:
 _QS_MEMO: dict[tuple, CompDict] = {}
 
 
-def _qs_comps(c1: Comp, c2: Comp, lam: Fraction) -> CompDict:
+def _qs_comps(c1: Comp, c2: Comp, lam: Rational) -> CompDict:
     key = (c1, c2, lam)
     hit = _QS_MEMO.get(key)
     if hit is not None:
         return hit
     out: CompDict = {}
     if not c1:
-        _dadd(out, c2, Fraction(1))
+        out[c2] = 1
     elif not c2:
-        _dadd(out, c1, Fraction(1))
+        out[c1] = 1
     else:
         n, u = c1[0], c1[1:]
         m, v = c2[0], c2[1:]
-        _dcombine(out, _qs_comps(u, c2, lam), Fraction(1), (n,))
-        _dcombine(out, _qs_comps(c1, v, lam), Fraction(1), (m,))
+        _dcombine(out, _qs_comps(u, c2, lam), 1, (n,))
+        _dcombine(out, _qs_comps(c1, v, lam), 1, (m,))
         if lam:
             _dcombine(out, _qs_comps(u, v, lam), lam, (n + m,))
     _QS_MEMO[key] = out
     return out
 
 
-def _quasi_word_fn(alphabet: Alphabet, lam: Fraction) -> Callable[[Word, Word], Poly]:
+def _quasi_word_fn(alphabet: Alphabet, lam: Rational) -> Callable[[Word, Word], Poly]:
     def fn(u: Word, v: Word) -> Poly:
         return _comps_to_poly(_qs_comps(z_decode(u), z_decode(v), lam), alphabet)
 
@@ -146,12 +148,12 @@ def _quasi_word_fn(alphabet: Alphabet, lam: Fraction) -> Callable[[Word, Word], 
 def quasi_shuffle(u: Operand, v: Operand) -> Poly:
     """Stuffle product z_n u * z_m v = z_n(u*z_m v) + z_m(z_n u*v) + z_{n+m}(u*v)
     on x0/x1 words ending in x1."""
-    return _bilinear_words(u, v, _quasi_word_fn(H2, Fraction(1)), H2)
+    return _bilinear_words(u, v, _quasi_word_fn(H2, 1), H2)
 
 
 def quasi_shuffle_lambda(u: Operand, v: Operand, lam: Rational = 1) -> Poly:
     """Deformed stuffle on p/y words ending in y: the overlap term carries lam."""
-    return _bilinear_words(u, v, _quasi_word_fn(PY, Fraction(lam)), PY)
+    return _bilinear_words(u, v, _quasi_word_fn(PY, _lam(lam)), PY)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +168,7 @@ def _cons(letter: str, poly: Poly) -> Poly:
     return head * poly
 
 
-def shuffle_lambda_ordered(u: Word, v: Word, lam: Fraction) -> Poly:
+def shuffle_lambda_ordered(u: Word, v: Word, lam: Rational) -> Poly:
     alphabet = u.alphabet
     key = (alphabet.tag, lam, u.letters, v.letters)
     hit = _SHL_MEMO.get(key)
@@ -221,7 +223,7 @@ def shuffle_lambda(u: Operand, v: Operand, lam: Rational = 1) -> Poly:
     length drops in every recursive call, so the recursion terminates even
     though d-words can grow back under concatenation.
     """
-    lam = Fraction(lam)
+    lam = _lam(lam)
     U, V = as_poly(u), as_poly(v)
     alphabet = U.alphabet
     if alphabet not in (PY, PDY):
@@ -297,11 +299,11 @@ def shuffle_star_alt(u: Operand, v: Operand) -> Poly:
 def _t_comp(comp: Comp) -> CompDict:
     # T(z_m w) = z_m w - z_{m-1} w, first part m >= 1; T(1) = 1
     if not comp:
-        return {(): Fraction(1)}
+        return {(): 1}
     m = comp[0]
     if m < 1:
         raise NotInSubalgebraError(f"t_op needs first z-part >= 1, got {comp}")
-    return {comp: Fraction(1), (m - 1,) + comp[1:]: Fraction(-1)}
+    return {comp: 1, (m - 1,) + comp[1:]: -1}
 
 
 def t_op(x: Operand) -> Poly:
@@ -323,22 +325,21 @@ def _ooz_comps(c1: Comp, c2: Comp) -> CompDict:
         return hit
     out: CompDict = {}
     if not c1:
-        _dadd(out, c2, Fraction(1))
+        out[c2] = 1
     elif not c2:
-        _dadd(out, c1, Fraction(1))
+        out[c1] = 1
     else:
         m, u = c1[0], c1[1:]
         n, v = c2[0], c2[1:]
         if m < 1 or n < 1:
             raise NotInSubalgebraError("ooz_quasi_shuffle needs leading z-parts >= 1")
-        one = Fraction(1)
         for tc, ts in _t_comp(c2).items():
-            _dcombine(out, _qs_comps(u, tc, one), ts, (m,))
+            _dcombine(out, _qs_comps(u, tc, 1), ts, (m,))
         for tc, ts in _t_comp(c1).items():
-            _dcombine(out, _qs_comps(tc, v, one), ts, (n,))
-        uv = _qs_comps(u, v, one)
-        _dcombine(out, uv, one, (m + n,))
-        _dcombine(out, uv, -one, (m + n - 1,))
+            _dcombine(out, _qs_comps(tc, v, 1), ts, (n,))
+        uv = _qs_comps(u, v, 1)
+        _dcombine(out, uv, 1, (m + n,))
+        _dcombine(out, uv, -1, (m + n - 1,))
     _OOZ_MEMO[key] = out
     return out
 
@@ -371,68 +372,40 @@ class ZWord:
         return not self.parts
 
 
-class ZPoly:
-    """Linear combination of ZWords with rational coefficients."""
+class ZPoly(LinComb):
+    """Linear combination of ZWords with exact coefficients; it has no
+    alphabet (``alphabet`` is None)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[ZWord, Rational] | None = None):
-        clean: dict[ZWord, Fraction] = {}
-        if terms:
-            for w, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[w] = clean.get(w, Fraction(0)) + c
-                    if not clean[w]:
-                        del clean[w]
-        object.__setattr__(self, "terms", clean)
+        super().__init__(None, terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ZPoly is immutable")
+    @staticmethod
+    def _order(w: ZWord) -> tuple[int, ...]:
+        return w.parts
 
     @classmethod
     def of(cls, parts: Iterable[int], coeff: Rational = 1) -> "ZPoly":
-        return cls({ZWord(tuple(parts)): Fraction(coeff)})
-
-    def __add__(self, other: "ZPoly") -> "ZPoly":
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, Fraction(0)) + c
-        return ZPoly(terms)
-
-    def __sub__(self, other: "ZPoly") -> "ZPoly":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, coeff: Rational) -> "ZPoly":
-        coeff = Fraction(coeff)
-        return ZPoly({w: c * coeff for w, c in self.terms.items()} if coeff else None)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ZPoly) and self.terms == other.terms
+        return cls({ZWord(tuple(parts)): coeff})
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "ZPoly(0)"
-        bits = [f"{c}*z{list(w.parts)}" for w, c in sorted(self.terms.items(), key=lambda t: t[0].parts)]
-        return "ZPoly(" + " + ".join(bits) + ")"
+        return f"ZPoly({self.format_terms(lambda w: f'z{list(w.parts)}')})"
 
 
 def zpoly_from_poly(x: Operand) -> ZPoly:
     """View a p/y polynomial with z-decodable terms as a ZPoly."""
-    out: dict[ZWord, Fraction] = {}
-    for w, c in as_poly(x).terms.items():
-        out[ZWord(z_decode(w))] = c
-    return ZPoly(out)
+    return ZPoly._make(None, {ZWord(z_decode(w)): c for w, c in as_poly(x).terms.items()})
 
 
 def zpoly_to_poly(x: ZPoly) -> Poly:
     """Inverse of zpoly_from_poly; rejects negative z-indices."""
-    terms: dict[Word, Fraction] = {}
+    terms: dict[Word, Rational] = {}
     for w, c in x.terms.items():
         if any(k < 0 for k in w.parts):
             raise NotInSubalgebraError(f"negative z-index in {w}; no p/y word image")
         terms[z_encode(w.parts, PY)] = c
-    return Poly(PY, terms)
+    return Poly._make(PY, terms)
 
 
 _OOZX_MEMO: dict[tuple, ZPoly] = {}
@@ -443,28 +416,26 @@ def ooz_explicit_ordered(u: ZWord, v: ZWord) -> ZPoly:
     hit = _OOZX_MEMO.get(key)
     if hit is not None:
         return hit
+    terms: dict[ZWord, Rational] = {}
     if u.is_unit:
-        out = ZPoly({v: Fraction(1)})
+        terms[v] = 1
     elif v.is_unit:
-        out = ZPoly({u: Fraction(1)})
+        terms[u] = 1
     else:
         uh, m = ZWord(u.parts[:-1]), u.parts[-1]
         vh, n = ZWord(v.parts[:-1]), v.parts[-1]
-
-        def snoc(zp: ZPoly, k: int) -> ZPoly:
-            return ZPoly({ZWord(w.parts + (k,)): c for w, c in zp.terms.items()})
-
-        out = (
-            snoc(ooz_explicit_ordered(uh, v), m)
-            + snoc(ooz_explicit_ordered(u, vh), n)
-            + snoc(ooz_explicit_ordered(uh, vh), n + m)
-        )
+        for a, b, k in ((uh, v, m), (u, vh, n), (uh, vh, n + m)):
+            for w, c in ooz_explicit_ordered(a, b).terms.items():
+                add_into(terms, ZWord(w.parts + (k,)), c)
         if vh.is_unit:
-            out = out - ZPoly.of(u.parts + (n - 1,)) - ZPoly.of(uh.parts + (n + m - 1,))
+            add_into(terms, ZWord(u.parts + (n - 1,)), -1)
+            add_into(terms, ZWord(uh.parts + (n + m - 1,)), -1)
         if uh.is_unit:
-            out = out - ZPoly.of(v.parts + (m - 1,)) - ZPoly.of(vh.parts + (n + m - 1,))
+            add_into(terms, ZWord(v.parts + (m - 1,)), -1)
+            add_into(terms, ZWord(vh.parts + (n + m - 1,)), -1)
         if uh.is_unit and vh.is_unit:
-            out = out + ZPoly.of((n + m - 1,))
+            add_into(terms, ZWord((n + m - 1,)), 1)
+    out = ZPoly._make(None, terms)
     _OOZX_MEMO[key] = out
     return out
 
@@ -476,14 +447,14 @@ def ooz_explicit(u: ZPoly | ZWord, v: ZPoly | ZWord) -> ZPoly:
     a factor shrinks to a single z-letter.  Agrees with ooz_quasi_shuffle on
     words with nonnegative parts and leading part >= 1.
     """
-    U = ZPoly({u: Fraction(1)}) if isinstance(u, ZWord) else u
-    V = ZPoly({v: Fraction(1)}) if isinstance(v, ZWord) else v
-    acc = ZPoly()
+    U = ZPoly({u: 1}) if isinstance(u, ZWord) else u
+    V = ZPoly({v: 1}) if isinstance(v, ZWord) else v
+    terms: dict[ZWord, Rational] = {}
     for wu, cu in U.terms.items():
         for wv, cv in V.terms.items():
             a, b = (wu, wv) if wu.parts <= wv.parts else (wv, wu)
-            acc = acc + ooz_explicit_ordered(a, b).scale(cu * cv)
-    return acc
+            add_scaled(terms, ooz_explicit_ordered(a, b).terms, cu * cv)
+    return ZPoly._make(None, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +468,7 @@ def ihara_circ(u: Operand, v: Operand) -> Poly:
     if U.alphabet is not V.alphabet:
         raise AlphabetMismatchError("ihara_circ needs a common alphabet")
     alphabet = U.alphabet
-    terms: dict[Word, Fraction] = {}
+    terms: dict[Word, Rational] = {}
     for wu, cu in U.terms.items():
         cu_comp = z_decode(wu)
         if len(cu_comp) != 1:
@@ -507,13 +478,8 @@ def ihara_circ(u: Operand, v: Operand) -> Poly:
             cv_comp = z_decode(wv)
             if not cv_comp:
                 continue
-            w = z_encode((k + cv_comp[0],) + cv_comp[1:], alphabet)
-            c = terms.get(w, Fraction(0)) + cu * cv
-            if c:
-                terms[w] = c
-            else:
-                terms.pop(w, None)
-    return Poly(alphabet, terms)
+            add_into(terms, z_encode((k + cv_comp[0],) + cv_comp[1:], alphabet), cu * cv)
+    return Poly._make(alphabet, terms)
 
 
 class IsoConsistencyError(WordError):

@@ -13,8 +13,9 @@ starred model relaxes to >=) with per-index factors:
 In every model the outermost factor has q-order >= m_1, so truncating the
 chain at m_1 <= N is exact through q^N.  The dynamic programming runs on
 plain int coefficient lists (all four models have integer expansions) and
-wraps the result in exact-Fraction ``QPoly`` objects at the end; suffix sums
-are cached across evaluations.
+wraps the result in ``QPoly`` objects, which keep those ints and turn to
+``Fraction`` only when a rational coefficient enters; suffix sums are cached
+across evaluations.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ from mzv_lab.words import (
     Word,
     WordError,
     as_poly,
+    exact,
     reverse_swap,
+    signed_join,
     z_decode,
     z_encode,
 )
@@ -43,7 +46,7 @@ Comp = tuple[int, ...]
 
 
 class QPoly:
-    """Truncated q-expansion with exact rational coefficients.
+    """Truncated q-expansion with exact ``int | Fraction`` coefficients.
 
     coeffs[k] is the coefficient of q^k, k = 0..order.  Binary operations
     truncate to the smaller order; equality compares through the common order
@@ -55,10 +58,10 @@ class QPoly:
     def __init__(self, order: int, coeffs: Iterable[Rational] = ()):
         if order < 0:
             raise WordError(f"order must be >= 0, got {order}")
-        cs = [Fraction(c) for c in coeffs]
+        cs = [exact(c) for c in coeffs]
         if len(cs) > order + 1:
             raise WordError(f"{len(cs)} coefficients exceed order {order}")
-        cs.extend([Fraction(0)] * (order + 1 - len(cs)))
+        cs.extend([0] * (order + 1 - len(cs)))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -85,7 +88,7 @@ class QPoly:
         return self.scale(-1)
 
     def scale(self, coeff: Rational) -> "QPoly":
-        coeff = Fraction(coeff)
+        coeff = exact(coeff)
         return QPoly(self.order, [c * coeff for c in self.coeffs])
 
     def __rmul__(self, coeff):
@@ -99,7 +102,7 @@ class QPoly:
         if not isinstance(other, QPoly):
             return NotImplemented
         n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)
         for i, a in enumerate(self.coeffs[: n + 1]):
             if not a:
                 continue
@@ -136,12 +139,7 @@ class QPoly:
                 else:
                     body = f"{c}*{mono}"
             bits.append(body)
-        if not bits:
-            return "0"
-        out = bits[0]
-        for t in bits[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        return signed_join(bits)
 
     def __repr__(self) -> str:
         return f"QPoly[{self.order}]({self})"
@@ -316,10 +314,10 @@ def eval_word(model: str, x: Union[Word, Poly], order: int) -> QPoly:
     if model not in _ZETAS:
         raise WordError(f"unknown model {model!r}; expected one of {sorted(_ZETAS)}")
     zeta = _ZETAS[model]
-    acc = QPoly.zero(order)
+    coeffs = [0] * (order + 1)
     for w, c in as_poly(x).terms.items():
-        acc = acc + zeta(z_decode(w), order).scale(c)
-    return acc
+        coeffs = [a + c * b for a, b in zip(coeffs, zeta(z_decode(w), order).coeffs)]
+    return QPoly(order, coeffs)
 
 
 # ---------------------------------------------------------------------------

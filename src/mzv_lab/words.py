@@ -15,8 +15,11 @@ wt(d) := -1, forced by pd = 1 together with additivity of the grading; no
 other choice is consistent.
 
 ``Poly`` is the universal carrier of all products and linear maps: a finite
-formal sum of words with exact ``Fraction`` coefficients (zero coefficients
-are never stored).
+formal sum of words with exact ``int | Fraction`` coefficients (zero
+coefficients are never stored; an ``int`` turns into a ``Fraction`` only when
+a rational coefficient enters).  It and the other carriers of exact linear
+combinations (``hopf.Tensor2``, ``products.ZPoly``) share the arithmetic and
+the formatter of ``LinComb``.
 """
 
 from __future__ import annotations
@@ -174,109 +177,123 @@ class Grading:
         )
 
 
-def normalize(letters: Iterable[str], alphabet: Alphabet) -> Word:
-    """Return the normalized word (identity on H2/PY, pd/dp-free form on PDY)."""
-    return Word(alphabet, letters)
-
-
-def grading(word: Word) -> Grading:
-    return word.grading()
-
-
 def unit(alphabet: Alphabet) -> Word:
     return Word(alphabet, ())
 
 
-class Poly:
-    """Finite linear combination of words with exact rational coefficients.
+# -- linear combinations ------------------------------------------------------
 
-    Never stores a zero coefficient; two Polys are equal iff their term maps
-    are equal.  ``p * q`` is the concatenation product, extended bilinearly.
-    Scalar multiplication via ``coeff * p``.
+_EXACT = (int, Fraction)
+_set = object.__setattr__
+
+
+def exact(c) -> Rational:
+    """c itself when it is an int or a Fraction, else Fraction(c)."""
+    return c if type(c) in _EXACT else Fraction(c)
+
+
+def add_into(terms: dict, key, c: Rational) -> None:
+    """terms[key] += c in place; a coefficient that cancels is deleted."""
+    old = terms.get(key)
+    if old is not None:
+        c += old
+    if c:
+        terms[key] = c
+    elif old is not None:
+        del terms[key]
+
+
+def add_scaled(terms: dict, other: Mapping, c: Rational = 1) -> None:
+    """terms += c * other in place, term by term through add_into."""
+    one = c == 1
+    for key, v in other.items():
+        add_into(terms, key, v if one else c * v)
+
+
+def signed_join(parts: list[str]) -> str:
+    """Join signed term texts as "a - b + 2*c"; the empty sum is "0"."""
+    if not parts:
+        return "0"
+    return parts[0] + "".join(f" - {t[1:]}" if t.startswith("-") else f" + {t}" for t in parts[1:])
+
+
+class LinComb:
+    """Finite linear combination of basis keys with exact coefficients.
+
+    ``terms`` maps each key to a nonzero ``int | Fraction``; a coefficient
+    stays an ``int`` until a rational one enters.  Subclasses fix the key:
+    words (``Poly``), word pairs (``hopf.Tensor2``) or z-indexed words
+    (``products.ZPoly``), and its display order (``_order``, a sort key for
+    one key).  ``alphabet`` is the space the keys live in, and
+    ``+`` and ``-`` need the same one on both sides.  Values are immutable,
+    so memoized results are shared freely: accumulation in place writes only
+    to a dict its caller created, and ``_make`` wraps that dict without a copy.
     """
 
     __slots__ = ("alphabet", "terms")
 
-    def __init__(self, alphabet: Alphabet, terms: Mapping[Word, Rational] | None = None):
-        clean: dict[Word, Fraction] = {}
+    def __init__(self, alphabet, terms: Mapping | None = None):
+        clean: dict = {}
         if terms:
-            for w, c in terms.items():
-                if w.alphabet is not alphabet:
-                    raise AlphabetMismatchError(f"term {w!r} not over {alphabet}")
-                c = Fraction(c)
+            for key, c in terms.items():
+                self._check_key(key, alphabet)
+                c = exact(c)
                 if c:
-                    clean[w] = clean.get(w, Fraction(0)) + c
-                    if not clean[w]:
-                        del clean[w]
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "terms", clean)
+                    clean[key] = c
+        _set(self, "alphabet", alphabet)
+        _set(self, "terms", clean)
+
+    @classmethod
+    def _make(cls, alphabet, terms: dict):
+        """Trusted constructor: ``terms`` is already clean and is kept as is."""
+        out = object.__new__(cls)
+        _set(out, "alphabet", alphabet)
+        _set(out, "terms", terms)
+        return out
+
+    @staticmethod
+    def _check_key(key, alphabet) -> None:
+        pass
 
     def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    # -- constructors ------------------------------------------------------
-    @classmethod
-    def zero(cls, alphabet: Alphabet) -> "Poly":
-        return cls(alphabet)
-
-    @classmethod
-    def unit(cls, alphabet: Alphabet) -> "Poly":
-        return cls(alphabet, {Word(alphabet): Fraction(1)})
-
-    @classmethod
-    def of(cls, word: Word, coeff: Rational = 1) -> "Poly":
-        return cls(word.alphabet, {word: Fraction(coeff)})
-
-    # -- linear structure --------------------------------------------------
-    def _check(self, other: "Poly") -> None:
-        if self.alphabet is not other.alphabet:
+    def _same_space(self, other: "LinComb") -> None:
+        if other.alphabet is not self.alphabet:
             raise AlphabetMismatchError(f"{self.alphabet} vs {other.alphabet}")
 
-    def __add__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
+    def _plus(self, other, sign: int):
+        if type(other) is not type(self):
             return NotImplemented
-        self._check(other)
+        self._same_space(other)
         terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, Fraction(0)) + c
-        return Poly(self.alphabet, terms)
+        add_scaled(terms, other.terms, sign)
+        return self._make(self.alphabet, terms)
 
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+    def __add__(self, other):
+        return self._plus(other, 1)
 
-    def __neg__(self) -> "Poly":
-        return Poly(self.alphabet, {w: -c for w, c in self.terms.items()})
+    def __sub__(self, other):
+        return self._plus(other, -1)
 
-    def scale(self, coeff: Rational) -> "Poly":
-        coeff = Fraction(coeff)
-        if not coeff:
-            return Poly(self.alphabet)
-        return Poly(self.alphabet, {w: c * coeff for w, c in self.terms.items()})
+    def __neg__(self):
+        return self._make(self.alphabet, {k: -c for k, c in self.terms.items()})
+
+    def scale(self, coeff: Rational):
+        coeff = exact(coeff)
+        if coeff == 1:
+            return self
+        terms = {k: c * coeff for k, c in self.terms.items()} if coeff else {}
+        return self._make(self.alphabet, terms)
 
     def __rmul__(self, coeff):
-        if isinstance(coeff, (int, Fraction)):
+        if isinstance(coeff, _EXACT):
             return self.scale(coeff)
         return NotImplemented
 
-    def __mul__(self, other):
-        # concatenation product, bilinear
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, Word):
-            other = Poly.of(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._check(other)
-        terms: dict[Word, Fraction] = {}
-        for wu, cu in self.terms.items():
-            for wv, cv in other.terms.items():
-                w = wu * wv
-                terms[w] = terms.get(w, Fraction(0)) + cu * cv
-        return Poly(self.alphabet, terms)
-
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, Poly)
+            type(other) is type(self)
             and self.alphabet is other.alphabet
             and self.terms == other.terms
         )
@@ -284,39 +301,91 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __iter__(self) -> Iterator[tuple[Word, Fraction]]:
-        return iter(sorted(self.terms.items(), key=lambda t: t[0].sort_key()))
+    def sorted_terms(self) -> list:
+        """(key, coefficient) pairs in the canonical display order."""
+        order = self._order
+        return sorted(self.terms.items(), key=lambda t: order(t[0]))
 
-    def coeff(self, word: Word) -> Fraction:
-        return self.terms.get(word, Fraction(0))
+    def format_terms(self, body: Callable[[object], str]) -> str:
+        """Signed sum in canonical order, key k shown as body(k) with a
+        coefficient c != +-1 written in front as "c*"."""
+        parts = []
+        for k, c in self.sorted_terms():
+            b = body(k)
+            parts.append(b if c == 1 else f"-{b}" if c == -1 else f"{c}*{b}")
+        return signed_join(parts)
+
+
+class Poly(LinComb):
+    """Finite linear combination of words with exact coefficients.
+
+    Never stores a zero coefficient; two Polys are equal iff their term maps
+    are equal.  ``p * q`` is the concatenation product, extended bilinearly.
+    Scalar multiplication via ``coeff * p``.
+    """
+
+    __slots__ = ()
+
+    # the shared arithmetic is bound on Poly as well, so that instrumenting
+    # Poly's own methods (perfbench/tracer.py) finds it
+    __add__ = LinComb.__add__
+    __sub__ = LinComb.__sub__
+    __neg__ = LinComb.__neg__
+    __rmul__ = LinComb.__rmul__
+    __eq__ = LinComb.__eq__
+    scale = LinComb.scale
+    _order = staticmethod(Word.sort_key)
+
+    @staticmethod
+    def _check_key(w: Word, alphabet: Alphabet) -> None:
+        if w.alphabet is not alphabet:
+            raise AlphabetMismatchError(f"term {w!r} not over {alphabet}")
+
+    # -- constructors ------------------------------------------------------
+    @classmethod
+    def zero(cls, alphabet: Alphabet) -> "Poly":
+        return cls._make(alphabet, {})
+
+    @classmethod
+    def unit(cls, alphabet: Alphabet) -> "Poly":
+        return cls._make(alphabet, {Word(alphabet): 1})
+
+    @classmethod
+    def of(cls, word: Word, coeff: Rational = 1) -> "Poly":
+        return cls(word.alphabet, {word: coeff})
+
+    def __mul__(self, other):
+        # concatenation product, bilinear
+        if isinstance(other, _EXACT):
+            return self.scale(other)
+        if isinstance(other, Word):
+            other = Poly.of(other)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        self._same_space(other)
+        terms: dict[Word, Rational] = {}
+        for wu, cu in self.terms.items():
+            for wv, cv in other.terms.items():
+                add_into(terms, wu * wv, cu * cv)
+        return Poly._make(self.alphabet, terms)
+
+    def __iter__(self) -> Iterator[tuple[Word, Rational]]:
+        return iter(self.sorted_terms())
+
+    def coeff(self, word: Word) -> Rational:
+        return self.terms.get(word, 0)
 
     def map_words(self, f: "Callable[[Word], Poly]") -> "Poly":
-        """Linear extension of a word-level map (the map fixes the codomain)."""
-        acc: Poly | None = None
+        """Linear extension of a word-level map into the same alphabet."""
+        terms: dict[Word, Rational] = {}
         for w, c in self.terms.items():
-            piece = f(w).scale(c)
-            acc = piece if acc is None else acc + piece
-        if acc is None:
-            return Poly(self.alphabet)
-        return acc
+            piece = f(w)
+            self._same_space(piece)
+            add_scaled(terms, piece.terms, c)
+        return Poly._make(self.alphabet, terms)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for w, c in self:
-            body = str(w)
-            if c == 1:
-                text = body
-            elif c == -1:
-                text = f"-{body}"
-            else:
-                text = f"{c}*{body}"
-            parts.append(text)
-        out = parts[0]
-        for text in parts[1:]:
-            out += f" - {text[1:]}" if text.startswith("-") else f" + {text}"
-        return out
+        return self.format_terms(str)
 
     def __repr__(self) -> str:
         return f"Poly({self.alphabet.tag}: {self})"
@@ -324,15 +393,6 @@ class Poly:
 
 def as_poly(x: Word | Poly) -> Poly:
     return Poly.of(x) if isinstance(x, Word) else x
-
-
-def linear(f: Callable[[Word], Poly]) -> Callable[[Word | Poly], Poly]:
-    """Lift a word-level map to Word | Poly inputs."""
-
-    def lifted(x: Word | Poly) -> Poly:
-        return as_poly(x).map_words(f)
-
-    return lifted
 
 
 # -- subalgebra membership --------------------------------------------------
@@ -414,11 +474,6 @@ def z_decode(word: Word) -> tuple[int, ...]:
             parts.append(run + offset)
             run = 0
     return tuple(parts)
-
-
-def zw(comp: Iterable[int], alphabet: Alphabet = PY) -> Word:
-    """Shorthand used throughout the tests: zw((2,1)) is z_2 z_1."""
-    return z_encode(comp, alphabet)
 
 
 def zp(comp: Iterable[int], alphabet: Alphabet = PY, coeff: Rational = 1) -> Poly:

@@ -130,6 +130,27 @@ def test_format_poly_layout():
     assert format_poly(Poly.zero(PY)) == "0"
 
 
+def test_every_formatter_pins_its_signed_terms():
+    # coefficients 1, -1, 3 and -1/2, and the zero value of each carrier
+    cs = (1, -1, 3, Fraction(-1, 2))
+    ws = [z_encode(c, H2) for c in ((2,), (2, 1), (3,))] + [Word(H2, ("x1", "x0"))]
+    p = Poly(H2, dict(zip(ws, cs)))
+    assert format_poly(p) == "z{2} - 1/2*x1x0 + 3*z{3} - z{2}z{1}"
+    assert str(p) == "x0x1 - 1/2*x1x0 + 3*x0x0x1 - x0x1x1"
+    one = Word(H2)
+    t = hopf.Tensor2(H2, dict(zip([(ws[0], one), (one, ws[0]), (ws[1], ws[2]), (ws[3], ws[0])], cs)))
+    assert cli.format_tensor(t) == "-1 (x) z{2} + z{2} (x) 1 - 1/2*x1x0 (x) z{2} + 3*z{2}z{1} (x) z{3}"
+    assert str(t) == "-1 (x) x0x1 + x0x1 (x) 1 - 1/2*x1x0 (x) x0x1 + 3*x0x1x1 (x) x0x0x1"
+    z = products.ZPoly(dict(zip(map(products.ZWord, [(2,), (1, -1), (3, 0), ()]), cs)))
+    assert repr(z) == "ZPoly(-1/2*z[] - z[1, -1] + z[2] + 3*z[3, 0])"
+    q = qseries.QPoly(4, (Fraction(-1, 2), 1, -1, 3, Fraction(-1, 2)))
+    assert str(q) == "-1/2 + q - q^2 + 3q^3 - 1/2*q^4"
+    assert str(qseries.QPoly(3, (3, Fraction(1, 2), 0, -1))) == "3 + 1/2*q - q^3"
+    zeros = [format_poly(Poly.zero(H2)), str(Poly.zero(H2)), cli.format_tensor(hopf.Tensor2(H2))]
+    zeros += [str(hopf.Tensor2(H2)), repr(products.ZPoly()), str(qseries.QPoly(3))]
+    assert zeros == ["0", "0", "0", "0", "ZPoly(0)", "0"]
+
+
 coeffs = st.integers(min_value=-9, max_value=9).filter(bool).map(Fraction)
 h2_word = st.lists(st.sampled_from(["x0", "x1"]), max_size=5).map(lambda l: Word(H2, l))
 py_word = st.lists(st.sampled_from(["p", "y"]), max_size=5).map(lambda l: Word(PY, l))
@@ -270,13 +291,23 @@ def test_unknown_suite_raises():
         run_suite("nope")
 
 
-def test_suite_reports_are_deterministic_across_workers(monkeypatch):
-    monkeypatch.delenv("MZV_LAB_THREADS", raising=False)
-    a = run_suite("thm-szdual", 5, None).to_json()
-    monkeypatch.setenv("MZV_LAB_THREADS", "4")
-    b = run_suite("thm-szdual", 5, None).to_json()
-    a.pop("wall_time"), b.pop("wall_time")
-    assert a == b
+def test_suite_case_that_raises_is_a_failure_and_the_run_goes_on(capsys, monkeypatch):
+    ran = []
+
+    def mixed_suite(mw, order):
+        yield cli.Case("raises", {"w": "z{0}"}, lambda: (products.t_op(zp(0, 1)), zp(0, 1)))
+        yield cli.Case("passes", {}, lambda: (ran.append(1) or 1, 1))
+
+    monkeypatch.setitem(SUITES, "mixed", mixed_suite)
+    rep = run_suite("mixed")
+    assert rep.cases == 2 and ran == [1]
+    (f,) = rep.failures
+    assert f.case_id == "raises" and f.inputs == {"w": "z{0}"}
+    assert f.lhs == "raised NotInSubalgebraError: t_op needs first z-part >= 1, got (0, 1)"
+    assert main(["verify", "--suite", "mixed"]) == 1
+    out = capsys.readouterr().out
+    assert "raised NotInSubalgebraError" in out and "FAILED" in out
+    assert [f.case_id for f in run_suite("all", 2, 6).failures] == ["mixed/raises"]
 
 
 def test_export_vectors_spot_check(tmp_path):

@@ -21,7 +21,12 @@ from mzv_lab.hopf import (
     infinitesimal_coproduct_at,
     transfer_hopf,
 )
-from mzv_lab.products import IsoConsistencyError, quasi_shuffle, square_classical
+from mzv_lab.products import (
+    IsoConsistencyError,
+    quasi_shuffle,
+    quasi_shuffle_lambda,
+    square_classical,
+)
 from mzv_lab.words import (
     H2,
     PDY,
@@ -58,6 +63,17 @@ def test_tensor_ops():
     assert t.flip() == t
     assert t.map_factors(lambda x: x.scale(2), lambda x: x) == t.scale(2)
     assert t.contract(lambda a, b: a * b) == 2 * u
+
+
+def test_tensor_int_and_fraction_coefficients_are_interchangeable():
+    py, one = Word(PY, ("p", "y")), Word(PY)
+    a = Tensor2(PY, {(py, one): 3, (one, py): -1})
+    b = Tensor2(PY, {(py, one): Fraction(3), (one, py): Fraction(-1)})
+    assert a == b and str(a) == str(b) == "-1 (x) py + 3*py (x) 1"
+    assert hash(frozenset(a.terms.items())) == hash(frozenset(b.terms.items()))
+    # t - flip(t) contracts to zero under a commutative product, term by term
+    t = Tensor2.of(zp((1,)), zp((2,)))
+    assert (t - t.flip()).contract(quasi_shuffle_lambda).terms == {}
 
 
 def test_tensor_concat_mul():

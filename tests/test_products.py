@@ -241,6 +241,65 @@ def test_zpoly_conversions():
         zpoly_to_poly(neg)  # negative parts have no p/y word
 
 
+def test_zpoly_int_and_fraction_coefficients_are_interchangeable():
+    a = ZPoly({ZWord((2,)): 3, ZWord((1, -1)): -1})
+    b = ZPoly({ZWord((2,)): Fraction(3), ZWord((1, -1)): Fraction(-1)})
+    assert a == b and repr(a) == repr(b) == "ZPoly(-z[1, -1] + 3*z[2])"
+    assert hash(frozenset(a.terms.items())) == hash(frozenset(b.terms.items()))
+
+
+def test_cancelling_pieces_leave_no_zero_coefficient():
+    # (a - b) x (a + b) = a.a - b.b: the two a.b cross terms cancel in place
+    a, b = zh(2), zh(1, 1)
+    got = quasi_shuffle(a - b, a + b)
+    assert got == quasi_shuffle(a, a) - quasi_shuffle(b, b)
+    assert all(got.terms.values())
+    za, zb = ZWord((2,)), ZWord((1, 1))
+    got = ooz_explicit(ZPoly({za: 1, zb: -1}), ZPoly({za: 1, zb: 1}))
+    assert got == ooz_explicit(za, za) - ooz_explicit(zb, zb)
+    assert all(got.terms.values())
+
+
+def test_in_place_accumulation_leaves_memo_values_alone():
+    from mzv_lab import hopf
+
+    products.clear_caches()
+    u, v, w = Word(H2, ("x1",)), Word(H2, ("x0", "x1")), Word(H2, ("x0",))
+    first = products.shuffle_ordered(u, v)  # the first piece of the products below
+    snapshot = dict(first.terms)
+    shuffle(Poly.of(u) + Poly.of(w), v)
+    Poly.of(v, 2).map_words(lambda x: first) + first
+    assert products.shuffle_ordered(u, v) is first and first.terms == snapshot
+    zu, zv = ZWord((1,)), ZWord((2, 1))
+    zfirst = products.ooz_explicit_ordered(zu, zv)
+    zsnapshot = dict(zfirst.terms)
+    ooz_explicit(ZPoly({zu: 1, ZWord((3,)): 1}), zv)
+    assert products.ooz_explicit_ordered(zu, zv).terms == zsnapshot
+    py = Word(PY, ("p", "y"))
+    dfirst = hopf.infinitesimal_coproduct(Poly.of(py))
+    dsnapshot = dict(dfirst.terms)
+    hopf.infinitesimal_coproduct(Poly.of(py) + Poly.of(Word(PY, ("y",))))
+    assert hopf.infinitesimal_coproduct(Poly.of(py)).terms == dsnapshot
+
+
+@pytest.mark.parametrize("lam", [1, -1, 2, Fraction(1, 2)])
+def test_every_product_has_exact_coefficients(lam):
+    h = [zh(2), zh(2, 1) - zh(3).scale(Fraction(1, 2)), zh(1, 2)]
+    p = [zp((1,)), zp((2, 0)) + 3 * zp((1, 1)), Poly.of(Word(PY, ("p", "p", "y")), -1)]
+    d = [Poly.of(Word(PDY, ("d", "p", "y"))), Poly.of(Word(PDY, ("d",)), 2)]
+    outs = []
+    for u, v in zip(h, h[1:]):
+        outs += [shuffle(u, v), quasi_shuffle(u, v), shuffle_star(u, v), shuffle_star_alt(u, v)]
+    outs.append(square_classical(zh(2), zh(3)))
+    for u, v in zip(p, p[1:]):
+        outs += [quasi_shuffle_lambda(u, v, lam), shuffle_lambda(u, v, lam), t_op(u)]
+        outs += [ooz_quasi_shuffle(u, v), zpoly_to_poly(ooz_explicit(zpoly_from_poly(u), zpoly_from_poly(v)))]
+    outs += [square_lambda(zp((2,)), zp((1, 1)), lam), ooz_square(zp((1,)), zp((2,)))]
+    outs += [ihara_circ(zp((2,)), zp((1, 1))), shuffle_lambda(d[0], d[1], lam)]
+    coeffs = [c for x in outs for c in x.terms.values()]
+    assert coeffs and all(type(c) in (int, Fraction) for c in coeffs)
+
+
 def test_ooz_quasi_shuffle_domain():
     with pytest.raises(WordError):
         ooz_quasi_shuffle(zp((0, 1)), zp((1,)))  # leading part must be >= 1

@@ -182,6 +182,17 @@ def test_qpoly_arithmetic_truncates():
     assert (2 * a).coeffs == (0, 2, 0, 0)
 
 
+def test_qpoly_keeps_ints_until_a_rational_enters():
+    a, b = zeta_SZ((2, 1), 12), eval_word("OOZ", Poly.of(z_encode((2, 0), PY), 3), 12)
+    ints = [a, b, a + b, a - b, a * b, a.scale(-2), 3 * a]
+    assert all(type(c) is int for x in ints for c in x.coeffs)
+    half = a.scale(Fraction(1, 2))
+    rationals = [half, half + b, half - b, half * b, a.scale(0.5), QPoly(2, (0.25,))]
+    assert all(type(c) in (int, Fraction) for x in rationals for c in x.coeffs)
+    assert half * b == (a * b).scale(Fraction(1, 2)) and a.scale(0.5) == half
+    assert QPoly(3, (3, -1)) == QPoly(3, (Fraction(3), Fraction(-1)))
+
+
 def test_qpoly_eq_compares_common_order():
     assert QPoly(2, (0, 1, 1)) == QPoly(5, (0, 1, 1, 9, 9, 9))
     assert QPoly(2, (0, 1, 1)) != QPoly(5, (0, 1, 2, 9, 9, 9))

@@ -17,6 +17,7 @@ from mzv_lab.words import (
     Poly,
     Word,
     WordError,
+    add_into,
     block_map,
     embed_J,
     iter_words,
@@ -254,6 +255,29 @@ def test_poly_iteration_is_sorted_canonically():
     x = Poly.of(Word(PY, ("p", "p", "y"))) + Poly.of(Word(PY, ("y",)))
     words = [w for w, _ in x]
     assert words == sorted(words, key=lambda w: w.sort_key())
+
+
+def test_int_and_fraction_coefficients_are_interchangeable():
+    a = Poly(PY, {Word(PY, ("y",)): 3, Word(PY, ("p", "y")): -1})
+    b = Poly(PY, {Word(PY, ("y",)): Fraction(3), Word(PY, ("p", "y")): Fraction(-1)})
+    assert a == b and str(a) == str(b) == "3*y - py"
+    assert hash(frozenset(a.terms.items())) == hash(frozenset(b.terms.items()))
+    # exact input is kept as given; anything else goes through Fraction
+    assert type(a.coeff(Word(PY, ("y",)))) is int
+    assert Poly.of(Word(PY, ("y",)), 0.5).coeff(Word(PY, ("y",))) == Fraction(1, 2)
+
+
+def test_in_place_accumulation_never_keeps_a_zero():
+    terms: dict = {}
+    add_into(terms, "a", 1)
+    add_into(terms, "a", Fraction(-1))
+    add_into(terms, "b", 0)
+    assert terms == {}
+    a, b = Word(PY, ("y",)), Word(PY, ("p", "y"))
+    x = Poly.of(a) - Poly.of(b)
+    assert x.map_words(lambda w: Poly.of(Word(PY, ("p",)))).terms == {}
+    assert (Poly.of(a) + Poly.of(b)) * x == Poly.of(a * a) - Poly.of(b * b) + Poly.of(b * a) - Poly.of(a * b)
+    assert all((x * x).terms.values())
 
 
 @given(py_words, py_words, py_words)
