@@ -171,7 +171,10 @@ def tokenize(text: str) -> list[Token]:
                 m = k
                 while m < n and text[m].isdigit():
                     m += 1
-                tokens.append(Token("NUM", Fraction(num, int(text[k:m])), i))
+                den = int(text[k:m])
+                if den == 0:
+                    raise WordError(f"division by zero in {text[i:m]!r}")
+                tokens.append(Token("NUM", Fraction(num, den), i))
                 i = m
             else:
                 tokens.append(Token("NUM", num, i))
@@ -1575,6 +1578,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "verify":
+        for flag, value in (("--max-weight", args.max_weight), ("--order", args.order)):
+            if value is not None and value < 0:
+                raise WordError(f"{flag} must be >= 0, got {value}")
         report = run_suite(args.suite, args.max_weight, args.order)
         print(json.dumps(report.to_json()) if args.json else report.text())
         return 0 if report.passed else 1

@@ -11,11 +11,13 @@ starred model relaxes to >=) with per-index factors:
              z-parts k1 >= 1, inner kj any integer
 
 In every model the outermost factor has q-order >= m_1, so truncating the
-chain at m_1 <= N is exact through q^N.  The dynamic programming runs on
-plain int coefficient lists (all four models have integer expansions) and
-wraps the result in ``QPoly`` objects, which keep those ints and turn to
-``Fraction`` only when a rational coefficient enters; suffix sums are cached
-across evaluations.
+chain at m_1 <= N is exact through q^N.  The chain sum is one pass over the
+summation index with one running series per depth level, on plain int
+coefficient lists (all four models have integer expansions): O(d N) ints of
+state and about d N^2 / 2 coefficient updates per unit of |k| at depth d.
+Results are wrapped in ``QPoly`` objects, which keep those ints and turn to
+``Fraction`` only when a rational coefficient enters; each finished series
+is cached by (model, composition, order).
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
-from typing import Iterable, Sequence, Union
+from operator import add, sub
+from typing import Iterable, Union
 
 from mzv_lab.words import (
     H2,
@@ -149,50 +152,6 @@ class QPoly:
 
 
 # ---------------------------------------------------------------------------
-# integer-list series helpers (internal)
-# ---------------------------------------------------------------------------
-
-IntSeries = list[int]
-
-
-def _ser_zero(n: int) -> IntSeries:
-    return [0] * (n + 1)
-
-
-def _ser_mul(a: Sequence[int], b: Sequence[int], n: int) -> IntSeries:
-    out = [0] * (n + 1)
-    for i, ai in enumerate(a):
-        if ai and i <= n:
-            top = n - i
-            for j, bj in enumerate(b[: top + 1]):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _ser_geom_power(m: int, k: int, n: int) -> IntSeries:
-    """(1 - q^m)^(-k) through q^n, any integer k (negative k means the
-    polynomial (1-q^m)^|k|)."""
-    out = [0] * (n + 1)
-    if k >= 0:
-        for j in range(0, n // m + 1):
-            out[m * j] = comb(k - 1 + j, j) if k > 0 else (1 if j == 0 else 0)
-    else:
-        kk = -k
-        for j in range(0, min(kk, n // m) + 1):
-            out[m * j] = (-1) ** j * comb(kk, j)
-    return out
-
-
-def _ser_shift(a: Sequence[int], s: int, n: int) -> IntSeries:
-    out = [0] * (n + 1)
-    for i, ai in enumerate(a):
-        if ai and i + s <= n:
-            out[i + s] = ai
-    return out
-
-
-# ---------------------------------------------------------------------------
 # the four models
 # ---------------------------------------------------------------------------
 
@@ -203,23 +162,14 @@ class Model:
     first_min: int
     rest_min: int | None  # None: any integer allowed
 
-    def factor(self, position: int, m: int, k: int, n: int) -> IntSeries:
-        """Series of the per-index factor at summation index m, through q^n.
+    def shift(self, position: int, k: int) -> int:
+        """s such that the factor at summation index m is q^(sm) (1-q^m)^-k.
         position 0 is the outermost index (largest m)."""
         if self.tag in ("SZ", "SZstar"):
-            if m * k > n:
-                return _ser_zero(n)
-            return _ser_shift(_ser_geom_power(m, k, n), m * k, n)
+            return k
         if self.tag == "BZ":
-            if m * (k - 1) > n:
-                return _ser_zero(n)
-            return _ser_shift(_ser_geom_power(m, k, n), m * (k - 1), n)
-        # OOZ
-        if position == 0:
-            if m > n:
-                return _ser_zero(n)
-            return _ser_shift(_ser_geom_power(m, k, n), m, n)
-        return _ser_geom_power(m, k, n)
+            return k - 1
+        return 1 if position == 0 else 0  # OOZ
 
     def check(self, comp: Comp) -> None:
         if not comp:
@@ -241,50 +191,55 @@ MODELS: dict[str, Model] = {
     "OOZ": Model("OOZ", strict=True, first_min=1, rest_min=None),
 }
 
-# cumulative suffix sums: (tag, suffix, n) -> list over m = 0..n of series
-# cum[m] = sum over chains with top index <= m, using inner-position factors
-_SUFFIX_CACHE: dict[tuple, list[IntSeries]] = {}
-_EVAL_CACHE: dict[tuple, IntSeries] = {}
+_EVAL_CACHE: dict[tuple, list[int]] = {}
 
 
-def _suffix_cum(model: Model, suffix: Comp, n: int) -> list[IntSeries]:
-    key = (model.tag, suffix, n)
-    hit = _SUFFIX_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if not suffix:
-        out = [[1] + [0] * n for _ in range(n + 1)]
-    else:
-        k, rest = suffix[0], suffix[1:]
-        inner = _suffix_cum(model, rest, n)
-        out = [_ser_zero(n)]
-        for m in range(1, n + 1):
-            bound = inner[m - 1] if model.strict else inner[m]
-            term = _ser_mul(model.factor(1, m, k, n), bound, n)
-            out.append([a + b for a, b in zip(out[m - 1], term)])
-    _SUFFIX_CACHE[key] = out
-    return out
+def _times_geometric(t: list[int], m: int, k: int) -> None:
+    """t <- t (1-q^m)^-k in place, truncated at len(t): k stride-m prefix
+    sums, or -k stride-m differences when k < 0."""
+    size = len(t)
+    if k < 0:
+        for _ in range(-k):
+            t[m:] = map(sub, t[m:], t[:-m])
+    elif k and m * m < size:  # narrow stride: one running sum per residue class
+        for r in range(m):
+            col = t[r::m]
+            for _ in range(k):
+                col = accumulate(col)
+            t[r::m] = col
+    else:  # wide stride: fewer than m blocks of m entries
+        for _ in range(k):
+            for b in range(m, size, m):
+                t[b : b + m] = map(add, t[b : b + m], t[b - m : b])
 
 
-def _eval_model(tag: str, comp: Comp, n: int) -> IntSeries:
+def _eval_model(tag: str, comp: Comp, n: int) -> list[int]:
+    """One pass over m = 1..n.  sums[j] is the sum over chains of comp[j:]
+    whose top index is at most m; sums[d] = 1 is the empty chain.  Strict
+    chains update outermost first, so sums[j + 1] still stops below m;
+    non-strict chains update innermost first, so it includes m.  Inner
+    factors have q-order >= 0 and the outermost one >= m_1, which is at
+    least m + j on a strict chain (m otherwise), so level j >= 1 is kept
+    only through that cap: about n^2 d / 2 coefficient updates per |k|."""
     model = MODELS[tag]
     model.check(comp)
     key = (tag, comp, n)
     hit = _EVAL_CACHE.get(key)
     if hit is not None:
         return hit
-    if not comp:
-        out = [1] + [0] * n
-    else:
-        k, rest = comp[0], comp[1:]
-        inner = _suffix_cum(model, rest, n)
-        out = _ser_zero(n)
-        for m in range(1, n + 1):
-            bound = inner[m - 1] if model.strict else inner[m]
-            term = _ser_mul(model.factor(0, m, k, n), bound, n)
-            out = [a + b for a, b in zip(out, term)]
-    _EVAL_CACHE[key] = out
-    return out
+    d = len(comp)
+    sums = [[0] * (n + 1) for _ in range(d)] + [[1] + [0] * n]
+    shifts = [model.shift(j, k) for j, k in enumerate(comp)]
+    levels = range(d) if model.strict else range(d - 1, -1, -1)
+    for m in range(1, n + 1):
+        for j in levels:
+            s, cap = m * shifts[j], n - m - j * model.strict if j else n
+            if s <= cap:
+                t = sums[j + 1][: cap + 1 - s]
+                _times_geometric(t, m, comp[j])
+                sums[j][s : cap + 1] = map(add, sums[j][s : cap + 1], t)
+    _EVAL_CACHE[key] = sums[0]
+    return sums[0]
 
 
 def zeta_SZ(comp: Iterable[int], order: int) -> QPoly:
@@ -484,14 +439,8 @@ def _model_value_at(model: Model, comp: Comp, q: float, eps: float = 1e-12) -> f
     qm = [q**m for m in range(1, cutoff + 1)]
     t = [1.0] * cutoff
     for pos, k in enumerate(reversed(comp)):
-        if model.tag in ("SZ", "SZstar"):
-            factor = [x**k / (1.0 - x) ** k for x in qm]
-        elif model.tag == "BZ":
-            factor = [x ** (k - 1) / (1.0 - x) ** k for x in qm]
-        elif pos == len(comp) - 1:
-            factor = [x / (1.0 - x) ** k for x in qm]
-        else:
-            factor = [(1.0 - x) ** float(-k) for x in qm]
+        s = model.shift(len(comp) - 1 - pos, k)
+        factor = [x**s / (1.0 - x) ** k for x in qm]
         prefix = list(accumulate(t, initial=0.0))[0 if model.strict else 1 :]
         t = [f * p for f, p in zip(factor, prefix)] if pos else factor
     return math.fsum(t)
@@ -519,5 +468,4 @@ def limit_scaling_check(
 
 
 def clear_caches() -> None:
-    _SUFFIX_CACHE.clear()
     _EVAL_CACHE.clear()

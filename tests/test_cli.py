@@ -268,6 +268,20 @@ def test_main_bad_lambda_is_one_line_usage_error(capsys, lam):
     assert err.startswith("error: --lambda") and len(err.splitlines()) == 1
 
 
+def test_main_scalar_division_by_zero_is_one_line_usage_error(capsys):
+    assert main(["product", "--alphabet", "H", "1/0*py"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: division by zero in '1/0'\n"
+
+
+@pytest.mark.parametrize("suite, flag", [("rota-baxter", "--order"), ("zhao-duality", "--max-weight")])
+def test_main_verify_rejects_a_negative_bound_before_any_case(capsys, monkeypatch, suite, flag):
+    monkeypatch.setattr(cli, "run_suite", lambda *args: pytest.fail("a suite ran"))
+    assert main(["verify", "--suite", suite, flag, "-1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {flag} must be >= 0, got -1\n"
+
+
 def test_main_verify_failure_exit_code(capsys, monkeypatch):
     def broken_suite(mw, order):
         yield cli.Case("always-fails", {}, lambda: (1, 2))

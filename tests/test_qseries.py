@@ -3,13 +3,14 @@ Rota-Baxter route and the floating-point classical evaluator.
 
 The oracle below expands every summand factor by schoolbook polynomial
 arithmetic and walks the index chains explicitly; it shares no code with the
-suffix-cached evaluators in mzv_lab.qseries.
+streaming chain-sum evaluator in mzv_lab.qseries.
 """
 
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzv_lab import qseries
+from mzv_lab import maps, qseries
 from mzv_lab.qseries import (
     QPoly,
     eval_word,
@@ -137,6 +138,56 @@ ooz_comps = st.tuples(
 @settings(max_examples=30, deadline=None)
 def test_rota_baxter_agrees_with_chain_evaluator(comp):
     assert rota_baxter_eval_OOZ(comp, 10) == zeta_OOZ(comp, 10)
+
+
+@st.composite
+def model_comps(draw):
+    tag = draw(st.sampled_from(["SZ", "SZstar", "BZ", "OOZ"]))
+    first, rest = {"SZ": (1, 0), "SZstar": (1, 0), "BZ": (2, 1), "OOZ": (1, -2)}[tag]
+    head = draw(st.integers(min_value=first, max_value=first + 2))
+    tail = draw(st.lists(st.integers(min_value=rest, max_value=3), max_size=2))
+    return tag, (head, *tail), draw(st.integers(min_value=0, max_value=20))
+
+
+@given(model_comps())
+@settings(max_examples=60, deadline=None)
+def test_every_model_matches_naive_chains(case):
+    tag, comp, n = case
+    qseries.clear_caches()
+    assert list(qseries._ZETAS[tag](comp, n).coeffs) == brute_model(tag, comp, n)
+
+
+# -- high orders: both stride paths of the chain sum ------------------------------
+
+def test_ooz_zeta1_counts_divisors_through_q300():
+    divisors = [0] + [sum(1 for d in range(1, k + 1) if k % d == 0) for k in range(1, 301)]
+    assert list(zeta_OOZ((1,), 300).coeffs) == divisors
+
+
+@pytest.mark.parametrize("comp", [(2, 1, 1), (1, 2, 1), (1, 1, 2, 1), (2, 1, 1, 1)])
+def test_dualities_hold_at_high_order(comp):
+    w = z_encode(comp, PY)
+    n = 120
+    assert eval_word("SZ", maps.tau_tilde(w), n) == eval_word("SZ", w, n)  # Zhao
+    assert eval_word("OOZ", w, n) == eval_word("SZstar", maps.tau_tilde(w), n)
+    x = z_encode((comp[0] + 1,) + comp[1:], H2)
+    assert eval_word("BZ", maps.tau(x), n + 1) == eval_word("BZ", x, n + 1)  # Bradley
+
+
+@pytest.mark.parametrize("comp", [(1,), (3, 1), (2, -1, 2), (1, 0, -2, 1), (2, 2, -1)])
+def test_rota_baxter_agrees_with_chain_evaluator_at_order_60(comp):
+    assert rota_baxter_eval_OOZ(comp, 60) == zeta_OOZ(comp, 60)
+
+
+def test_cold_chain_sum_keeps_linear_state():
+    qseries.clear_caches()
+    tracemalloc.start()
+    try:
+        zeta_SZ_star((1, 1, 1, 1, 1), 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # -- pinned expansions -----------------------------------------------------------
