@@ -1577,10 +1577,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(json.dumps({"type": "qseries", **out.to_json()}) if args.json else str(out))
         return 0
 
-    if args.command == "verify":
+    if args.command in ("verify", "export-vectors"):
         for flag, value in (("--max-weight", args.max_weight), ("--order", args.order)):
             if value is not None and value < 0:
                 raise WordError(f"{flag} must be >= 0, got {value}")
+
+    if args.command == "verify":
         report = run_suite(args.suite, args.max_weight, args.order)
         print(json.dumps(report.to_json()) if args.json else report.text())
         return 0 if report.passed else 1

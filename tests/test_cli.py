@@ -282,6 +282,13 @@ def test_main_verify_rejects_a_negative_bound_before_any_case(capsys, monkeypatc
     assert out.out == "" and out.err == f"error: {flag} must be >= 0, got -1\n"
 
 
+def test_main_export_rejects_a_negative_order_before_writing(capsys, tmp_path):
+    out = tmp_path / "never.jsonl"
+    assert main(["export-vectors", "--suite", "rota-baxter", "--order", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --order must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_main_verify_failure_exit_code(capsys, monkeypatch):
     def broken_suite(mw, order):
         yield cli.Case("always-fails", {}, lambda: (1, 2))
