@@ -621,6 +621,12 @@ def _py_view(x: Poly) -> Poly:
 SUITES: dict[str, Callable[[int | None, int | None], Iterator[Case]]] = {}
 
 
+def _bound(value: int | None, default: int) -> int:
+    """A suite's bound: the flag's value, or the suite's default when the
+    flag is absent (0 is a bound, not an absence)."""
+    return default if value is None else value
+
+
 def _suite(name: str):
     def deco(fn):
         SUITES[name] = fn
@@ -639,7 +645,7 @@ def _zp(comp: Iterable[int]) -> Poly:
 
 @_suite("classical-products")
 def _suite_classical(mw: int | None, order: int | None) -> Iterator[Case]:
-    mw = mw or 4
+    mw = _bound(mw, 4)
     yield Case(
         "stuffle-z2-z2",
         {"u": "z{2}", "v": "z{2}"},
@@ -695,7 +701,7 @@ def _suite_classical(mw: int | None, order: int | None) -> Iterator[Case]:
 
 @_suite("thm-derivation")
 def _suite_derivation(mw: int | None, order: int | None) -> Iterator[Case]:
-    mw = mw or 8
+    mw = _bound(mw, 8)
     z2 = _zh((2,))
     yield Case(
         "square-example",
@@ -719,7 +725,7 @@ def _suite_derivation(mw: int | None, order: int | None) -> Iterator[Case]:
 
 @_suite("hoffman-ohno")
 def _suite_hoffman(mw: int | None, order: int | None) -> Iterator[Case]:
-    mw = mw or 8
+    mw = _bound(mw, 8)
     z1 = _zh((1,))
     x1 = Poly.of(Word(H2, ("x1",)))
     for w in h0_words_h2(mw):
@@ -784,17 +790,17 @@ def _szdual_cases(lam: int, mw: int) -> Iterator[Case]:
 
 @_suite("thm-szdual")
 def _suite_szdual(mw: int | None, order: int | None) -> Iterator[Case]:
-    yield from _szdual_cases(1, mw or 8)
+    yield from _szdual_cases(1, _bound(mw, 8))
 
 
 @_suite("thm-oozdual")
 def _suite_oozdual(mw: int | None, order: int | None) -> Iterator[Case]:
-    yield from _szdual_cases(-1, mw or 8)
+    yield from _szdual_cases(-1, _bound(mw, 8))
 
 
 @_suite("zhao-duality")
 def _suite_zhao(mw: int | None, order: int | None) -> Iterator[Case]:
-    mw, order = mw or 5, order or 30
+    mw, order = _bound(mw, 5), _bound(order, 30)
     for w in H0_words_py(mw, 5):
         yield Case(
             f"sz-tau~-{format_word(w)}",
@@ -808,7 +814,7 @@ def _suite_zhao(mw: int | None, order: int | None) -> Iterator[Case]:
 
 @_suite("bradley-duality")
 def _suite_bradley(mw: int | None, order: int | None) -> Iterator[Case]:
-    mw, order = mw or 5, order or 30
+    mw, order = _bound(mw, 5), _bound(order, 30)
     for w in h0_words_h2(mw):
         yield Case(
             f"bz-tau-{format_word(w)}",
@@ -822,7 +828,7 @@ def _suite_bradley(mw: int | None, order: int | None) -> Iterator[Case]:
 
 @_suite("ooz-szstar-duality")
 def _suite_ooz_szstar(mw: int | None, order: int | None) -> Iterator[Case]:
-    mw, order = mw or 5, order or 30
+    mw, order = _bound(mw, 5), _bound(order, 30)
     for w in H0_words_py(mw, 5):
         yield Case(
             f"ooz-szstar-{format_word(w)}",
@@ -836,7 +842,7 @@ def _suite_ooz_szstar(mw: int | None, order: int | None) -> Iterator[Case]:
 
 @_suite("model-transfers")
 def _suite_transfers(mw: int | None, order: int | None) -> Iterator[Case]:
-    mw, order = mw or 5, order or 30
+    mw, order = _bound(mw, 5), _bound(order, 30)
     for w in h0_words_h2(mw):
         comp = z_decode(w)
         yield Case(
@@ -860,7 +866,7 @@ def _suite_transfers(mw: int | None, order: int | None) -> Iterator[Case]:
 
 @_suite("ooz-duality-families")
 def _suite_ooz_families(mw: int | None, order: int | None) -> Iterator[Case]:
-    mw, order = mw or 5, order or 30
+    mw, order = _bound(mw, 5), _bound(order, 30)
     for w in H0_words_py(mw, 5):
         yield Case(
             f"ooz-dual1-{format_word(w)}",
@@ -902,7 +908,7 @@ def _suite_spot(mw: int | None, order: int | None) -> Iterator[Case]:
 
 @_suite("characters")
 def _suite_characters(mw: int | None, order: int | None) -> Iterator[Case]:
-    mw, order = mw or 5, order or 30
+    mw, order = _bound(mw, 5), _bound(order, 30)
     zmax = min(5, mw)
     words = [
         w
@@ -973,7 +979,7 @@ def _suite_characters(mw: int | None, order: int | None) -> Iterator[Case]:
 
 @_suite("ihara-s")
 def _suite_ihara(mw: int | None, order: int | None) -> Iterator[Case]:
-    mw = mw or 6
+    mw = _bound(mw, 6)
     words = [
         w
         for w in H0_words_py(mw, min(mw, 6))
@@ -1045,7 +1051,7 @@ def _suite_ihara(mw: int | None, order: int | None) -> Iterator[Case]:
 
 @_suite("pdy-shuffle")
 def _suite_pdy(mw: int | None, order: int | None) -> Iterator[Case]:
-    mw = mw or 6
+    mw = _bound(mw, 6)
     for lam in (1, -1, 2):
         d = Poly.of(Word(PDY, ("d",)))
         yield Case(
@@ -1113,7 +1119,7 @@ def _suite_pdy(mw: int | None, order: int | None) -> Iterator[Case]:
 
 @_suite("infinitesimal")
 def _suite_infinitesimal(mw: int | None, order: int | None) -> Iterator[Case]:
-    mw = mw or 7
+    mw = _bound(mw, 7)
     yield Case(
         "d-py",
         {"w": "py"},
@@ -1205,7 +1211,7 @@ def _coassoc_holds(coproduct, x: Poly) -> bool:
 
 @_suite("ooz-explicit-vs-recursive")
 def _suite_ooz_explicit(mw: int | None, order: int | None) -> Iterator[Case]:
-    mw = mw or 6
+    mw = _bound(mw, 6)
     words = [w for w in H0_words_py(mw, mw - 1) if not w.is_unit]
     for i, u in enumerate(words):
         for v in words[i:]:
@@ -1227,7 +1233,7 @@ def _suite_ooz_explicit(mw: int | None, order: int | None) -> Iterator[Case]:
 
 @_suite("star-shuffle")
 def _suite_star(mw: int | None, order: int | None) -> Iterator[Case]:
-    mw = mw or 8
+    mw = _bound(mw, 8)
     x0 = Word(H2, ("x0",))
     x1 = Word(H2, ("x1",))
     yield Case(
@@ -1263,7 +1269,7 @@ def _suite_star(mw: int | None, order: int | None) -> Iterator[Case]:
 
 @_suite("thm-szsdual")
 def _suite_szsdual(mw: int | None, order: int | None) -> Iterator[Case]:
-    mw = mw or 6
+    mw = _bound(mw, 6)
     py = _zp((1,))
     yield Case(
         "worked-top",
@@ -1301,7 +1307,7 @@ def _block_top(x: Poly, weight: int) -> Poly:
 
 @_suite("hopf-axioms")
 def _suite_hopf(mw: int | None, order: int | None) -> Iterator[Case]:
-    mw = mw or 6
+    mw = _bound(mw, 6)
     structures: list[tuple[str, hopf.HopfStructure, list[Word]]] = []
     py_words = [w for w in words_by_length(PY, mw, lambda w: membership(w, "H1"))]
     pm1_words = [w for w in words_by_length(PY, mw, lambda w: membership(w, "Hm1"))]
@@ -1370,7 +1376,7 @@ def _antipode_laws(H: hopf.HopfStructure, w: Word) -> bool:
 
 @_suite("rota-baxter")
 def _suite_rota(mw: int | None, order: int | None) -> Iterator[Case]:
-    mw, order = mw or 5, order or 15
+    mw, order = _bound(mw, 5), _bound(order, 15)
     comps: list[Composition] = [()]
     for w in range(1, mw + 1):
         for depth in range(1, min(w + 1, 6)):

@@ -11,13 +11,13 @@ starred model relaxes to >=) with per-index factors:
              z-parts k1 >= 1, inner kj any integer
 
 In every model the outermost factor has q-order >= m_1, so truncating the
-chain at m_1 <= N is exact through q^N.  The chain sum is one pass over the
-summation index with one running series per depth level, on plain int
-coefficient lists (all four models have integer expansions): O(d N) ints of
-state and about d N^2 / 2 coefficient updates per unit of |k| at depth d.
-Results are wrapped in ``QPoly`` objects, which keep those ints and turn to
-``Fraction`` only when a rational coefficient enters; each finished series
-is cached by (model, composition, order).
+chain at m_1 <= N is exact through q^N.  Both exact routes work on plain int
+lists (the expansions are integral).  The chain sum is one pass over the
+summation index with one running series per distinct suffix of the
+compositions evaluated together: O(suffixes N) ints and about N^2/2 updates
+per suffix and unit of |k|.  The Rota-Baxter route keeps a series in t and q
+as (N+1)(N+2)/2 ints, with about N^2/2 additions per operator and unit of
+|k|.  ``QPoly`` keeps the ints until a rational enters; chain sums are cached.
 """
 
 from __future__ import annotations
@@ -26,12 +26,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
 from operator import add, sub
 from typing import Iterable, Union
 
 from mzv_lab.words import (
     H2,
+    PY,
+    AlphabetMismatchError,
     NotInSubalgebraError,
     Poly,
     Rational,
@@ -59,14 +60,21 @@ class QPoly:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Iterable[Rational] = ()):
-        if order < 0:
-            raise WordError(f"order must be >= 0, got {order}")
+        _check_order(order)
         cs = [exact(c) for c in coeffs]
         if len(cs) > order + 1:
             raise WordError(f"{len(cs)} coefficients exceed order {order}")
         cs.extend([0] * (order + 1 - len(cs)))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def _make(cls, order: int, coeffs: Iterable[Rational]) -> "QPoly":
+        """Trusted: exactly order + 1 ``int | Fraction`` coefficients."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
@@ -81,18 +89,18 @@ class QPoly:
 
     def __add__(self, other: "QPoly") -> "QPoly":
         n = min(self.order, other.order)
-        return QPoly(n, [a + b for a, b in zip(self.coeffs, other.coeffs)][: n + 1])
+        return QPoly._make(n, [a + b for a, b in zip(self.coeffs, other.coeffs)][: n + 1])
 
     def __sub__(self, other: "QPoly") -> "QPoly":
         n = min(self.order, other.order)
-        return QPoly(n, [a - b for a, b in zip(self.coeffs, other.coeffs)][: n + 1])
+        return QPoly._make(n, [a - b for a, b in zip(self.coeffs, other.coeffs)][: n + 1])
 
     def __neg__(self) -> "QPoly":
         return self.scale(-1)
 
     def scale(self, coeff: Rational) -> "QPoly":
         coeff = exact(coeff)
-        return QPoly(self.order, [c * coeff for c in self.coeffs])
+        return QPoly._make(self.order, [c * coeff for c in self.coeffs])
 
     def __rmul__(self, coeff):
         if isinstance(coeff, (int, Fraction)):
@@ -107,13 +115,9 @@ class QPoly:
         n = min(self.order, other.order)
         out = [0] * (n + 1)
         for i, a in enumerate(self.coeffs[: n + 1]):
-            if not a:
-                continue
-            for j in range(0, n - i + 1):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return QPoly(n, out)
+            if a:
+                out[i:] = [c + a * b for c, b in zip(out[i:], other.coeffs)]
+        return QPoly._make(n, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QPoly):
@@ -127,21 +131,13 @@ class QPoly:
     def __str__(self) -> str:
         bits: list[str] = []
         for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                body = str(c)
-            else:
-                mono = "q" if k == 1 else f"q^{k}"
-                if c == 1:
-                    body = mono
-                elif c == -1:
-                    body = f"-{mono}"
-                elif c.denominator == 1:
-                    body = f"{c}{mono}"
-                else:
-                    body = f"{c}*{mono}"
-            bits.append(body)
+            mono = "q" if k == 1 else f"q^{k}"
+            if c and k == 0:
+                bits.append(str(c))
+            elif c in (1, -1):
+                bits.append(mono if c == 1 else f"-{mono}")
+            elif c:
+                bits.append(f"{c}{mono}" if c.denominator == 1 else f"{c}*{mono}")
         return signed_join(bits)
 
     def __repr__(self) -> str:
@@ -171,17 +167,15 @@ class Model:
             return k - 1
         return 1 if position == 0 else 0  # OOZ
 
-    def check(self, comp: Comp) -> None:
-        if not comp:
-            return
-        if comp[0] < self.first_min:
-            raise NotInSubalgebraError(
-                f"{self.tag} needs first z-part >= {self.first_min}, got {comp}"
-            )
-        if self.rest_min is not None and any(k < self.rest_min for k in comp[1:]):
-            raise NotInSubalgebraError(
-                f"{self.tag} needs later z-parts >= {self.rest_min}, got {comp}"
-            )
+    def check(self, comp: Comp) -> Comp:
+        """comp itself, when it lies in the model's domain."""
+        if comp and comp[0] < self.first_min:
+            bound = f"first z-part >= {self.first_min}"
+        elif self.rest_min is not None and any(k < self.rest_min for k in comp[1:]):
+            bound = f"later z-parts >= {self.rest_min}"
+        else:
+            return comp
+        raise NotInSubalgebraError(f"{self.tag} needs {bound}, got {comp}")
 
 
 MODELS: dict[str, Model] = {
@@ -192,6 +186,11 @@ MODELS: dict[str, Model] = {
 }
 
 _EVAL_CACHE: dict[tuple, list[int]] = {}
+
+
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise WordError(f"order must be >= 0, got {order}")
 
 
 def _times_geometric(t: list[int], m: int, k: int) -> None:
@@ -213,114 +212,111 @@ def _times_geometric(t: list[int], m: int, k: int) -> None:
                 t[b : b + m] = map(add, t[b : b + m], t[b - m : b])
 
 
-def _eval_model(tag: str, comp: Comp, n: int) -> list[int]:
-    """One pass over m = 1..n.  sums[j] is the sum over chains of comp[j:]
-    whose top index is at most m; sums[d] = 1 is the empty chain.  Strict
-    chains update outermost first, so sums[j + 1] still stops below m;
-    non-strict chains update innermost first, so it includes m.  Inner
-    factors have q-order >= 0 and the outermost one >= m_1, which is at
-    least m + j on a strict chain (m otherwise), so level j >= 1 is kept
-    only through that cap: about n^2 d / 2 coefficient updates per |k|."""
+def _eval_models(tag: str, comps: Iterable[Comp], n: int) -> list[list[int]]:
+    """The chain sums of several compositions, in one pass over m = 1..n.
+    A level node is a distinct suffix comp[j:] with the shift of its head
+    factor (OOZ's outermost one differs): the sum over chains of the suffix
+    with top index <= m.  Strict chains update longer suffixes first, so a
+    child still stops below m; non-strict ones shorter first, so it includes
+    m.  The outermost factor has q-order >= m_1 >= m + j on a strict chain (m
+    otherwise), so a node is kept through the cap of its smallest j (n at 0)."""
     model = MODELS[tag]
-    model.check(comp)
-    key = (tag, comp, n)
-    hit = _EVAL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    d = len(comp)
-    sums = [[0] * (n + 1) for _ in range(d)] + [[1] + [0] * n]
-    shifts = [model.shift(j, k) for j, k in enumerate(comp)]
-    levels = range(d) if model.strict else range(d - 1, -1, -1)
+    comps = [model.check(comp) for comp in comps]
+    _check_order(n)
+    todo = list(dict.fromkeys(c for c in comps if (tag, c, n) not in _EVAL_CACHE))
+    leaf = [1] + [0] * n
+    depth: dict[tuple[Comp, int], int] = {}  # node -> smallest j it is used at
+    for comp in todo:
+        for j, k in enumerate(comp):
+            node = (comp[j:], model.shift(j, k))
+            depth[node] = min(depth.get(node, j), j)
+    series = {node: [0] * (n + 1) for node in depth}
+    plan = []
+    for suffix, s in sorted(depth, key=lambda node: len(node[0]), reverse=model.strict):
+        below = series[(suffix[1:], model.shift(1, suffix[1]))] if suffix[1:] else leaf
+        j = depth[(suffix, s)]
+        plan.append((series[(suffix, s)], below, suffix[0], s, j, j * model.strict))
     for m in range(1, n + 1):
-        for j in levels:
-            s, cap = m * shifts[j], n - m - j * model.strict if j else n
-            if s <= cap:
-                t = sums[j + 1][: cap + 1 - s]
-                _times_geometric(t, m, comp[j])
-                sums[j][s : cap + 1] = map(add, sums[j][s : cap + 1], t)
-    _EVAL_CACHE[key] = sums[0]
-    return sums[0]
+        for acc, below, k, s, j, cut in plan:
+            lo, cap = m * s, n - m - cut if j else n
+            if lo <= cap:
+                t = below[: cap + 1 - lo]
+                _times_geometric(t, m, k)
+                acc[lo : cap + 1] = map(add, acc[lo : cap + 1], t)
+    for comp in todo:
+        _EVAL_CACHE[(tag, comp, n)] = series[(comp, model.shift(0, comp[0]))] if comp else leaf
+    return [_EVAL_CACHE[(tag, comp, n)] for comp in comps]
+
+
+def _eval_model(tag: str, comp: Comp, n: int) -> list[int]:
+    return _eval_models(tag, (comp,), n)[0]
 
 
 def zeta_SZ(comp: Iterable[int], order: int) -> QPoly:
-    return QPoly(order, _eval_model("SZ", tuple(comp), order))
+    return QPoly._make(order, _eval_model("SZ", tuple(comp), order))
 
 
 def zeta_SZ_star(comp: Iterable[int], order: int) -> QPoly:
-    return QPoly(order, _eval_model("SZstar", tuple(comp), order))
+    return QPoly._make(order, _eval_model("SZstar", tuple(comp), order))
 
 
 def zeta_BZ(comp: Iterable[int], order: int) -> QPoly:
-    return QPoly(order, _eval_model("BZ", tuple(comp), order))
+    return QPoly._make(order, _eval_model("BZ", tuple(comp), order))
 
 
 def zeta_OOZ(comp: Iterable[int], order: int) -> QPoly:
-    return QPoly(order, _eval_model("OOZ", tuple(comp), order))
+    return QPoly._make(order, _eval_model("OOZ", tuple(comp), order))
 
 
 _ZETAS = {"SZ": zeta_SZ, "SZstar": zeta_SZ_star, "BZ": zeta_BZ, "OOZ": zeta_OOZ}
 
 
 def eval_word(model: str, x: Union[Word, Poly], order: int) -> QPoly:
-    """Evaluate a z-decodable word (or combination) in the named model.
-
-    BZ reads x0/x1 words; the other models read p/y words.
-    """
+    """Evaluate a z-decodable word (or combination) in the named model, the
+    uncached terms in one shared pass.  BZ reads x0/x1 words, the other models
+    p/y words; a word on the other alphabet raises ``AlphabetMismatchError``."""
     if model not in _ZETAS:
         raise WordError(f"unknown model {model!r}; expected one of {sorted(_ZETAS)}")
+    x = as_poly(x)
+    alphabet = H2 if model == "BZ" else PY
+    if x.alphabet is not alphabet:
+        raise AlphabetMismatchError(f"{model} reads {alphabet!r} words, got {x.alphabet!r}")
+    terms = [(MODELS[model].check(z_decode(w)), c) for w, c in x.terms.items()]
+    _eval_models(model, [comp for comp, _ in terms], order)  # the zetas below are cache hits
     zeta = _ZETAS[model]
     coeffs = [0] * (order + 1)
-    for w, c in as_poly(x).terms.items():
-        coeffs = [a + c * b for a, b in zip(coeffs, zeta(z_decode(w), order).coeffs)]
-    return QPoly(order, coeffs)
+    for comp, c in terms:
+        coeffs = [a + c * b for a, b in zip(coeffs, zeta(comp, order).coeffs)]
+    return QPoly._make(order, coeffs)
 
 
 # ---------------------------------------------------------------------------
 # Rota-Baxter style evaluator for the OOZ model
 # ---------------------------------------------------------------------------
 
-BiSeries = dict[tuple[int, int], int]  # (t-degree, q-degree) -> coeff, i + j <= N
+def _rb_times_power(rows: list[list[int]], k: int) -> None:
+    """h <- h (1-t)^-k in place: k running sums down the rows, or -k
+    differences (last row first) when k < 0."""
+    op, sweep = (add, range(1, len(rows))) if k > 0 else (sub, range(len(rows) - 1, 0, -1))
+    for _ in range(abs(k)):
+        for i in sweep:
+            rows[i][:] = map(op, rows[i], rows[i - 1])
 
 
-def _bi_mul(a: BiSeries, b: BiSeries, n: int) -> BiSeries:
-    out: BiSeries = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            i, j = i1 + i2, j1 + j2
-            if i + j <= n:
-                key = (i, j)
-                out[key] = out.get(key, 0) + c1 * c2
-    return {k: c for k, c in out.items() if c}
-
-
-def _bi_one_minus_t_power(k: int, n: int) -> BiSeries:
-    # (1 - t)^(-k) truncated at total degree n, any integer k
-    out: BiSeries = {}
-    if k >= 0:
-        for s in range(0, n + 1):
-            c = comb(k - 1 + s, s) if k > 0 else (1 if s == 0 else 0)
-            if c:
-                out[(s, 0)] = c
-    else:
-        for s in range(0, min(-k, n) + 1):
-            out[(s, 0)] = (-1) ** s * comb(-k, s)
-    return out
-
-
-def _bi_summation(a: BiSeries, n: int, strict: bool) -> BiSeries:
-    """Apply f(t) -> sum over m >= 1 (strict) or m >= 0 of f(t q^m):
-    t^i q^j -> t^i q^(j + i m) summed, i.e. t^i q^(j + [strict] i) / (1 - q^i)."""
-    out: BiSeries = {}
-    for (i, j), c in a.items():
-        if i == 0:
-            raise WordError("summation operator applied to a t-degree-0 term")
-        start = j + i if strict else j
-        jj = start
-        while i + jj <= n:
-            key = (i, jj)
-            out[key] = out.get(key, 0) + c
-            jj += i
-    return {k: c for k, c in out.items() if c}
+def _rb_summation(rows: list[list[int]], strict: bool) -> None:
+    """f(t) -> sum over m >= 1 (strict) or m >= 0 of f(t q^m) in place: row i
+    is shifted by i (strict only), then gets one stride-i prefix sum along q.
+    Row 0 stays 0.  Apart from ``_times_geometric``, so the routes share no code."""
+    for i in range(1, len(rows)):
+        row, size = rows[i], len(rows[i])
+        if strict:
+            row[:] = ([0] * i + row)[:size]
+        if i * i < size:  # narrow stride: one running sum per residue class
+            for r in range(i):
+                row[r::i] = accumulate(row[r::i])
+        else:  # wide stride: fewer than i blocks of i entries
+            for b in range(i, size, i):
+                row[b : b + i] = map(add, row[b : b + i], row[b - i : b])
 
 
 def rota_baxter_eval_OOZ(comp: Iterable[int], order: int) -> QPoly:
@@ -328,23 +324,27 @@ def rota_baxter_eval_OOZ(comp: Iterable[int], order: int) -> QPoly:
 
     Build h = t (1-t)^-k1, repeatedly apply the strict summation operator and
     multiply by (1-t)^-kj for the outer indices, finish with the non-strict
-    operator, and substitute t = q.  Agrees with zeta_OOZ on its whole domain.
+    operator, and substitute t = q.  h is kept as triangular int rows, row i
+    holding t^i q^j for i + j <= N: (N+1)(N+2)/2 ints, and about N^2 / 2
+    additions per operator or unit of |kj|.  Agrees with zeta_OOZ everywhere.
     """
-    comp = tuple(comp)
+    comp, n = tuple(comp), order
     MODELS["OOZ"].check(comp)
-    n = order
+    _check_order(n)
     if not comp:
         return QPoly.one(n)
-    h: BiSeries = {(1, 0): 1}
-    h = _bi_mul(h, _bi_one_minus_t_power(comp[0], n), n)
+    rows = [[0] * (n + 1 - i) for i in range(n + 1)]
+    if n:
+        rows[1][0] = 1  # h = t
+    _rb_times_power(rows, comp[0])
     for k in comp[1:]:
-        h = _bi_summation(h, n, strict=True)
-        h = _bi_mul(h, _bi_one_minus_t_power(k, n), n)
-    g = _bi_summation(h, n, strict=False)
+        _rb_summation(rows, strict=True)
+        _rb_times_power(rows, k)
+    _rb_summation(rows, strict=False)
     coeffs = [0] * (n + 1)
-    for (i, j), c in g.items():
-        coeffs[i + j] += c
-    return QPoly(n, coeffs)
+    for i, row in enumerate(rows):  # t = q
+        coeffs[i:] = map(add, coeffs[i:], row)
+    return QPoly._make(n, coeffs)
 
 
 # ---------------------------------------------------------------------------

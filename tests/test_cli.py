@@ -1,5 +1,6 @@
 """Expression grammar, canonical formatting, CLI behavior, suite plumbing."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -287,6 +288,49 @@ def test_main_export_rejects_a_negative_order_before_writing(capsys, tmp_path):
     assert main(["export-vectors", "--suite", "rota-baxter", "--order", "-1", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: --order must be >= 0, got -1\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("evaluator", ["chain", "rota-baxter"])
+def test_main_qeval_negative_order_is_one_line_usage_error(capsys, evaluator):
+    argv = ["qeval", "--model", "OOZ", "--comp", "(2,-1)", "--order", "-1", "--evaluator", evaluator]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: order must be >= 0, got -1\n"
+
+
+def test_order_0_is_a_bound_not_an_absence(capsys, monkeypatch, tmp_path):
+    orders = set()
+    eval_word = qseries.eval_word
+
+    def spy(model, x, order):
+        orders.add(order)
+        return eval_word(model, x, order)
+
+    monkeypatch.setattr(qseries, "eval_word", spy)
+    bounds = ["--suite", "zhao-duality", "--order", "0", "--max-weight", "2"]
+    assert main(["verify", *bounds, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["cases"] == 21 and doc["failures"] == [] and orders == {0}
+    out = tmp_path / "order0.jsonl"
+    assert main(["export-vectors", *bounds, "--out", str(out)]) == 0
+    header, *records = map(json.loads, out.read_text().splitlines())
+    assert header["order"] == 0 and len(records) == 21
+    assert all(r["inputs"]["order"] == 0 and r["lhs"]["order"] == 0 for r in records)
+
+
+# sha256 of the default-bound export of the two suites whose evaluators are
+# built on dense int rows and the shared chain-sum pass
+@pytest.mark.parametrize(
+    "suite, digest",
+    [
+        ("rota-baxter", "92e8da739542775fe652e304cb1a953271add0f76d30dbce945eef0f82eab999"),
+        ("characters", "6ab6c1081be9a49e2a434d0d47f74935286af3cd1e07236b8c6ab2c4222944b9"),
+    ],
+)
+def test_export_vectors_output_is_pinned(tmp_path, suite, digest):
+    out = tmp_path / f"{suite}.jsonl"
+    export_vectors(suite, str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_main_verify_failure_exit_code(capsys, monkeypatch):

@@ -31,7 +31,16 @@ from mzv_lab.qseries import (
     zeta_SZ_star,
     zeta_classical_float,
 )
-from mzv_lab.words import H2, PY, NotInSubalgebraError, Poly, Word, WordError, z_encode
+from mzv_lab.words import (
+    H2,
+    PY,
+    AlphabetMismatchError,
+    NotInSubalgebraError,
+    Poly,
+    Word,
+    WordError,
+    z_encode,
+)
 
 
 # -- naive oracle --------------------------------------------------------------
@@ -179,6 +188,59 @@ def test_rota_baxter_agrees_with_chain_evaluator_at_order_60(comp):
     assert rota_baxter_eval_OOZ(comp, 60) == zeta_OOZ(comp, 60)
 
 
+@pytest.mark.parametrize("comp", [(2, 1, -1, 1), (1, 0, -2, 1)])
+def test_rota_baxter_agrees_with_chain_evaluator_at_order_1000(comp):
+    assert rota_baxter_eval_OOZ(comp, 1000) == zeta_OOZ(comp, 1000)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("comp", [(), (1,), (2, -1), (1, 0, -2, 1)])
+def test_both_routes_at_orders_0_and_1(comp, n):
+    want = tuple(brute_model("OOZ", comp, n))
+    assert rota_baxter_eval_OOZ(comp, n).coeffs == zeta_OOZ(comp, n).coeffs == want
+
+
+def test_rota_baxter_route_shares_no_code_with_the_chain_sum(monkeypatch):
+    comp = (2, 1, -1, 1)
+    want = zeta_OOZ(comp, 40)
+
+    def chain_sum(*args, **kwargs):
+        raise AssertionError("the Rota-Baxter route entered the chain sum")
+
+    for name in ("_eval_model", "_eval_models", "_times_geometric"):
+        monkeypatch.setattr(qseries, name, chain_sum)
+    monkeypatch.setattr(qseries.Model, "shift", chain_sum)
+    assert rota_baxter_eval_OOZ(comp, 40) == want
+
+
+@st.composite
+def comp_sets(draw):
+    """1-6 compositions of one model that share inner parts: each is a head,
+    a few parts of its own and a suffix of one common tail, so one suffix can
+    sit at several depths, and outermost in one composition and inner in
+    another."""
+    tag = draw(st.sampled_from(["SZ", "SZstar", "BZ", "OOZ"]))
+    first, rest = {"SZ": (1, 0), "SZstar": (1, 0), "BZ": (2, 1), "OOZ": (1, -2)}[tag]
+    head = st.integers(min_value=first, max_value=first + 1)
+    part = st.integers(min_value=rest, max_value=2)
+    tail = draw(st.lists(part, max_size=3))
+    comps = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        own = draw(st.lists(part, max_size=2))
+        comps.append((draw(head), *own, *tail[draw(st.integers(0, len(tail))):]))
+    return tag, comps, draw(st.integers(min_value=0, max_value=30))
+
+
+@given(comp_sets())
+@settings(max_examples=80, deadline=None)
+def test_shared_pass_equals_one_pass_per_composition(case):
+    tag, comps, n = case
+    qseries.clear_caches()
+    shared = [list(series) for series in qseries._eval_models(tag, comps, n)]
+    qseries.clear_caches()
+    assert shared == [list(qseries._eval_model(tag, comp, n)) for comp in comps]
+
+
 def test_cold_chain_sum_keeps_linear_state():
     qseries.clear_caches()
     tracemalloc.start()
@@ -222,6 +284,23 @@ def test_eval_word_is_linear_and_checks_domain():
         eval_word("nope", z_encode((2,), PY), 8)
 
 
+def test_eval_word_reads_only_its_models_alphabet():
+    # read as p/y, x0x1 would be py, whose SZ value is zeta_SZ(1), not zeta_SZ(2)
+    with pytest.raises(AlphabetMismatchError):
+        eval_word("SZ", z_encode((2,), H2), 5)
+    with pytest.raises(AlphabetMismatchError):
+        eval_word("BZ", z_encode((2,), PY), 5)
+
+
+def test_eval_word_shares_one_pass_and_caches_every_term():
+    x = Poly.of(z_encode((2, 1, 1), PY)) + Poly.of(z_encode((1, 1), PY), 3) - Poly.of(z_encode((1,), PY))
+    qseries.clear_caches()
+    got = eval_word("SZ", x, 40)
+    assert {key for key in qseries._EVAL_CACHE} == {("SZ", c, 40) for c in [(2, 1, 1), (1, 1), (1,)]}
+    qseries.clear_caches()
+    assert got == zeta_SZ((2, 1, 1), 40) + zeta_SZ((1, 1), 40).scale(3) - zeta_SZ((1,), 40)
+
+
 # -- QPoly ------------------------------------------------------------------------
 
 def test_qpoly_arithmetic_truncates():
@@ -259,6 +338,14 @@ def test_qpoly_str_and_json():
 def test_qpoly_rejects_bad_order():
     with pytest.raises(WordError):
         QPoly(-1, ())
+
+
+def test_qpoly_public_constructor_still_checks():
+    with pytest.raises(WordError):
+        QPoly(-2, ())
+    with pytest.raises(WordError):
+        QPoly(1, (1, 2, 3))  # three coefficients exceed order 1
+    assert QPoly(3, (1, 0.5)).coeffs == (1, Fraction(1, 2), 0, 0)
 
 
 # -- float oracle -------------------------------------------------------------------
