@@ -25,6 +25,7 @@ run goes on.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -52,6 +53,7 @@ from mzv_lab.words import (
     weight_projection,
     z_decode,
     z_encode,
+    zp,
 )
 
 Composition = tuple[int, ...]
@@ -258,7 +260,7 @@ def _word_from_chunk(chunk: str, pos: int, alphabet: Alphabet) -> Word:
             if v not in alphabet.letters:
                 raise ParseError(f"letter {v!r} not in alphabet {alphabet.tag}", pos)
             letters.append(str(v))
-    return Word(alphabet, letters)
+    return Word._make(alphabet, tuple(letters))
 
 
 # ---------------------------------------------------------------------------
@@ -639,10 +641,6 @@ def _zh(comp: Iterable[int]) -> Poly:
     return Poly.of(z_encode(comp, H2))
 
 
-def _zp(comp: Iterable[int]) -> Poly:
-    return Poly.of(z_encode(comp, PY))
-
-
 @_suite("classical-products")
 def _suite_classical(mw: int | None, order: int | None) -> Iterator[Case]:
     mw = _bound(mw, 4)
@@ -988,14 +986,14 @@ def _suite_ihara(mw: int | None, order: int | None) -> Iterator[Case]:
     yield Case(
         "s-z2z1",
         {"w": "ppypy"},
-        lambda: (maps.ihara_S(_zp((2, 1))), _zp((2, 1)) + _zp((3,))),
+        lambda: (maps.ihara_S(zp((2, 1))), zp((2, 1)) + zp((3,))),
     )
     yield Case(
         "s-z1z1z1",
         {"w": "pypypy"},
         lambda: (
-            maps.ihara_S(_zp((1, 1, 1))),
-            _zp((1, 1, 1)) + _zp((1, 2)) + _zp((2, 1)) + _zp((3,)),
+            maps.ihara_S(zp((1, 1, 1))),
+            zp((1, 1, 1)) + zp((1, 2)) + zp((2, 1)) + zp((3,)),
         ),
     )
     for w in words:
@@ -1270,7 +1268,7 @@ def _suite_star(mw: int | None, order: int | None) -> Iterator[Case]:
 @_suite("thm-szsdual")
 def _suite_szsdual(mw: int | None, order: int | None) -> Iterator[Case]:
     mw = _bound(mw, 6)
-    py = _zp((1,))
+    py = zp((1,))
     yield Case(
         "worked-top",
         {"u": "py", "v": "py"},
@@ -1465,7 +1463,10 @@ def _emit_poly(p: Poly, as_json: bool) -> None:
     print(json.dumps(poly_json(p)) if as_json else format_poly(p))
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser: built on the first call to ``main`` (never at
+    import) and reused by every later call in the process."""
     ap = argparse.ArgumentParser(
         prog="mzv-lab", description="exact word-algebra and q-series laboratory"
     )
@@ -1509,8 +1510,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     se.add_argument("--out", required=True)
     se.add_argument("--max-weight", type=int, default=None)
     se.add_argument("--order", type=int, default=None)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except (ParseError, WordError) as exc:
@@ -1533,12 +1537,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         else:
             if len(args.expr) != 1:
                 raise WordError("expected one expression (or --kind with two operands)")
-            out = parse_expr(args.expr[0], args.alphabet, lam)
-            if isinstance(out, tuple):
-                if args.alphabet is None:
-                    raise WordError("a bare composition needs --alphabet")
-                out = Poly.of(z_encode(out, _ALPHABET_FLAGS[args.alphabet]))
-            _emit_poly(out, args.json)
+            _emit_poly(_parse_operand(args.expr[0], args.alphabet, lam), args.json)
         return 0
 
     if args.command == "map":

@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Iterator, Union
 
 from mzv_lab.products import (
     IsoConsistencyError,
+    _rs,
     quasi_shuffle,
     quasi_shuffle_lambda,
 )
@@ -31,9 +32,7 @@ from mzv_lab.words import (
     add_into,
     add_scaled,
     as_poly,
-    reverse_swap,
     z_decode,
-    z_encode,
 )
 
 Operand = Union[Word, Poly]
@@ -126,21 +125,28 @@ class Tensor2(LinComb):
 # deconcatenation coproduct and friends
 # ---------------------------------------------------------------------------
 
+def _z_cuts(w: Word) -> list[int]:
+    """Letter positions of the z-letter boundaries of a z-decodable word w."""
+    z_decode(w)  # raises unless w is z-decodable
+    terminal = "x1" if w.alphabet is H2 else "y"
+    return [0] + [j + 1 for j, a in enumerate(w.letters) if a == terminal]
+
+
 def deconcat(x: Operand) -> Tensor2:
     """Cut a z-decodable word at every z-letter boundary: sum of u (x) v."""
     X = as_poly(x)
+    make, alphabet = Word._make, X.alphabet
     terms: dict[Pair, Rational] = {}
     for w, c in X.terms.items():
-        comp = z_decode(w)
-        for i in range(len(comp) + 1):
-            add_into(terms, (z_encode(comp[:i], X.alphabet), z_encode(comp[i:], X.alphabet)), c)
-    return Tensor2._make(X.alphabet, terms)
+        for j in _z_cuts(w):
+            add_into(terms, (make(alphabet, w.letters[:j]), make(alphabet, w.letters[j:])), c)
+    return Tensor2._make(alphabet, terms)
 
 
 def counit(x: Operand) -> Rational:
     """Coefficient of the empty word."""
     X = as_poly(x)
-    return X.coeff(Word(X.alphabet))
+    return X.coeff(Word._make(X.alphabet, ()))
 
 
 _ANTIPODE_MEMO: dict[tuple, Poly] = {}
@@ -169,11 +175,10 @@ def antipode(x: Operand, lam: Rational = 1) -> Poly:
         hit = _ANTIPODE_MEMO.get(key)
         if hit is not None:
             return hit
-        comp = z_decode(w)
-        terms: dict[Word, Rational] = {w: -1} if comp else {w: 1}
-        for i in range(1, len(comp)):
-            u = z_encode(comp[:i], alphabet)
-            v = z_encode(comp[i:], alphabet)
+        terms: dict[Word, Rational] = {w: -1} if w.letters else {w: 1}
+        for j in _z_cuts(w)[1:-1]:  # the proper cuts
+            u = Word._make(alphabet, w.letters[:j])
+            v = Word._make(alphabet, w.letters[j:])
             add_scaled(terms, mul(s_word(u), Poly.of(v)).terms, -1)
         out = Poly._make(alphabet, terms)
         _ANTIPODE_MEMO[key] = out
@@ -278,10 +283,6 @@ def transfer_hopf(
 # opposite square coproduct and infinitesimal coproduct
 # ---------------------------------------------------------------------------
 
-def _rs_poly(x: Poly) -> Poly:
-    return x.map_words(lambda w: Poly.of(reverse_swap(w)))
-
-
 def coproduct_square_op(x: Operand) -> Tensor2:
     """Opposite of the reverse-swap transfer of deconcatenation, on p/y words
     starting with p and ending in y.  Lands in (words starting with p or 1)
@@ -289,7 +290,7 @@ def coproduct_square_op(x: Operand) -> Tensor2:
     X = as_poly(x)
     if X.alphabet is not PY:
         raise AlphabetMismatchError("coproduct_square_op lives on p/y words")
-    return deconcat(_rs_poly(X)).map_factors(_rs_poly, _rs_poly).flip()
+    return deconcat(_rs(X)).map_factors(_rs, _rs).flip()
 
 
 def _infinitesimal_letter(alphabet: Alphabet, a: str) -> Tensor2:
@@ -328,8 +329,8 @@ def infinitesimal_coproduct(x: Operand) -> Tensor2:
         elif len(w) == 1:
             out = _infinitesimal_letter(alphabet, w.letters[0])
         else:
-            u = Word(alphabet, w.letters[:1])
-            v = Word(alphabet, w.letters[1:])
+            u = Word._make(alphabet, w.letters[:1])
+            v = Word._make(alphabet, w.letters[1:])
             out = _split_rule(u, v, d_word)
         _INF_MEMO[key] = out
         return out
@@ -353,8 +354,8 @@ def infinitesimal_coproduct_at(w: Word, i: int) -> Tensor2:
     check independence of the split point."""
     if not 1 <= i < len(w):
         raise WordError(f"split position {i} out of range for {w!r}")
-    u = Word(w.alphabet, w.letters[:i])
-    v = Word(w.alphabet, w.letters[i:])
+    u = Word._make(w.alphabet, w.letters[:i])
+    v = Word._make(w.alphabet, w.letters[i:])
 
     def d(x: Word) -> Tensor2:
         return infinitesimal_coproduct(Poly.of(x))

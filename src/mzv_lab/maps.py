@@ -81,7 +81,7 @@ def derivation(x: Operand, n: int) -> Poly:
         for i, a in enumerate(w.letters):
             prefix, suffix = w.letters[:i], w.letters[i + 1:]
             for x, c in letter_image[a].terms.items():
-                add_into(terms, Word(H2, prefix + x.letters + suffix), c)
+                add_into(terms, Word._make(H2, prefix + x.letters + suffix), c)
         return Poly._make(H2, terms)
 
     return X.map_words(d_word)
@@ -167,12 +167,13 @@ def _ihara_word(w: Word, inverse: bool) -> Poly:
     hit = _IHARA_MEMO.get(key)
     if hit is not None:
         return hit
-    comp = z_decode(w)
-    if not comp:
+    z_decode(w)  # raises unless w ends in y
+    if not w.letters:
         out = Poly.unit(PY)
     else:
-        head = Poly.of(z_encode(comp[:1], PY))
-        tail = _ihara_word(z_encode(comp[1:], PY), inverse)
+        cut = w.letters.index("y") + 1
+        head = Poly.of(Word._make(PY, w.letters[:cut]))
+        tail = _ihara_word(Word._make(PY, w.letters[cut:]), inverse)
         circ = ihara_circ(head, tail)
         out = head * tail + (-circ if inverse else circ)
     _IHARA_MEMO[key] = out

@@ -34,6 +34,7 @@ from mzv_lab.words import (
     Rational,
     Word,
     WordError,
+    _SWAP,
     add_into,
     add_scaled,
     as_poly,
@@ -96,11 +97,9 @@ def shuffle_ordered(u: Word, v: Word) -> Poly:
     elif v.is_unit:
         out = Poly.of(u)
     else:
-        a = Poly.of(Word(H2, u.letters[:1]))
-        b = Poly.of(Word(H2, v.letters[:1]))
-        ut = Word(H2, u.letters[1:])
-        vt = Word(H2, v.letters[1:])
-        out = a * shuffle_ordered(ut, v) + b * shuffle_ordered(u, vt)
+        a, ut = u.letters[0], Word._make(H2, u.letters[1:])
+        b, vt = v.letters[0], Word._make(H2, v.letters[1:])
+        out = _cons(a, shuffle_ordered(ut, v)) + _cons(b, shuffle_ordered(u, vt))
     _SH_MEMO[key] = out
     return out
 
@@ -164,7 +163,7 @@ _SHL_MEMO: dict[tuple, Poly] = {}
 
 
 def _cons(letter: str, poly: Poly) -> Poly:
-    head = Poly.of(Word(poly.alphabet, (letter,)))
+    head = Poly.of(Word._make(poly.alphabet, (letter,)))
     return head * poly
 
 
@@ -179,8 +178,8 @@ def shuffle_lambda_ordered(u: Word, v: Word, lam: Rational) -> Poly:
     elif v.is_unit:
         out = Poly.of(u)
     else:
-        a, ut = u.letters[0], Word(alphabet, u.letters[1:])
-        b, vt = v.letters[0], Word(alphabet, v.letters[1:])
+        a, ut = u.letters[0], Word._make(alphabet, u.letters[1:])
+        b, vt = v.letters[0], Word._make(alphabet, v.letters[1:])
         if a == "y":
             out = _cons("y", shuffle_lambda_ordered(ut, v, lam))
         elif b == "y":
@@ -224,15 +223,10 @@ def shuffle_lambda(u: Operand, v: Operand, lam: Rational = 1) -> Poly:
     though d-words can grow back under concatenation.
     """
     lam = _lam(lam)
-    U, V = as_poly(u), as_poly(v)
-    alphabet = U.alphabet
+    alphabet = as_poly(u).alphabet
     if alphabet not in (PY, PDY):
         raise AlphabetMismatchError("shuffle_lambda lives on p/y and p/d/y words")
-
-    def fn(a: Word, b: Word) -> Poly:
-        return shuffle_lambda_ordered(a, b, lam)
-
-    return _bilinear_words(u, v, fn, alphabet)
+    return _bilinear_words(u, v, lambda a, b: shuffle_lambda_ordered(a, b, lam), alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +246,13 @@ def shuffle_star_ordered(u: Word, v: Word) -> Poly:
     elif v.is_unit:
         out = Poly.of(u)
     else:
-        a, ut = u.letters[0], Word(H2, u.letters[1:])
-        b, vt = v.letters[0], Word(H2, v.letters[1:])
+        a, ut = u.letters[0], Word._make(H2, u.letters[1:])
+        b, vt = v.letters[0], Word._make(H2, v.letters[1:])
         out = _cons(a, shuffle_star_ordered(ut, v)) + _cons(b, shuffle_star_ordered(u, vt))
-        swap = {"x0": "x1", "x1": "x0"}
         if ut.is_unit:
-            out = out - Poly.of(Word(H2, (swap[a],) + v.letters))
+            out = out - Poly.of(Word._make(H2, (_SWAP[a],) + v.letters))
         if vt.is_unit:
-            out = out - Poly.of(Word(H2, (swap[b],) + u.letters))
+            out = out - Poly.of(Word._make(H2, (_SWAP[b],) + u.letters))
     _STAR_MEMO[key] = out
     return out
 
@@ -277,14 +270,13 @@ def shuffle_star_alt_ordered(u: Word, v: Word) -> Poly:
     """
     if u.is_unit or v.is_unit:
         raise WordError("shuffle_star_alt needs nonempty words")
-    swap = {"x0": "x1", "x1": "x0"}
-    a, uh = u.letters[-1], Word(H2, u.letters[:-1])
-    b, vh = v.letters[-1], Word(H2, v.letters[:-1])
-    tail_a = Poly.of(Word(H2, (a,)))
-    tail_b = Poly.of(Word(H2, (b,)))
+    a, uh = u.letters[-1], Word._make(H2, u.letters[:-1])
+    b, vh = v.letters[-1], Word._make(H2, v.letters[:-1])
+    tail_a = Poly.of(Word._make(H2, (a,)))
+    tail_b = Poly.of(Word._make(H2, (b,)))
     full = shuffle_ordered(u, v)
-    left = shuffle_ordered(uh, Word(H2, vh.letters + (swap[b],))) * tail_a
-    right = shuffle_ordered(Word(H2, uh.letters + (swap[a],)), vh) * tail_b
+    left = shuffle_ordered(uh, Word._make(H2, vh.letters + (_SWAP[b],))) * tail_a
+    right = shuffle_ordered(Word._make(H2, uh.letters + (_SWAP[a],)), vh) * tail_b
     return full - left - right
 
 

@@ -409,8 +409,8 @@ def zeta_classical_float(comp: Iterable[int], cutoff: int = 1_000_000) -> FloatR
     letters = z_encode(comp, H2).letters
     total, err = Fraction(0), Fraction(0)
     for j in range(len(letters) + 1):
-        a, err_a = _li_half(z_decode(reverse_swap(Word(H2, letters[:j]))), cutoff)
-        b, err_b = _li_half(z_decode(Word(H2, letters[j:])), cutoff)
+        a, err_a = _li_half(z_decode(reverse_swap(Word._make(H2, letters[:j]))), cutoff)
+        b, err_b = _li_half(z_decode(Word._make(H2, letters[j:])), cutoff)
         total += a * b
         err += err_a + err_b
     value = float(total)
@@ -451,13 +451,17 @@ def limit_scaling_check(
     comp: Iterable[int],
     q_values: Iterable[float] = (0.9, 0.95, 0.99),
 ) -> ScalingReport:
-    """Evaluate (1-q)^weight * model-sum at the given q and report the drift
-    toward the classical nested-sum value.  Diagnostic, not a proof."""
+    """Evaluate (1-q)^weight * model-sum at each given q in (0, 1) and report
+    the drift toward the classical nested-sum value.  Diagnostic, not a proof."""
     comp = tuple(comp)
     if model not in MODELS or model == "SZstar":
         raise WordError(f"limit scaling supports SZ, BZ, OOZ; got {model!r}")
     m = MODELS[model]
     m.check(comp)
+    q_values = tuple(q_values)
+    for q in q_values:
+        if not 0 < q < 1:
+            raise WordError(f"limit scaling needs 0 < q < 1, got {q!r}")
     target = zeta_classical_float(comp, cutoff=200_000).value
     weight = sum(comp)
     rows = []

@@ -10,6 +10,12 @@ Words are immutable; PDY words are normalized eagerly on construction (the
 rewriting system {pd -> 1, dp -> 1} is terminating and locally confluent, so
 a single stack pass yields the unique normal form).
 
+Letters are checked at the public boundary only: ``Word(...)``, ``Poly(...)``,
+the codecs' checks on their inputs and the command-line parser.  Inside the
+package, words made from letters that are already valid (concatenation,
+slices, the letter morphisms, the codecs' outputs) go through the trusted
+``Word._make``: no letter check, but PDY words are still normalized.
+
 Weights: wt(p) = 1, wt(y) = 0 on PY/PDY, and every H2 letter has weight 1.
 wt(d) := -1, forced by pd = 1 together with additivity of the grading; no
 other choice is consistent.
@@ -25,11 +31,12 @@ the formatter of ``LinComb``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 Rational = Union[int, Fraction]
+_set = object.__setattr__
 
 
 class WordError(ValueError):
@@ -56,15 +63,14 @@ class EncodingError(WordError):
 class Alphabet:
     tag: str
     letters: tuple[str, ...]
+    rank: dict[str, int] = field(init=False, repr=False, compare=False, hash=False)
+
+    def __post_init__(self):
+        # letter -> its index in ``letters``: the canonical letter order
+        _set(self, "rank", {a: i for i, a in enumerate(self.letters)})
 
     def __repr__(self) -> str:
         return self.tag
-
-    def index(self, letter: str) -> int:
-        try:
-            return self.letters.index(letter)
-        except ValueError:
-            raise InvalidLetterError(f"letter {letter!r} not in alphabet {self.tag}") from None
 
 
 H2 = Alphabet("H2", ("x0", "x1"))
@@ -94,16 +100,24 @@ class Word:
 
     __slots__ = ("alphabet", "letters", "_hash")
 
-    def __init__(self, alphabet: Alphabet, letters: Iterable[str] = ()):
+    def __new__(cls, alphabet: Alphabet, letters: Iterable[str] = ()):
         letters = tuple(letters)
         for a in letters:
             if a not in alphabet.letters:
                 raise InvalidLetterError(f"letter {a!r} not in alphabet {alphabet.tag}")
+        return cls._make(alphabet, letters)
+
+    @classmethod
+    def _make(cls, alphabet: Alphabet, letters: tuple[str, ...]) -> "Word":
+        """Trusted constructor: ``letters`` is a tuple of letters of
+        ``alphabet`` and is not checked; PDY words are still normalized."""
         if alphabet is PDY:
             letters = _normalize_pdy(letters)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "_hash", hash((alphabet.tag, letters)))
+        out = object.__new__(cls)
+        _set(out, "alphabet", alphabet)
+        _set(out, "letters", letters)
+        _set(out, "_hash", hash((alphabet.tag, letters)))
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -119,8 +133,7 @@ class Word:
         )
 
     def sort_key(self) -> tuple:
-        idx = self.alphabet.index
-        return (len(self.letters), tuple(idx(a) for a in self.letters))
+        return (len(self.letters), tuple(map(self.alphabet.rank.__getitem__, self.letters)))
 
     def __lt__(self, other: "Word") -> bool:
         return self.sort_key() < other.sort_key()
@@ -135,7 +148,7 @@ class Word:
         if isinstance(other, Word):
             if other.alphabet is not self.alphabet:
                 raise AlphabetMismatchError(f"{self.alphabet} * {other.alphabet}")
-            return Word(self.alphabet, self.letters + other.letters)
+            return Word._make(self.alphabet, self.letters + other.letters)
         return NotImplemented
 
     def __str__(self) -> str:
@@ -177,14 +190,9 @@ class Grading:
         )
 
 
-def unit(alphabet: Alphabet) -> Word:
-    return Word(alphabet, ())
-
-
 # -- linear combinations ------------------------------------------------------
 
 _EXACT = (int, Fraction)
-_set = object.__setattr__
 
 
 def exact(c) -> Rational:
@@ -348,11 +356,12 @@ class Poly(LinComb):
 
     @classmethod
     def unit(cls, alphabet: Alphabet) -> "Poly":
-        return cls._make(alphabet, {Word(alphabet): 1})
+        return cls._make(alphabet, {Word._make(alphabet, ()): 1})
 
     @classmethod
     def of(cls, word: Word, coeff: Rational = 1) -> "Poly":
-        return cls(word.alphabet, {word: coeff})
+        coeff = exact(coeff)
+        return cls._make(word.alphabet, {word: coeff} if coeff else {})
 
     def __mul__(self, other):
         # concatenation product, bilinear
@@ -430,49 +439,43 @@ def poly_membership(poly: Poly, space: str) -> bool:
 
 # -- z-block codecs ----------------------------------------------------------
 
+# alphabet tag -> (counting letter, terminal letter, least part) of a z-block
+_ZBLOCKS = {"PY": ("p", "y", 0), "H2": ("x0", "x1", 1)}
+
+
 def z_encode(comp: Iterable[int], alphabet: Alphabet) -> Word:
     """Encode a composition as a word of z-blocks.
 
     PY:  z_k = p^k y   (k >= 0);   H2:  z_k = x0^(k-1) x1   (k >= 1).
     The empty composition encodes to the unit word.
     """
-    comp = tuple(comp)
-    letters: list[str] = []
-    if alphabet is PY:
-        for k in comp:
-            if k < 0:
-                raise EncodingError(f"PY z-block needs k >= 0, got {k}")
-            letters.extend(["p"] * k)
-            letters.append("y")
-    elif alphabet is H2:
-        for k in comp:
-            if k < 1:
-                raise EncodingError(f"H2 z-block needs k >= 1, got {k}")
-            letters.extend(["x0"] * (k - 1))
-            letters.append("x1")
-    else:
+    if alphabet.tag not in _ZBLOCKS:
         raise EncodingError(f"no z-block codec on alphabet {alphabet.tag}")
-    return Word(alphabet, letters)
+    count, terminal, least = _ZBLOCKS[alphabet.tag]
+    letters: list[str] = []
+    for k in comp:
+        if k < least:
+            raise EncodingError(f"{alphabet.tag} z-block needs k >= {least}, got {k}")
+        letters += (count,) * (k - least)
+        letters.append(terminal)
+    return Word._make(alphabet, tuple(letters))
 
 
 def z_decode(word: Word) -> tuple[int, ...]:
     """Inverse of z_encode on H1 (PY) / h1 (H2) words."""
-    if word.alphabet is PY:
-        terminal, count_letter, offset = "y", "p", 0
-    elif word.alphabet is H2:
-        terminal, count_letter, offset = "x1", "x0", 1
-    else:
+    if word.alphabet.tag not in _ZBLOCKS:
         raise NotInSubalgebraError(f"no z-block codec on alphabet {word.alphabet.tag}")
+    count, terminal, least = _ZBLOCKS[word.alphabet.tag]
     if word.letters and word.letters[-1] != terminal:
         raise NotInSubalgebraError(f"{word!r} does not end in {terminal}; not z-decodable")
     parts: list[int] = []
-    run = 0
+    run = least
     for a in word.letters:
-        if a == count_letter:
+        if a == count:
             run += 1
         else:
-            parts.append(run + offset)
-            run = 0
+            parts.append(run)
+            run = least
     return tuple(parts)
 
 
@@ -482,22 +485,22 @@ def zp(comp: Iterable[int], alphabet: Alphabet = PY, coeff: Rational = 1) -> Pol
 
 # -- letter-level morphisms --------------------------------------------------
 
+_PHI = {"p": "x0", "y": "x1"}
+_PHI_INV = {"x0": "p", "x1": "y"}
+_SWAP = {"x0": "x1", "x1": "x0", "p": "y", "y": "p"}
+
+
 def phi(word: Word) -> Word:
     """Alphabet isomorphism PY -> H2: p -> x0, y -> x1."""
     if word.alphabet is not PY:
         raise AlphabetMismatchError("phi acts on PY words")
-    table = {"p": "x0", "y": "x1"}
-    return Word(H2, tuple(table[a] for a in word.letters))
+    return Word._make(H2, tuple(map(_PHI.__getitem__, word.letters)))
 
 
 def phi_inv(word: Word) -> Word:
     if word.alphabet is not H2:
         raise AlphabetMismatchError("phi_inv acts on H2 words")
-    table = {"x0": "p", "x1": "y"}
-    return Word(PY, tuple(table[a] for a in word.letters))
-
-
-_SWAP = {"x0": "x1", "x1": "x0", "p": "y", "y": "p"}
+    return Word._make(PY, tuple(map(_PHI_INV.__getitem__, word.letters)))
 
 
 def reverse_swap(word: Word) -> Word:
@@ -509,7 +512,7 @@ def reverse_swap(word: Word) -> Word:
     """
     if word.alphabet is PDY:
         raise AlphabetMismatchError("reverse_swap is not defined on p/d/y words")
-    return Word(word.alphabet, tuple(_SWAP[a] for a in reversed(word.letters)))
+    return Word._make(word.alphabet, tuple(map(_SWAP.__getitem__, reversed(word.letters))))
 
 
 def embed_J(word: Word) -> Word:
@@ -525,7 +528,7 @@ def embed_J(word: Word) -> Word:
         letters.append("p")
         if a == "x1":
             letters.append("y")
-    return Word(PY, letters)
+    return Word._make(PY, tuple(letters))
 
 
 def block_map(word: Word) -> Word:
@@ -553,7 +556,7 @@ def iter_words(alphabet: Alphabet, length: int) -> Iterator[Word]:
     for letters in itertools.product(alphabet.letters, repeat=length):
         if alphabet is PDY and _normalize_pdy(letters) != letters:
             continue
-        yield Word(alphabet, letters)
+        yield Word._make(alphabet, letters)
 
 
 def iter_zcomps(total: int, depth: int, first_min: int, rest_min: int) -> Iterator[tuple[int, ...]]:

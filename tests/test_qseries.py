@@ -398,6 +398,13 @@ def test_limit_scaling_rejects_szstar():
         limit_scaling_check("SZstar", (2,))
 
 
+@pytest.mark.parametrize("q", [1.0, 0.0, -0.5, 1.5])
+def test_limit_scaling_rejects_q_outside_the_open_unit_interval(q):
+    with pytest.raises(WordError) as exc:
+        limit_scaling_check("SZ", (2,), q_values=[0.9, q])
+    assert str(exc.value) == f"limit scaling needs 0 < q < 1, got {q!r}"
+
+
 def test_clear_caches_runs():
     qseries.clear_caches()
     assert str(zeta_SZ((2,), 4)) == "q^2 + 2q^3 + 4q^4"

@@ -13,6 +13,7 @@ from mzv_lab.words import (
     AlphabetMismatchError,
     EncodingError,
     Grading,
+    InvalidLetterError,
     NotInSubalgebraError,
     Poly,
     Word,
@@ -300,3 +301,44 @@ def test_iter_zcomps():
     assert list(iter_zcomps(2, 2, 1, 0)) == [(1, 1), (2, 0)]
     assert list(iter_zcomps(0, 0, 1, 0)) == [()]
     assert list(iter_zcomps(3, 4, 1, 1)) == []
+
+
+# -- the public boundary and the trusted constructor ---------------------------
+
+def test_public_boundary_keeps_its_checks_and_messages():
+    with pytest.raises(InvalidLetterError, match=r"^letter 'p' not in alphabet H2$"):
+        Word(H2, ("x0", "p"))
+    with pytest.raises(InvalidLetterError, match=r"^letter 'x1' not in alphabet PDY$"):
+        Word(PDY, ("p", "x1"))
+    with pytest.raises(AlphabetMismatchError, match=r"^term Word\(H2:x1\) not over PY$"):
+        Poly(PY, {Word(H2, ("x1",)): 1})
+    with pytest.raises(EncodingError, match=r"^H2 z-block needs k >= 1, got 0$"):
+        z_encode((2, 0), H2)
+    with pytest.raises(EncodingError, match=r"^PY z-block needs k >= 0, got -1$"):
+        z_encode((1, -1), PY)
+    with pytest.raises(EncodingError, match=r"^no z-block codec on alphabet PDY$"):
+        z_encode((), PDY)
+
+
+@given(
+    st.sampled_from([H2, PY, PDY]).flatmap(
+        lambda a: st.tuples(st.just(a), st.lists(st.sampled_from(a.letters), max_size=10).map(tuple))
+    )
+)
+def test_trusted_words_equal_checked_words(case):
+    alphabet, letters = case
+    w, t = Word(alphabet, letters), Word._make(alphabet, letters)
+    assert t == w and hash(t) == hash(w) and t.letters == w.letters
+    assert str(t) == str(w) and t.sort_key() == w.sort_key()
+
+
+@given(st.lists(pdy_raw, max_size=12))
+def test_pdy_order_is_letter_index_order_not_string_order(raws):
+    ws = [Word(PDY, ls) for ls in raws]
+
+    def index_key(w):
+        return (len(w.letters), tuple(PDY.letters.index(a) for a in w.letters))
+
+    assert [w.sort_key() for w in ws] == [index_key(w) for w in ws]
+    assert sorted(ws) == sorted(ws, key=index_key)
+    assert Word(PDY, ("p",)) < Word(PDY, ("d",)) < Word(PDY, ("y",))
