@@ -341,93 +341,151 @@ def test_export_vectors_output_is_pinned(tmp_path, suite, digest):
 # sha256 of the text and --json output of one command of each product kind,
 # each named map and each coproduct, p/d/y operands included
 CLI_PINS = [
-        (['product', '--kind', 'shuffle', '--alphabet', 'h', '(2,1)', '(3,1)'],
-         'dc3581f12c7bb101cc73e33aee0595cb4379b384b46ebc273dc1b0401dc365ed',
-         'd7c275e700b3b8442afe84c036f0b98b1f0c0c497c536f8925c26c8003e363d5'),
-        (['product', '--kind', 'shuffle', '--alphabet', 'H', '--lambda', '2', '(1,0,2)', '(2,1)'],
-         '14f3803f3dd17ec59e576399401956f2d21f5a7e490ec4eb2596e67c3ad872d5',
-         '7609d5c589d3057ad962770e4d9ba160e72b9a4a5e2ea0fae493f8a05f9a72c3'),
-        (['product', '--kind', 'shuffle', '--alphabet', 'pdy', '--lambda', '1/2', 'dyd', 'pyp'],
-         '0a407f5b96652d32b2b076b1a753ed09418dc28d0cb7de8847b7a735af3ff998',
-         '60cecbc85449294fed5cf896d584c4e530c0fbabeb00c7aefeac9f41c7243320'),
-        (['product', '--kind', 'shuffle', '--alphabet', 'pdy', '--lambda', '2', 'ddy', 'py'],
-         '599a5ad6366f6225ffa0ce6a0b2c51c99de074ac360432e57780b75a8a7cf739',
-         'f1e2f12ae7868220070c6ee35e9bd96f6546f173e13019ef40cd36ba58f09e4b'),
-        (['product', '--kind', 'quasi', '--alphabet', 'h', '(2,1,3)', '(1,2)'],
-         '27b50e483643f0073cdf03eac613bcd6932fed6a86ff0b70473d46528c69ceed',
-         'e7aea60b5adc67f02e297f4b7ced933b53c99bd16c4cb73dc8a938af037e832b'),
-        (['product', '--kind', 'quasi', '--alphabet', 'H', '--lambda=-1/2', '(1,0,2)', '(0,1)'],
-         'c51ed7ed2122c656bef3716016e2ee3dfcee85630a0d680032ea233e1fb451cb',
-         'b7f1b32b2e3da926aa0979474abbf08867e791f0e0fb6ccbd1d15318f9268f9c'),
-        (['product', '--kind', 'square', '--alphabet', 'h', '(2,1)', '(2,2)'],
-         '3b1f7a9d069e8909f1e8176e860ce9b10cb36614f04d01c94d731285ee3a8a1e',
-         'c3209f93cab853f136cfc03edfa7d588f0f2efe346d841b66e04a9f4c306e49a'),
-        (['product', '--kind', 'square', '--alphabet', 'H', '--lambda', '3', '(1,0)', '(2,1)'],
-         'd4405debcc32f6330054575ef5c47ccf8111d4f83813541a888d1552135fed1f',
-         'c9b8870d593180e98d2dff947fded01baf24cf14d9a47464b9e00bae92d2ed4e'),
-        (['product', '--kind', 'star', '--alphabet', 'h', '(2,1)', '(1,2)'],
-         'fbc7d18284c26613d16a8608685defca201bc7fa0dff965223fac3f4572f4824',
-         '1d456476c9c040597ccd64b10111b6878c3e4a3f36a7f56d6a650e9d2f3c0337'),
-        (['product', '--kind', 'star-alt', '--alphabet', 'h', '(2,1)', '(1,2)'],
-         'fbc7d18284c26613d16a8608685defca201bc7fa0dff965223fac3f4572f4824',
-         '1d456476c9c040597ccd64b10111b6878c3e4a3f36a7f56d6a650e9d2f3c0337'),
-        (['product', '--kind', 'ooz', '--alphabet', 'H', '(2,0,1)', '(1,1)'],
-         'd3264236404779275d1ef518b8005932c507202b86eb4250043cfa7e054a63be',
-         '68da6a9df967117e1f079973ccb36a7d3bb5b23fbd16721fa6ab2f3f75451bfa'),
-        (['product', '--kind', 'ooz-square', '--alphabet', 'H', '(2,1)', '(1,0,1)'],
-         'd47643afa7effa084af0ec2bcc746b2f5ee969483f81303bbe61ea95843be73e',
-         'afbaabe3f242da0a1163e5af688c3747aa1e44b5fa255a12de8697e5ef402596'),
-        (['product', '--kind', 'ihara-circ', '--alphabet', 'H', '(2)', '(1,0) + 2*(3,1) - py'],
-         '7ca92711b236ff8c667b5827bd6704c05f6bf2272ba67f5317047c60f9de6646',
-         '95b0eb9e412f418ec8d8b424402ff79b75c4870be1ab23810c31f68a5ac15af5'),
-        (['product', '--alphabet', 'h', 'z{2}x0x1 sh z{3} - 1/2*z{2} * z{2}'],
-         'be2aedde7c5b6a25673687dbe9e03a2b1cd2a451ab0cda00efc49a2904f22512',
-         'e0d3adad73a5e77e6d7a2436d1312d6e8cb2e0b22addc5afaa50f5b9a9576004'),
-        (['map', '--name', 'tau', '--alphabet', 'h', '(3,1,2)'],
-         '1c27507d116c24451810a328119ae4ccc4ebcf4f5b287a73ef37ad27c72f590c',
-         '4add67c527e80af49405913daa06cb038a44106f2521c4486ff10dd3e8d7c9a8'),
-        (['map', '--name', 'tautilde', '--alphabet', 'H', '(2,0,1)'],
-         '0d464db23a73287f995bf7c7fed10635fb761ae7704bfe42141982390457b1be',
-         'f39ce8b180068c15cbb1a3b5f2ad63bd369510158a2014ea113985dd40c65656'),
-        (['map', '--name', 'U', '--alphabet', 'h', '(3,2)'],
-         '7257bea34266d3e04b3a6c24984e8ed654c7109763c7e3434538289e886ea8ec',
-         '8649e33349d1ecdb87e3d444b6203757facfba5d8c028d71557d69d0d9b62743'),
-        (['map', '--name', 'Uinv', '--alphabet', 'h', '(3,2)'],
-         'c7c477696b3c8d81499073fcd99f72cc0cb3525ecff5171cf10032149e7c4acf',
-         'b476d8a91230e33a93e030ae22581cc70642a367292cc474a234a6f8ab5ea8af'),
-        (['map', '--name', 'V', '--alphabet', 'H', '(2,1,0)'],
-         'c8ee676c07f8836f2debb4db7d51b74f76e0fefc985cd91d19d8eca33cf2422c',
-         'af6939f88597771cda446408d5a18bccb8ae09bab1c6d458b31d0a420df8cd3c'),
-        (['map', '--name', 'Vinv', '--alphabet', 'H', '(2,1,0)'],
-         '66a37efc5aeefff99f98548e005d89b0c9d536284679c315fa9c9f81e4625698',
-         '3caa5fe2f8b62e8cfbd23dbe22664472df269ff8a6dd8855343af35aa8fd2fb8'),
-        (['map', '--name', 'S', '--alphabet', 'H', '(1,0,2)'],
-         'ca4d6f5ace231252f9a8ea0ea6467027bb6a0ba91c6322c243ed04ed78fbb843',
-         '8bef228b28d6df529b7446e19a0599cf69dc3c37267d7e9085ba91cc58e33b14'),
-        (['map', '--name', 'Sinv', '--alphabet', 'H', '(1,0,2)'],
-         '885c41875c86fcb0502e1ea892aef049ae6bd6e398fa4f8b81e54e1870ea35b3',
-         '4885f84299293c9b8a6a138f116b070f2b66b0edf28f9a68909b86b79e37a031'),
-        (['map', '--name', 'dual1', '--alphabet', 'H', '(2,1)'],
-         'eddb9c83fc153a5343c0bb4bf7b10b757b453cfa70680217d9c7ce52dabf30db',
-         '5daa49d55a533d70f6d39b82532d7ff2ba5531821769d7cff4397587036864d8'),
-        (['map', '--name', 'dual2', '--alphabet', 'h', '(3,1)'],
-         'cc41641669ed11eb7967deff1170985cdca5108c03ae9b096b0274d74aac29ae',
-         '35a18cdf80e8c5eecee679a9e92423301538e6a8b9701c11127dbc8062c6e331'),
-        (['map', '--name', 'dn:2', '--alphabet', 'h', '(2,1,1)'],
-         'b16f0a2688091761025d86b1f5d16d01d4e321388018b5c496c711097f912c56',
-         'a8c8abbdac5119c839d5cc368f3e1f0c3f8209a6dcec029d0cae4521ace146f4'),
-        (['coproduct', '--kind', 'deconcat', '--alphabet', 'h', '(2,1,3)'],
-         'f1d7e5e86f144bf41c434bb3bd87d415ccec5b5abe3fbaa0eae3ca5d6bda00d1',
-         '5c69a1621555dddfb28eeb4cf856060a67a3f4b36c8bfbc5830090b508ae0cce'),
-        (['coproduct', '--kind', 'square-op', '--alphabet', 'H', '(2,0,1)'],
-         '9dd677a629ec04904ff87eb49a8552764413a071b6c257e47bdfd2eff2dd836c',
-         'ddefa17fc21c9ffbe44e1773a95b6d977da2a9cdf4ee3264db22f079823e7529'),
-        (['coproduct', '--kind', 'infinitesimal', '--alphabet', 'H', '(1,0,2)'],
-         '2659abf473dfc8605ae8a48e8a0932157dfa12320a4980aab99baaf9d958d845',
-         'f77df93f57bdefec009abd3584d035c30e2731215c365ca07331a51666a2b9b8'),
-        (['coproduct', '--kind', 'infinitesimal', '--alphabet', 'pdy', 'dypy'],
-         '5fbf8568b743b02e11efb3dabb085daf6726b0a733cea3933d1a89bc7be170c4',
-         '68d637fe5e4f4da63156a042b4ed227ada1ea55255e0aef994f3a79060e8ab84'),
+    (
+        ["product", "--kind", "shuffle", "--alphabet", "h", "(2,1)", "(3,1)"],
+        "dc3581f12c7bb101cc73e33aee0595cb4379b384b46ebc273dc1b0401dc365ed",
+        "d7c275e700b3b8442afe84c036f0b98b1f0c0c497c536f8925c26c8003e363d5",
+    ),
+    (
+        ["product", "--kind", "shuffle", "--alphabet", "H", "--lambda", "2", "(1,0,2)", "(2,1)"],
+        "14f3803f3dd17ec59e576399401956f2d21f5a7e490ec4eb2596e67c3ad872d5",
+        "7609d5c589d3057ad962770e4d9ba160e72b9a4a5e2ea0fae493f8a05f9a72c3",
+    ),
+    (
+        ["product", "--kind", "shuffle", "--alphabet", "pdy", "--lambda", "1/2", "dyd", "pyp"],
+        "0a407f5b96652d32b2b076b1a753ed09418dc28d0cb7de8847b7a735af3ff998",
+        "60cecbc85449294fed5cf896d584c4e530c0fbabeb00c7aefeac9f41c7243320",
+    ),
+    (
+        ["product", "--kind", "shuffle", "--alphabet", "pdy", "--lambda", "2", "ddy", "py"],
+        "599a5ad6366f6225ffa0ce6a0b2c51c99de074ac360432e57780b75a8a7cf739",
+        "f1e2f12ae7868220070c6ee35e9bd96f6546f173e13019ef40cd36ba58f09e4b",
+    ),
+    (
+        ["product", "--kind", "quasi", "--alphabet", "h", "(2,1,3)", "(1,2)"],
+        "27b50e483643f0073cdf03eac613bcd6932fed6a86ff0b70473d46528c69ceed",
+        "e7aea60b5adc67f02e297f4b7ced933b53c99bd16c4cb73dc8a938af037e832b",
+    ),
+    (
+        ["product", "--kind", "quasi", "--alphabet", "H", "--lambda=-1/2", "(1,0,2)", "(0,1)"],
+        "c51ed7ed2122c656bef3716016e2ee3dfcee85630a0d680032ea233e1fb451cb",
+        "b7f1b32b2e3da926aa0979474abbf08867e791f0e0fb6ccbd1d15318f9268f9c",
+    ),
+    (
+        ["product", "--kind", "square", "--alphabet", "h", "(2,1)", "(2,2)"],
+        "3b1f7a9d069e8909f1e8176e860ce9b10cb36614f04d01c94d731285ee3a8a1e",
+        "c3209f93cab853f136cfc03edfa7d588f0f2efe346d841b66e04a9f4c306e49a",
+    ),
+    (
+        ["product", "--kind", "square", "--alphabet", "H", "--lambda", "3", "(1,0)", "(2,1)"],
+        "d4405debcc32f6330054575ef5c47ccf8111d4f83813541a888d1552135fed1f",
+        "c9b8870d593180e98d2dff947fded01baf24cf14d9a47464b9e00bae92d2ed4e",
+    ),
+    (
+        ["product", "--kind", "star", "--alphabet", "h", "(2,1)", "(1,2)"],
+        "fbc7d18284c26613d16a8608685defca201bc7fa0dff965223fac3f4572f4824",
+        "1d456476c9c040597ccd64b10111b6878c3e4a3f36a7f56d6a650e9d2f3c0337",
+    ),
+    (
+        ["product", "--kind", "star-alt", "--alphabet", "h", "(2,1)", "(1,2)"],
+        "fbc7d18284c26613d16a8608685defca201bc7fa0dff965223fac3f4572f4824",
+        "1d456476c9c040597ccd64b10111b6878c3e4a3f36a7f56d6a650e9d2f3c0337",
+    ),
+    (
+        ["product", "--kind", "ooz", "--alphabet", "H", "(2,0,1)", "(1,1)"],
+        "d3264236404779275d1ef518b8005932c507202b86eb4250043cfa7e054a63be",
+        "68da6a9df967117e1f079973ccb36a7d3bb5b23fbd16721fa6ab2f3f75451bfa",
+    ),
+    (
+        ["product", "--kind", "ooz-square", "--alphabet", "H", "(2,1)", "(1,0,1)"],
+        "d47643afa7effa084af0ec2bcc746b2f5ee969483f81303bbe61ea95843be73e",
+        "afbaabe3f242da0a1163e5af688c3747aa1e44b5fa255a12de8697e5ef402596",
+    ),
+    (
+        ["product", "--kind", "ihara-circ", "--alphabet", "H", "(2)", "(1,0) + 2*(3,1) - py"],
+        "7ca92711b236ff8c667b5827bd6704c05f6bf2272ba67f5317047c60f9de6646",
+        "95b0eb9e412f418ec8d8b424402ff79b75c4870be1ab23810c31f68a5ac15af5",
+    ),
+    (
+        ["product", "--alphabet", "h", "z{2}x0x1 sh z{3} - 1/2*z{2} * z{2}"],
+        "be2aedde7c5b6a25673687dbe9e03a2b1cd2a451ab0cda00efc49a2904f22512",
+        "e0d3adad73a5e77e6d7a2436d1312d6e8cb2e0b22addc5afaa50f5b9a9576004",
+    ),
+    (
+        ["map", "--name", "tau", "--alphabet", "h", "(3,1,2)"],
+        "1c27507d116c24451810a328119ae4ccc4ebcf4f5b287a73ef37ad27c72f590c",
+        "4add67c527e80af49405913daa06cb038a44106f2521c4486ff10dd3e8d7c9a8",
+    ),
+    (
+        ["map", "--name", "tautilde", "--alphabet", "H", "(2,0,1)"],
+        "0d464db23a73287f995bf7c7fed10635fb761ae7704bfe42141982390457b1be",
+        "f39ce8b180068c15cbb1a3b5f2ad63bd369510158a2014ea113985dd40c65656",
+    ),
+    (
+        ["map", "--name", "U", "--alphabet", "h", "(3,2)"],
+        "7257bea34266d3e04b3a6c24984e8ed654c7109763c7e3434538289e886ea8ec",
+        "8649e33349d1ecdb87e3d444b6203757facfba5d8c028d71557d69d0d9b62743",
+    ),
+    (
+        ["map", "--name", "Uinv", "--alphabet", "h", "(3,2)"],
+        "c7c477696b3c8d81499073fcd99f72cc0cb3525ecff5171cf10032149e7c4acf",
+        "b476d8a91230e33a93e030ae22581cc70642a367292cc474a234a6f8ab5ea8af",
+    ),
+    (
+        ["map", "--name", "V", "--alphabet", "H", "(2,1,0)"],
+        "c8ee676c07f8836f2debb4db7d51b74f76e0fefc985cd91d19d8eca33cf2422c",
+        "af6939f88597771cda446408d5a18bccb8ae09bab1c6d458b31d0a420df8cd3c",
+    ),
+    (
+        ["map", "--name", "Vinv", "--alphabet", "H", "(2,1,0)"],
+        "66a37efc5aeefff99f98548e005d89b0c9d536284679c315fa9c9f81e4625698",
+        "3caa5fe2f8b62e8cfbd23dbe22664472df269ff8a6dd8855343af35aa8fd2fb8",
+    ),
+    (
+        ["map", "--name", "S", "--alphabet", "H", "(1,0,2)"],
+        "ca4d6f5ace231252f9a8ea0ea6467027bb6a0ba91c6322c243ed04ed78fbb843",
+        "8bef228b28d6df529b7446e19a0599cf69dc3c37267d7e9085ba91cc58e33b14",
+    ),
+    (
+        ["map", "--name", "Sinv", "--alphabet", "H", "(1,0,2)"],
+        "885c41875c86fcb0502e1ea892aef049ae6bd6e398fa4f8b81e54e1870ea35b3",
+        "4885f84299293c9b8a6a138f116b070f2b66b0edf28f9a68909b86b79e37a031",
+    ),
+    (
+        ["map", "--name", "dual1", "--alphabet", "H", "(2,1)"],
+        "eddb9c83fc153a5343c0bb4bf7b10b757b453cfa70680217d9c7ce52dabf30db",
+        "5daa49d55a533d70f6d39b82532d7ff2ba5531821769d7cff4397587036864d8",
+    ),
+    (
+        ["map", "--name", "dual2", "--alphabet", "h", "(3,1)"],
+        "cc41641669ed11eb7967deff1170985cdca5108c03ae9b096b0274d74aac29ae",
+        "35a18cdf80e8c5eecee679a9e92423301538e6a8b9701c11127dbc8062c6e331",
+    ),
+    (
+        ["map", "--name", "dn:2", "--alphabet", "h", "(2,1,1)"],
+        "b16f0a2688091761025d86b1f5d16d01d4e321388018b5c496c711097f912c56",
+        "a8c8abbdac5119c839d5cc368f3e1f0c3f8209a6dcec029d0cae4521ace146f4",
+    ),
+    (
+        ["coproduct", "--kind", "deconcat", "--alphabet", "h", "(2,1,3)"],
+        "f1d7e5e86f144bf41c434bb3bd87d415ccec5b5abe3fbaa0eae3ca5d6bda00d1",
+        "5c69a1621555dddfb28eeb4cf856060a67a3f4b36c8bfbc5830090b508ae0cce",
+    ),
+    (
+        ["coproduct", "--kind", "square-op", "--alphabet", "H", "(2,0,1)"],
+        "9dd677a629ec04904ff87eb49a8552764413a071b6c257e47bdfd2eff2dd836c",
+        "ddefa17fc21c9ffbe44e1773a95b6d977da2a9cdf4ee3264db22f079823e7529",
+    ),
+    (
+        ["coproduct", "--kind", "infinitesimal", "--alphabet", "H", "(1,0,2)"],
+        "2659abf473dfc8605ae8a48e8a0932157dfa12320a4980aab99baaf9d958d845",
+        "f77df93f57bdefec009abd3584d035c30e2731215c365ca07331a51666a2b9b8",
+    ),
+    (
+        ["coproduct", "--kind", "infinitesimal", "--alphabet", "pdy", "dypy"],
+        "5fbf8568b743b02e11efb3dabb085daf6726b0a733cea3933d1a89bc7be170c4",
+        "68d637fe5e4f4da63156a042b4ed227ada1ea55255e0aef994f3a79060e8ab84",
+    ),
 ]
 
 
