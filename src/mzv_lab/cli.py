@@ -39,7 +39,6 @@ from mzv_lab.words import (
     PDY,
     PY,
     Alphabet,
-    NotInSubalgebraError,
     Poly,
     Rational,
     Word,
@@ -63,17 +62,17 @@ Composition = tuple[int, ...]
 # formatting
 # ---------------------------------------------------------------------------
 
+# the text of one z-block x0^(k-1) x1, from its run "x0...x0" of counting letters
+_z_text = functools.lru_cache(256)(lambda run: f"z{{{len(run) // 2 + 1}}}")
+
+
 def format_word(w: Word) -> str:
     """Canonical text: z-block form for z-decodable x0/x1 words, letter
     juxtaposition otherwise, and "1" for the unit."""
-    if w.is_unit:
-        return "1"
-    if w.alphabet is H2:
-        try:
-            return "".join(f"z{{{k}}}" for k in z_decode(w))
-        except NotInSubalgebraError:
-            pass
-    return "".join(w.letters)
+    text = str(w)
+    if w.alphabet is H2 and text.endswith("x1"):
+        return "".join(map(_z_text, text.split("x1")[:-1]))
+    return text
 
 
 def format_poly(p: Poly) -> str:
@@ -1007,12 +1006,12 @@ def _suite_ihara(mw: int | None, order: int | None) -> Iterator[Case]:
             {"w": format_word(w)},
             lambda w=w: (maps.ihara_S_inv(maps.ihara_S(w)), Poly.of(w)),
         )
+    graded = [(w, w.depth, w.weight) for w in words if not w.is_unit]
     pairs = [
         (u, v)
-        for i, u in enumerate(words)
-        for v in words[i:]
-        if u.depth + v.depth <= min(mw, 6) and u.weight + v.weight <= mw
-        and not u.is_unit and not v.is_unit
+        for i, (u, du, wu) in enumerate(graded)
+        for v, dv, wv in graded[i:]
+        if du + dv <= min(mw, 6) and wu + wv <= mw
     ]
     for u, v in pairs:
         ins = {"u": format_word(u), "v": format_word(v)}

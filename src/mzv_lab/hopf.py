@@ -30,6 +30,7 @@ from mzv_lab.words import (
     Word,
     WordError,
     add_into,
+    add_pairs,
     add_scaled,
     as_poly,
     z_decode,
@@ -43,9 +44,8 @@ def _outer_into(terms: dict, left: Poly, right: Poly, c: Rational, alphabet: Alp
     """terms += c * (left (x) right) in place."""
     if left.alphabet is not alphabet or right.alphabet is not alphabet:
         raise AlphabetMismatchError("tensor factors must share the alphabet")
-    for a, ca in left.terms.items():
-        for b, cb in right.terms.items():
-            add_into(terms, (a, b), c * ca * cb)
+    rights = right.terms.items()
+    add_pairs(terms, (((a, b), ca * cb) for a, ca in left.terms.items() for b, cb in rights), c)
 
 
 class Tensor2(LinComb):
@@ -136,10 +136,9 @@ def deconcat(x: Operand) -> Tensor2:
     """Cut a z-decodable word at every z-letter boundary: sum of u (x) v."""
     X = as_poly(x)
     make, alphabet = Word._make, X.alphabet
-    terms: dict[Pair, Rational] = {}
-    for w, c in X.terms.items():
-        for j in _z_cuts(w):
-            add_into(terms, (make(alphabet, w.letters[:j]), make(alphabet, w.letters[j:])), c)
+    # (u, v) determines w = uv and the cut, so no two terms share a key
+    cuts = ((w.letters, j, c) for w, c in X.terms.items() for j in _z_cuts(w))
+    terms = {(make(alphabet, ls[:j]), make(alphabet, ls[j:])): c for ls, j, c in cuts}
     return Tensor2._make(alphabet, terms)
 
 
@@ -378,16 +377,7 @@ def coideal_check(
     side = "right" checks the right tensor factors (the span sits in C (x) J),
     side = "left" the left ones (J (x) C).  Samples must satisfy the predicate.
     """
-    if side not in ("left", "right"):
-        raise WordError(f"side must be 'left' or 'right', got {side!r}")
-    pick = (lambda a, b: a) if side == "left" else (lambda a, b: b)
-    for w in samples:
-        if not predicate(w):
-            raise WordError(f"sample {w!r} is outside the candidate coideal")
-        for a, b, c in coproduct(Poly.of(w)):
-            if c and not predicate(pick(a, b)):
-                return False
-    return True
+    return coideal_witness(predicate, coproduct, side, samples) is None
 
 
 def coideal_witness(
@@ -396,9 +386,13 @@ def coideal_witness(
     side: str,
     samples: Iterable[Word],
 ) -> tuple[Word, Word] | None:
-    """First (sample, offending factor) pair, or None if the check passes."""
+    """First (sample, offending factor) pair of ``coideal_check``, or None."""
+    if side not in ("left", "right"):
+        raise WordError(f"side must be 'left' or 'right', got {side!r}")
     pick = (lambda a, b: a) if side == "left" else (lambda a, b: b)
     for w in samples:
+        if not predicate(w):
+            raise WordError(f"sample {w!r} is outside the candidate coideal")
         for a, b, c in coproduct(Poly.of(w)):
             if c and not predicate(pick(a, b)):
                 return (w, pick(a, b))

@@ -12,7 +12,7 @@ from itertools import product as iterprod
 from math import comb
 from typing import Callable, Union
 
-from mzv_lab.products import ihara_circ
+from mzv_lab.products import _comps_to_poly, _rs, ihara_circ
 from mzv_lab.words import (
     H2,
     PY,
@@ -25,9 +25,7 @@ from mzv_lab.words import (
     WordError,
     add_into,
     as_poly,
-    reverse_swap,
     z_decode,
-    z_encode,
 )
 
 Operand = Union[Word, Poly]
@@ -38,7 +36,7 @@ def tau(x: Operand) -> Poly:
     X = as_poly(x)
     if X.alphabet is not H2:
         raise AlphabetMismatchError("tau acts on x0/x1 words")
-    return X.map_words(lambda w: Poly.of(reverse_swap(w)))
+    return _rs(X)
 
 
 def tau_tilde(x: Operand) -> Poly:
@@ -50,7 +48,7 @@ def tau_tilde(x: Operand) -> Poly:
     X = as_poly(x)
     if X.alphabet is not PY:
         raise AlphabetMismatchError("tau_tilde acts on p/y words")
-    return X.map_words(lambda w: Poly.of(reverse_swap(w)))
+    return _rs(X)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +127,7 @@ def _binom_map(alphabet: Alphabet, first_lo: int, rest_lo: int, signed: bool):
 
         def on_word(w: Word) -> Poly:
             images = _binom_transform(z_decode(w), first_lo, rest_lo, signed)
-            return Poly._make(alphabet, {z_encode(r, alphabet): c for r, c in images.items()})
+            return _comps_to_poly(images, alphabet)
 
         return X.map_words(on_word)
 

@@ -18,8 +18,9 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import not_
 from typing import Callable, Iterable, Mapping, Union
 
 from mzv_lab.words import (
@@ -35,7 +36,10 @@ from mzv_lab.words import (
     Word,
     WordError,
     _SWAP,
+    _ZCODECS,
+    _normal_word,
     add_into,
+    add_pairs,
     add_scaled,
     as_poly,
     reverse_swap,
@@ -51,12 +55,15 @@ CompDict = dict[Comp, Rational]
 
 
 def _dcombine(acc: CompDict, other: Mapping[Comp, Rational], scale: Rational, head: Comp) -> None:
-    for comp, c in other.items():
-        add_into(acc, head + comp, scale * c)
+    # acc += scale * (head . other), each composition of other prefixed by head
+    add_pairs(acc, zip(map(head.__add__, other), other.values()), scale)
 
 
 def _comps_to_poly(d: Mapping[Comp, Rational], alphabet: Alphabet) -> Poly:
-    return Poly._make(alphabet, {z_encode(comp, alphabet): c for comp, c in d.items()})
+    # z_encode without its part check: every caller passes valid parts
+    block, join = _ZCODECS[alphabet.tag][2], chain.from_iterable
+    terms = {_normal_word((alphabet, tuple(join(map(block, k))))): c for k, c in d.items()}
+    return Poly._make(alphabet, terms)
 
 
 def _lam(lam: Rational) -> Rational:
@@ -163,8 +170,14 @@ _SHL_MEMO: dict[tuple, Poly] = {}
 
 
 def _cons(letter: str, poly: Poly) -> Poly:
-    head = Poly.of(Word._make(poly.alphabet, (letter,)))
-    return head * poly
+    # letter * poly; one term per term, as prefixing is injective (p/d cancel at the front)
+    alphabet, head = poly.alphabet, (letter,)
+    inv = ({"p": "d", "d": "p"}.get(letter),) if alphabet is PDY else None
+    terms = {
+        _normal_word((alphabet, w.letters[1:] if w.letters[:1] == inv else head + w.letters)): c
+        for w, c in poly.terms.items()
+    }
+    return Poly._make(alphabet, terms)
 
 
 def shuffle_lambda_ordered(u: Word, v: Word, lam: Rational) -> Poly:
@@ -346,22 +359,20 @@ def ooz_quasi_shuffle(u: Operand, v: Operand) -> Poly:
     return _bilinear_words(u, v, ooz_quasi_shuffle_ordered, PY)
 
 
-@dataclass(frozen=True)
-class ZWord:
-    """A z-indexed word whose parts may be any integers.
+class ZWord(tuple):
+    """A z-indexed word whose parts may be any integers: the tuple of its parts.
 
     Carrier for the explicit once-out-of-zeta recursion, whose intermediate
     terms can have negative z-indices even when inputs and outputs do not.
     """
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
+    parts = property(tuple)
+    is_unit = property(not_)
 
-    @property
-    def is_unit(self) -> bool:
-        return not self.parts
+    def __repr__(self) -> str:
+        return f"ZWord(parts={tuple(self)!r})"
 
 
 class ZPoly(LinComb):
@@ -392,19 +403,17 @@ def zpoly_from_poly(x: Operand) -> ZPoly:
 
 def zpoly_to_poly(x: ZPoly) -> Poly:
     """Inverse of zpoly_from_poly; rejects negative z-indices."""
-    terms: dict[Word, Rational] = {}
-    for w, c in x.terms.items():
-        if any(k < 0 for k in w.parts):
+    for w in x.terms:
+        if w and min(w) < 0:
             raise NotInSubalgebraError(f"negative z-index in {w}; no p/y word image")
-        terms[z_encode(w.parts, PY)] = c
-    return Poly._make(PY, terms)
+    return _comps_to_poly(x.terms, PY)
 
 
 _OOZX_MEMO: dict[tuple, ZPoly] = {}
 
 
 def ooz_explicit_ordered(u: ZWord, v: ZWord) -> ZPoly:
-    key = (u.parts, v.parts)
+    key = (u, v)
     hit = _OOZX_MEMO.get(key)
     if hit is not None:
         return hit
@@ -414,17 +423,17 @@ def ooz_explicit_ordered(u: ZWord, v: ZWord) -> ZPoly:
     elif v.is_unit:
         terms[u] = 1
     else:
-        uh, m = ZWord(u.parts[:-1]), u.parts[-1]
-        vh, n = ZWord(v.parts[:-1]), v.parts[-1]
+        uh, m = ZWord(u[:-1]), u[-1]
+        vh, n = ZWord(v[:-1]), v[-1]
         for a, b, k in ((uh, v, m), (u, vh, n), (uh, vh, n + m)):
-            for w, c in ooz_explicit_ordered(a, b).terms.items():
-                add_into(terms, ZWord(w.parts + (k,)), c)
+            prod = ooz_explicit_ordered(a, b).terms.items()
+            add_pairs(terms, ((ZWord(w + (k,)), c) for w, c in prod))
         if vh.is_unit:
-            add_into(terms, ZWord(u.parts + (n - 1,)), -1)
-            add_into(terms, ZWord(uh.parts + (n + m - 1,)), -1)
+            add_into(terms, ZWord(u + (n - 1,)), -1)
+            add_into(terms, ZWord(uh + (n + m - 1,)), -1)
         if uh.is_unit:
-            add_into(terms, ZWord(v.parts + (m - 1,)), -1)
-            add_into(terms, ZWord(vh.parts + (n + m - 1,)), -1)
+            add_into(terms, ZWord(v + (m - 1,)), -1)
+            add_into(terms, ZWord(vh + (n + m - 1,)), -1)
         if uh.is_unit and vh.is_unit:
             add_into(terms, ZWord((n + m - 1,)), 1)
     out = ZPoly._make(None, terms)
@@ -444,7 +453,7 @@ def ooz_explicit(u: ZPoly | ZWord, v: ZPoly | ZWord) -> ZPoly:
     terms: dict[ZWord, Rational] = {}
     for wu, cu in U.terms.items():
         for wv, cv in V.terms.items():
-            a, b = (wu, wv) if wu.parts <= wv.parts else (wv, wu)
+            a, b = (wu, wv) if wu <= wv else (wv, wu)
             add_scaled(terms, ooz_explicit_ordered(a, b).terms, cu * cv)
     return ZPoly._make(None, terms)
 
@@ -497,7 +506,8 @@ def transferred_product(
 
 
 def _rs(x: Poly) -> Poly:
-    return x.map_words(lambda w: Poly.of(reverse_swap(w)))
+    # reverse_swap is a bijection on words: the terms map one to one
+    return Poly._make(x.alphabet, {reverse_swap(w): c for w, c in x.terms.items()})
 
 
 def square_classical(u: Operand, v: Operand) -> Poly:

@@ -6,15 +6,20 @@ Three working alphabets:
 * ``PY``  letters ``p, y``   (free),
 * ``PDY`` letters ``p, d, y`` subject to the rewriting rule ``pd = dp = 1``.
 
-Words are immutable; PDY words are normalized eagerly on construction (the
-rewriting system {pd -> 1, dp -> 1} is terminating and locally confluent, so
-a single stack pass yields the unique normal form).
+A ``Word`` is an immutable ``tuple`` subclass ``(alphabet, letters)``, so its
+hash and ``==`` are tuple's, computed in C.  The alphabets are singletons that
+hash and compare by identity (and pickle by name), so equal letters over two
+alphabets make two words.  Otherwise the tuple stays hidden: words order by
+``sort_key``, ``len`` counts letters, and they neither iterate nor add.  PDY
+words are normalized eagerly on construction (the rewriting system
+{pd -> 1, dp -> 1} is terminating and locally confluent, so a single stack
+pass yields the unique normal form).
 
 Letters are checked at the public boundary only: ``Word(...)``, ``Poly(...)``,
 the codecs' checks on their inputs and the command-line parser.  Inside the
-package, words made from letters that are already valid (concatenation,
-slices, the letter morphisms, the codecs' outputs) go through the trusted
-``Word._make``: no letter check, but PDY words are still normalized.
+package, words made from valid letters go through the trusted ``Word._make``
+(no letter check, but PDY words are still normalized), or through
+``_normal_word`` when the letters are already in normal form.
 
 Weights: wt(p) = 1, wt(y) = 0 on PY/PDY, and every H2 letter has weight 1.
 wt(d) := -1, forced by pd = 1 together with additivity of the grading; no
@@ -30,9 +35,11 @@ the formatter of ``LinComb``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache, partial
+from itertools import chain, product
+from operator import ge, gt, itemgetter, le, lt
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 Rational = Union[int, Fraction]
@@ -59,11 +66,11 @@ class EncodingError(WordError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Alphabet:
     tag: str
     letters: tuple[str, ...]
-    rank: dict[str, int] = field(init=False, repr=False, compare=False, hash=False)
+    rank: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         # letter -> its index in ``letters``: the canonical letter order
@@ -71,6 +78,9 @@ class Alphabet:
 
     def __repr__(self) -> str:
         return self.tag
+
+    def __reduce__(self) -> str:
+        return self.tag  # pickled by name: unpickling returns the singleton
 
 
 H2 = Alphabet("H2", ("x0", "x1"))
@@ -91,14 +101,22 @@ def _normalize_pdy(letters: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(out)
 
 
-class Word:
+def _by_sort_key(op):
+    # a Word comparison: op on the two sort keys
+    return lambda u, v: op(u.sort_key(), v.sort_key()) if isinstance(v, Word) else NotImplemented
+
+
+class Word(tuple):
     """A normalized word over one of the three alphabets.
 
     Immutable and hashable; ``w1 * w2`` concatenates (renormalizing on PDY).
     Canonical order for display and JSON is (length, letter indices).
     """
 
-    __slots__ = ("alphabet", "letters", "_hash")
+    __slots__ = ()
+
+    alphabet = property(itemgetter(0))
+    letters = property(itemgetter(1))
 
     def __new__(cls, alphabet: Alphabet, letters: Iterable[str] = ()):
         letters = tuple(letters)
@@ -113,67 +131,61 @@ class Word:
         ``alphabet`` and is not checked; PDY words are still normalized."""
         if alphabet is PDY:
             letters = _normalize_pdy(letters)
-        out = object.__new__(cls)
-        _set(out, "alphabet", alphabet)
-        _set(out, "letters", letters)
-        _set(out, "_hash", hash((alphabet.tag, letters)))
-        return out
+        return tuple.__new__(cls, (alphabet, letters))
+
+    def __reduce__(self):
+        return (Word._make, (self[0], self[1]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Word)
-            and self.alphabet is other.alphabet
-            and self.letters == other.letters
-        )
+    # the tuple underneath stays hidden: no iteration, ``in``, ``+`` or repetition
+    __iter__ = __contains__ = None
+    __add__ = __radd__ = __rmul__ = lambda self, other: NotImplemented
 
     def sort_key(self) -> tuple:
-        return (len(self.letters), tuple(map(self.alphabet.rank.__getitem__, self.letters)))
+        # letter-index order: string order on x0/x1 and p/y, not on p/d/y (p < d < y)
+        letters = self[1]
+        key = tuple(map(PDY.rank.__getitem__, letters)) if self[0] is PDY else letters
+        return (len(letters), key)
 
-    def __lt__(self, other: "Word") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __le__(self, other: "Word") -> bool:
-        return self.sort_key() <= other.sort_key()
+    __lt__, __le__, __gt__, __ge__ = map(_by_sort_key, (lt, le, gt, ge))
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self[1])
 
     def __mul__(self, other: "Word") -> "Word":
         if isinstance(other, Word):
-            if other.alphabet is not self.alphabet:
+            if other[0] is not self[0]:
                 raise AlphabetMismatchError(f"{self.alphabet} * {other.alphabet}")
-            return Word._make(self.alphabet, self.letters + other.letters)
+            return Word._make(self[0], self[1] + other[1])
         return NotImplemented
 
     def __str__(self) -> str:
-        return "".join(self.letters) if self.letters else "1"
+        return "".join(self[1]) if self[1] else "1"
 
     def __repr__(self) -> str:
         return f"Word({self.alphabet.tag}:{self})"
 
     @property
     def is_unit(self) -> bool:
-        return not self.letters
+        return not self[1]
 
     @property
     def weight(self) -> int:
-        if self.alphabet is H2:
-            return len(self.letters)
-        return self.letters.count("p") - self.letters.count("d")
+        letters = self[1]
+        return len(letters) if self[0] is H2 else letters.count("p") - letters.count("d")
 
     @property
     def depth(self) -> int:
-        marker = "x1" if self.alphabet is H2 else "y"
-        return self.letters.count(marker)
+        return self[1].count("x1" if self[0] is H2 else "y")
 
     def grading(self) -> "Grading":
-        return Grading(self.weight, self.depth, len(self.letters))
+        return Grading(self.weight, self.depth, len(self[1]))
+
+
+# trusted constructor, one C call, of a word from letters already in normal form
+_normal_word = partial(tuple.__new__, Word)
 
 
 @dataclass(frozen=True)
@@ -202,20 +214,26 @@ def exact(c) -> Rational:
 
 def add_into(terms: dict, key, c: Rational) -> None:
     """terms[key] += c in place; a coefficient that cancels is deleted."""
-    old = terms.get(key)
-    if old is not None:
-        c += old
-    if c:
-        terms[key] = c
-    elif old is not None:
-        del terms[key]
+    add_pairs(terms, ((key, c),))
 
 
 def add_scaled(terms: dict, other: Mapping, c: Rational = 1) -> None:
-    """terms += c * other in place, term by term through add_into."""
-    one = c == 1
-    for key, v in other.items():
-        add_into(terms, key, v if one else c * v)
+    """terms += c * other in place."""
+    add_pairs(terms, other.items(), c)
+
+
+def add_pairs(terms: dict, pairs: Iterable[tuple], c: Rational = 1) -> None:
+    """terms[key] += c * v in place for each (key, v); cancelled keys are deleted."""
+    get, one = terms.get, c == 1
+    for key, v in pairs:
+        old = get(key)
+        v = v if one else c * v
+        if old is not None:
+            v += old
+        if v:
+            terms[key] = v
+        elif old is not None:
+            del terms[key]
 
 
 def signed_join(parts: list[str]) -> str:
@@ -266,6 +284,9 @@ class LinComb:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        return (type(self)._make, (self.alphabet, dict(self.terms)))
+
     def _same_space(self, other: "LinComb") -> None:
         if other.alphabet is not self.alphabet:
             raise AlphabetMismatchError(f"{self.alphabet} vs {other.alphabet}")
@@ -311,8 +332,8 @@ class LinComb:
 
     def sorted_terms(self) -> list:
         """(key, coefficient) pairs in the canonical display order."""
-        order = self._order
-        return sorted(self.terms.items(), key=lambda t: order(t[0]))
+        terms = self.terms
+        return [(k, terms[k]) for k in sorted(terms, key=self._order)]
 
     def format_terms(self, body: Callable[[object], str]) -> str:
         """Signed sum in canonical order, key k shown as body(k) with a
@@ -373,10 +394,16 @@ class Poly(LinComb):
             return NotImplemented
         self._same_space(other)
         terms: dict[Word, Rational] = {}
-        for wu, cu in self.terms.items():
-            for wv, cv in other.terms.items():
-                add_into(terms, wu * wv, cu * cv)
+        right = other.terms.items()
+        add_pairs(terms, ((u * v, cu * cv) for u, cu in self.terms.items() for v, cv in right))
         return Poly._make(self.alphabet, terms)
+
+    def sorted_terms(self) -> list:
+        if self.alphabet is PDY:
+            return LinComb.sorted_terms(self)
+        # the sort key is (len, letters) on x0/x1 and p/y: decorate in C
+        letters = list(map(itemgetter(1), self.terms))
+        return list(map(itemgetter(2), sorted(zip(map(len, letters), letters, self.terms.items()))))
 
     def __iter__(self) -> Iterator[tuple[Word, Rational]]:
         return iter(self.sorted_terms())
@@ -439,8 +466,13 @@ def poly_membership(poly: Poly, space: str) -> bool:
 
 # -- z-block codecs ----------------------------------------------------------
 
-# alphabet tag -> (counting letter, terminal letter, least part) of a z-block
-_ZBLOCKS = {"PY": ("p", "y", 0), "H2": ("x0", "x1", 1)}
+def _zcodec(count: str, terminal: str, least: int) -> tuple:
+    # (terminal, least part, part -> its letters, text length of its run -> part)
+    block = lru_cache(256)(lambda k: (count,) * (k - least) + (terminal,))
+    return terminal, least, block, lru_cache(256)(lambda n: n // len(count) + least)
+
+
+_ZCODECS = {"PY": _zcodec("p", "y", 0), "H2": _zcodec("x0", "x1", 1)}
 
 
 def z_encode(comp: Iterable[int], alphabet: Alphabet) -> Word:
@@ -449,34 +481,25 @@ def z_encode(comp: Iterable[int], alphabet: Alphabet) -> Word:
     PY:  z_k = p^k y   (k >= 0);   H2:  z_k = x0^(k-1) x1   (k >= 1).
     The empty composition encodes to the unit word.
     """
-    if alphabet.tag not in _ZBLOCKS:
+    if alphabet.tag not in _ZCODECS:
         raise EncodingError(f"no z-block codec on alphabet {alphabet.tag}")
-    count, terminal, least = _ZBLOCKS[alphabet.tag]
-    letters: list[str] = []
-    for k in comp:
-        if k < least:
-            raise EncodingError(f"{alphabet.tag} z-block needs k >= {least}, got {k}")
-        letters += (count,) * (k - least)
-        letters.append(terminal)
-    return Word._make(alphabet, tuple(letters))
+    _, least, block, _ = _ZCODECS[alphabet.tag]
+    comp = tuple(comp)
+    if comp and min(comp) < least:  # name the first offending part
+        bad = next(k for k in comp if k < least)
+        raise EncodingError(f"{alphabet.tag} z-block needs k >= {least}, got {bad}")
+    return _normal_word((alphabet, tuple(chain.from_iterable(map(block, comp)))))
 
 
 def z_decode(word: Word) -> tuple[int, ...]:
     """Inverse of z_encode on H1 (PY) / h1 (H2) words."""
-    if word.alphabet.tag not in _ZBLOCKS:
+    if word.alphabet.tag not in _ZCODECS:
         raise NotInSubalgebraError(f"no z-block codec on alphabet {word.alphabet.tag}")
-    count, terminal, least = _ZBLOCKS[word.alphabet.tag]
-    if word.letters and word.letters[-1] != terminal:
+    terminal, _, _, part = _ZCODECS[word.alphabet.tag]
+    *runs, rest = "".join(word.letters).split(terminal)
+    if rest:
         raise NotInSubalgebraError(f"{word!r} does not end in {terminal}; not z-decodable")
-    parts: list[int] = []
-    run = least
-    for a in word.letters:
-        if a == count:
-            run += 1
-        else:
-            parts.append(run)
-            run = least
-    return tuple(parts)
+    return tuple(map(part, map(len, runs)))
 
 
 def zp(comp: Iterable[int], alphabet: Alphabet = PY, coeff: Rational = 1) -> Poly:
@@ -488,19 +511,20 @@ def zp(comp: Iterable[int], alphabet: Alphabet = PY, coeff: Rational = 1) -> Pol
 _PHI = {"p": "x0", "y": "x1"}
 _PHI_INV = {"x0": "p", "x1": "y"}
 _SWAP = {"x0": "x1", "x1": "x0", "p": "y", "y": "p"}
+_EMBED_J = {"x0": ("p",), "x1": ("p", "y")}
 
 
 def phi(word: Word) -> Word:
     """Alphabet isomorphism PY -> H2: p -> x0, y -> x1."""
     if word.alphabet is not PY:
         raise AlphabetMismatchError("phi acts on PY words")
-    return Word._make(H2, tuple(map(_PHI.__getitem__, word.letters)))
+    return _normal_word((H2, tuple(map(_PHI.__getitem__, word.letters))))
 
 
 def phi_inv(word: Word) -> Word:
     if word.alphabet is not H2:
         raise AlphabetMismatchError("phi_inv acts on H2 words")
-    return Word._make(PY, tuple(map(_PHI_INV.__getitem__, word.letters)))
+    return _normal_word((PY, tuple(map(_PHI_INV.__getitem__, word.letters))))
 
 
 def reverse_swap(word: Word) -> Word:
@@ -512,7 +536,7 @@ def reverse_swap(word: Word) -> Word:
     """
     if word.alphabet is PDY:
         raise AlphabetMismatchError("reverse_swap is not defined on p/d/y words")
-    return Word._make(word.alphabet, tuple(map(_SWAP.__getitem__, reversed(word.letters))))
+    return _normal_word((word.alphabet, tuple(map(_SWAP.__getitem__, reversed(word.letters)))))
 
 
 def embed_J(word: Word) -> Word:
@@ -523,12 +547,7 @@ def embed_J(word: Word) -> Word:
     """
     if word.alphabet is not H2:
         raise AlphabetMismatchError("embed_J acts on H2 words")
-    letters: list[str] = []
-    for a in word.letters:
-        letters.append("p")
-        if a == "x1":
-            letters.append("y")
-    return Word._make(PY, tuple(letters))
+    return _normal_word((PY, tuple(chain.from_iterable(map(_EMBED_J.__getitem__, word.letters)))))
 
 
 def block_map(word: Word) -> Word:
@@ -553,7 +572,7 @@ def weight_projection(poly: Poly, w: int) -> Poly:
 
 def iter_words(alphabet: Alphabet, length: int) -> Iterator[Word]:
     """All normalized words of the exact letter length, in canonical order."""
-    for letters in itertools.product(alphabet.letters, repeat=length):
+    for letters in product(alphabet.letters, repeat=length):
         if alphabet is PDY and _normalize_pdy(letters) != letters:
             continue
         yield Word._make(alphabet, letters)

@@ -1,5 +1,6 @@
 """Coalgebra structure: deconcatenation, antipode, transfer, infinitesimal."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -252,3 +253,19 @@ def test_coideal_check_validates_inputs():
         coideal_check(
             lambda w: membership(w, "H0"), deconcat, "left", [Word(PY, ("y",))]
         )
+
+
+def test_coideal_witness_validates_inputs_like_the_check():
+    pred = lambda w: membership(w, "H0")
+    for find in (coideal_check, coideal_witness):
+        with pytest.raises(WordError, match=r"^side must be 'left' or 'right', got 'middle'$"):
+            find(pred, deconcat, "middle", _h0_samples())
+        with pytest.raises(WordError, match=r"outside the candidate coideal$"):
+            find(pred, deconcat, "left", [Word(PY, ("y",))])
+    assert coideal_witness(pred, deconcat, "left", _h0_samples()) is None
+
+
+def test_tensors_survive_deepcopy():
+    t = deconcat(zp((2, 1)) - zp((1, 0), PY, Fraction(1, 2)))
+    c = copy.deepcopy(t)
+    assert type(c) is Tensor2 and c == t and c.alphabet is PY and str(c) == str(t)

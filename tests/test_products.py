@@ -5,10 +5,11 @@ the public wrappers canonicalize the operand pair before memoization, which
 would make u*v == v*u vacuously true.
 """
 
+import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mzv_lab import products
@@ -346,3 +347,39 @@ def test_alphabet_mismatch_rejected():
 def test_clear_caches_runs():
     products.clear_caches()
     assert quasi_shuffle(zh(2), zh(2)) == 2 * zh(2, 2) + zh(4)
+
+
+# -- prefixing a letter, and the z-word carrier --------------------------------
+
+pdy_polys = st.dictionaries(
+    st.lists(st.sampled_from(["p", "d", "y"]), max_size=5).map(lambda l: Word(PDY, l)),
+    st.integers(-3, 3).filter(bool) | st.fractions().filter(bool),
+    max_size=5,
+).map(lambda terms: Poly(PDY, terms))
+
+
+@given(st.sampled_from(["p", "d", "y"]), pdy_polys)
+def test_cons_is_left_concatenation_by_the_letter(letter, poly):
+    assume(any("d" in w.letters for w in poly.terms))
+    got = products._cons(letter, poly)
+    assert got == Poly.of(Word(PDY, (letter,))) * poly
+    assert len(got.terms) == len(poly.terms)
+
+
+def test_cons_cancels_a_leading_inverse_letter():
+    x = Poly(PDY, {Word(PDY, ("d", "y")): 2, Word(PDY, ("p",)): -1, Word(PDY): 3})
+    assert products._cons("p", x) == Poly(
+        PDY, {Word(PDY, ("y",)): 2, Word(PDY, ("p", "p")): -1, Word(PDY, ("p",)): 3}
+    )
+    assert products._cons("d", x) == Poly(
+        PDY, {Word(PDY, ("d", "d", "y")): 2, Word(PDY): -1, Word(PDY, ("d",)): 3}
+    )
+
+
+def test_zword_is_the_tuple_of_its_parts():
+    z = ZWord([1, -1])
+    assert z == ZWord((1, -1)) and z.parts == (1, -1) and type(z.parts) is tuple
+    assert ZWord(()).is_unit and not z.is_unit
+    assert repr(z) == "ZWord(parts=(1, -1))"
+    x = ZPoly({z: Fraction(1, 3), ZWord(()): 2})
+    assert pickle.loads(pickle.dumps(x)) == x and pickle.loads(pickle.dumps(z)) == z

@@ -1,5 +1,7 @@
 """Words, gradings, codecs, memberships, and the structural morphisms."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from mzv_lab.words import (
     H2,
     PDY,
     PY,
+    ALPHABETS,
     AlphabetMismatchError,
     EncodingError,
     Grading,
@@ -342,3 +345,87 @@ def test_pdy_order_is_letter_index_order_not_string_order(raws):
     assert [w.sort_key() for w in ws] == [index_key(w) for w in ws]
     assert sorted(ws) == sorted(ws, key=index_key)
     assert Word(PDY, ("p",)) < Word(PDY, ("d",)) < Word(PDY, ("y",))
+
+
+# -- the tuple representation -------------------------------------------------
+
+def test_word_keeps_its_own_contract_over_the_tuple_api():
+    one, two = Word(H2, ("x1",)), Word(H2, ("x0", "x0"))
+    # by sort_key, shorter first; plain tuple order would put ("x0", "x0") first
+    assert one < two and one <= two and two > one and two >= one
+    assert not two < one and not one > two and one <= one and one >= one
+    assert sorted([two, one]) == [one, two] and max(one, two) is two
+    with pytest.raises(TypeError):
+        one < ("x0",)
+    assert len(two) == 2 and len(Word(PY)) == 0 and len(Word(PDY, "pd")) == 0
+    for op in (iter, list, lambda w: "x0" in w, lambda w: w + w, lambda w: 3 * w, lambda w: w * 3):
+        with pytest.raises(TypeError):
+            op(two)
+    with pytest.raises(AttributeError, match=r"^Word is immutable$"):
+        two.letters = ()
+    with pytest.raises(AttributeError, match=r"^Word is immutable$"):
+        two.extra = 1
+    assert two != two.letters and two.letters != two and two != ("x0", "x0")
+    assert Word(PY, ("p", "y")) != Word(PDY, ("p", "y")) and Word(PY) != Word(H2)
+    assert len({Word(PY, ("p", "y")), Word(PDY, ("p", "y")), Word(PY, "py")}) == 2
+
+
+@pytest.mark.parametrize(
+    "copy_of", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy]
+)
+def test_alphabets_words_and_polys_survive_pickle_and_copy(copy_of):
+    for a in ALPHABETS.values():
+        assert copy_of(a) is a
+    for w in (Word(H2, ("x0", "x1")), Word(PY), Word(PDY, ("d", "y", "p"))):
+        c = copy_of(w)
+        assert type(c) is Word and c == w and hash(c) == hash(w)
+        assert c.alphabet is w.alphabet and c.letters == w.letters
+    x = Poly(H2, {Word(H2, ("x0", "x1")): Fraction(1, 2), Word(H2, ("x1",)): -3})
+    c = copy_of(x)
+    assert type(c) is Poly and c == x and c.alphabet is H2 and str(c) == str(x)
+    assert c.terms is not x.terms
+
+
+def test_codecs_outside_their_cached_range_and_on_bad_parts():
+    big = (300, 1, 257)
+    assert z_encode(big, H2).letters == ("x0",) * 299 + ("x1", "x1") + ("x0",) * 256 + ("x1",)
+    assert z_encode(iter(big), PY).letters == ("p",) * 300 + ("y", "p", "y") + ("p",) * 257 + ("y",)
+    assert z_decode(z_encode(big, H2)) == big == z_decode(z_encode(big, PY))
+    assert z_encode((), H2) == Word(H2) and z_decode(Word(PY)) == ()
+    # the first part below the least one is named
+    with pytest.raises(EncodingError, match=r"^H2 z-block needs k >= 1, got 0$"):
+        z_encode((2, 0, -1), H2)
+    with pytest.raises(EncodingError, match=r"^PY z-block needs k >= 0, got -2$"):
+        z_encode((3, -2, -1), PY)
+    with pytest.raises(NotInSubalgebraError, match=r"^Word\(H2:x1x0\) does not end in x1; not"):
+        z_decode(Word(H2, ("x1", "x0")))
+    with pytest.raises(NotInSubalgebraError, match=r"^no z-block codec on alphabet PDY$"):
+        z_decode(Word(PDY, ("y",)))
+
+
+@given(st.sampled_from([H2, PY]).flatmap(
+    lambda a: st.tuples(st.just(a), st.lists(st.sampled_from(a.letters), max_size=12))
+))
+def test_codecs_roundtrip_from_words(case):
+    alphabet, letters = case
+    w = Word(alphabet, letters + [alphabet.letters[-1]])  # ends in the terminal letter
+    assert z_encode(z_decode(w), alphabet) == w
+
+
+@given(
+    st.sampled_from([H2, PY, PDY]).flatmap(
+        lambda a: st.tuples(
+            st.just(a),
+            st.dictionaries(
+                st.lists(st.sampled_from(a.letters), max_size=6).map(lambda ls, a=a: Word(a, ls)),
+                st.integers(-3, 3).filter(bool),
+                max_size=12,
+            ),
+        )
+    )
+)
+def test_poly_display_order_is_the_sort_key_order(case):
+    alphabet, terms = case
+    x = Poly(alphabet, terms)
+    want = sorted(x.terms.items(), key=lambda t: t[0].sort_key())
+    assert x.sorted_terms() == want and list(x) == want
