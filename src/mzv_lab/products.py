@@ -1,10 +1,16 @@
 """Word-level products: shuffles, quasi-shuffles and their deformations.
 
-Every product is bilinear; the recursions below act on basis words (or on
-z-block compositions when that is the natural carrier) and are memoized.
-Public entry points canonicalize the word pair (the products are commutative)
-so memo tables stay small; the ``*_ordered`` internals compute on the pair as
-given and are what the commutativity tests exercise.
+Each recursive product peels the first letter of u, of v or of both, and
+combines by a rule for the two leading letters (Hoffman, "Quasi-shuffle
+products", 2000).  One memoized driver, ``_product``, runs every rule on
+plain tuples (letters or z-parts) with one memo, ``_MEMO``.  A rule yields
+terms (head, c, u', v'), each c * head (u' x v'); a boundary correction has
+u' = v' = (), as the empty product is {(): 1}.  Words and Polys are built at
+the ``*_ordered`` boundary, which never hands out the memo's dicts; p/d/y
+tuples are normalized there, by ``Word._make``, since prefixing commutes with
+pd = dp = 1 and the rules branch only on (normal) input letters.  Public
+entry points canonicalize the word pair; the ``*_ordered`` functions take it
+as given and are what the commutativity tests exercise.
 
 Conventions:
 
@@ -49,13 +55,13 @@ from mzv_lab.words import (
 
 Operand = Union[Word, Poly]
 
-# comp-level linear combinations: dict composition -> nonzero coefficient
-Comp = tuple[int, ...]
+# tuple-level linear combinations (letters or z-parts -> nonzero coefficient)
+Comp = tuple
 CompDict = dict[Comp, Rational]
 
 
 def _dcombine(acc: CompDict, other: Mapping[Comp, Rational], scale: Rational, head: Comp) -> None:
-    # acc += scale * (head . other), each composition of other prefixed by head
+    # acc += scale * (head . other), each key of other prefixed by head
     add_pairs(acc, zip(map(head.__add__, other), other.values()), scale)
 
 
@@ -66,6 +72,15 @@ def _comps_to_poly(d: Mapping[Comp, Rational], alphabet: Alphabet) -> Poly:
     return Poly._make(alphabet, terms)
 
 
+def _letters_to_poly(d: Mapping[Comp, Rational], alphabet: Alphabet) -> Poly:
+    if alphabet is not PDY:
+        return Poly._make(alphabet, {_normal_word((alphabet, k)): c for k, c in d.items()})
+    # p/d/y keys are normalized here, once; keys that meet are summed
+    terms: dict[Word, Rational] = {}
+    add_pairs(terms, ((Word._make(PDY, k), c) for k, c in d.items()))
+    return Poly._make(PDY, terms)
+
+
 def _lam(lam: Rational) -> Rational:
     # a deformation parameter as an int when integral, so integer inputs keep
     # integer coefficients
@@ -73,42 +88,115 @@ def _lam(lam: Rational) -> Rational:
     return lam.numerator if lam.denominator == 1 else lam
 
 
-def _bilinear_words(
-    u: Operand, v: Operand, word_fn: Callable[[Word, Word], Poly], alphabet: Alphabet
-) -> Poly:
-    U, V = as_poly(u), as_poly(v)
-    if U.alphabet is not alphabet or V.alphabet is not alphabet:
-        raise AlphabetMismatchError(f"operands must be {alphabet} polynomials")
-    terms: dict[Word, Rational] = {}
+def _pair_sum(U: LinComb, V: LinComb, word_fn: Callable) -> LinComb:
+    # sum of cu*cv * word_fn(a, b) over term pairs ordered a <= b (the products commute)
+    terms: dict = {}
     for wu, cu in U.terms.items():
         for wv, cv in V.terms.items():
             a, b = (wu, wv) if wu <= wv else (wv, wu)
             add_scaled(terms, word_fn(a, b).terms, cu * cv)
-    return Poly._make(alphabet, terms)
+    return U._make(U.alphabet, terms)
+
+
+def _bilinear_words(u: Operand, v: Operand, word_fn: Callable, alphabet: Alphabet) -> Poly:
+    U, V = as_poly(u), as_poly(v)
+    if U.alphabet is not alphabet or V.alphabet is not alphabet:
+        raise AlphabetMismatchError(f"operands must be {alphabet} polynomials")
+    return _pair_sum(U, V, word_fn)
+
+
+# ---------------------------------------------------------------------------
+# the driver, its memo, and the rules (u and v nonempty)
+# ---------------------------------------------------------------------------
+
+_MEMO: dict[tuple, CompDict] = {}
+
+
+def _product(rule: Callable, u: Comp, v: Comp, lam: Rational = 1) -> CompDict:
+    # u x v under rule, one frame per peeled letter; callers only read the result
+    key = (rule, lam, u, v)
+    hit = _MEMO.get(key)
+    if hit is not None:
+        return hit
+    if not u or not v:
+        out = {u + v: 1}
+    else:
+        out = {}
+        for head, c, ut, vt in rule(u, v, lam):
+            _dcombine(out, _product(rule, ut, vt, lam), c, head)
+    _MEMO[key] = out
+    return out
+
+
+def _shuffle(u: Comp, v: Comp, lam: Rational):
+    # a u' x b v' = a (u' x b v') + b (a u' x v')
+    yield u[:1], 1, u[1:], v
+    yield v[:1], 1, u, v[1:]
+
+
+def _star(u: Comp, v: Comp, lam: Rational):
+    # the shuffle, less tau(a) b v' when u = a and tau(b) a u' when v = b
+    yield from _shuffle(u, v, lam)
+    if len(u) == 1:
+        yield (_SWAP[u[0]],) + v, -1, (), ()
+    if len(v) == 1:
+        yield (_SWAP[v[0]],) + u, -1, (), ()
+
+
+def _stuffle(u: Comp, v: Comp, lam: Rational):
+    # the shuffle of z-parts, plus lam z_{n+m} (u' * v') for z_n u' * z_m v'
+    yield from _shuffle(u, v, lam)
+    if lam:
+        yield (u[0] + v[0],), lam, u[1:], v[1:]
+
+
+def _shuffle_lam(u: Comp, v: Comp, lam: Rational):
+    a, ut, b, vt = u[0], u[1:], v[0], v[1:]
+    if a == "y":
+        yield ("y",), 1, ut, v
+    elif b == "y":
+        yield ("y",), 1, u, vt
+    elif a == b == "p":
+        yield ("p",), 1, ut, v
+        yield ("p",), 1, u, vt
+        yield ("p",), lam, ut, vt
+    elif a == b:  # d/d
+        if not lam:
+            raise WordError("the d/d recursion needs lam != 0")
+        inv = Fraction(1) / lam
+        yield ("d",), inv, ut, vt
+        yield (), -inv, ut, v
+        yield (), -inv, u, vt
+    elif a == "d":  # b == "p"
+        yield ("d",), 1, ut, v
+        yield (), -1, ut, vt
+        yield (), -lam, u, vt
+    else:  # a == "p", b == "d"
+        yield ("d",), 1, u, vt
+        yield (), -1, ut, vt
+        yield (), -lam, ut, v
+
+
+def _ooz_explicit(u: Comp, v: Comp, lam: Rational):
+    # the stuffle on reversed z-words, corrected when a factor is a single z-letter
+    yield from _stuffle(u, v, 1)
+    m, ut, n, vt = u[0], u[1:], v[0], v[1:]
+    if not vt:
+        yield (n - 1,) + u, -1, (), ()
+        yield (n + m - 1,) + ut, -1, (), ()
+    if not ut:
+        yield (m - 1,) + v, -1, (), ()
+        yield (n + m - 1,) + vt, -1, (), ()
+    if not ut and not vt:
+        yield (n + m - 1,), 1, (), ()
 
 
 # ---------------------------------------------------------------------------
 # shuffle on x0/x1
 # ---------------------------------------------------------------------------
 
-_SH_MEMO: dict[tuple, Poly] = {}
-
-
 def shuffle_ordered(u: Word, v: Word) -> Poly:
-    key = (u.letters, v.letters)
-    hit = _SH_MEMO.get(key)
-    if hit is not None:
-        return hit
-    if u.is_unit:
-        out = Poly.of(v)
-    elif v.is_unit:
-        out = Poly.of(u)
-    else:
-        a, ut = u.letters[0], Word._make(H2, u.letters[1:])
-        b, vt = v.letters[0], Word._make(H2, v.letters[1:])
-        out = _cons(a, shuffle_ordered(ut, v)) + _cons(b, shuffle_ordered(u, vt))
-    _SH_MEMO[key] = out
-    return out
+    return _letters_to_poly(_product(_shuffle, u.letters, v.letters), H2)
 
 
 def shuffle(u: Operand, v: Operand) -> Poly:
@@ -120,35 +208,8 @@ def shuffle(u: Operand, v: Operand) -> Poly:
 # quasi-shuffle (stuffle) on z-block compositions
 # ---------------------------------------------------------------------------
 
-_QS_MEMO: dict[tuple, CompDict] = {}
-
-
-def _qs_comps(c1: Comp, c2: Comp, lam: Rational) -> CompDict:
-    key = (c1, c2, lam)
-    hit = _QS_MEMO.get(key)
-    if hit is not None:
-        return hit
-    out: CompDict = {}
-    if not c1:
-        out[c2] = 1
-    elif not c2:
-        out[c1] = 1
-    else:
-        n, u = c1[0], c1[1:]
-        m, v = c2[0], c2[1:]
-        _dcombine(out, _qs_comps(u, c2, lam), 1, (n,))
-        _dcombine(out, _qs_comps(c1, v, lam), 1, (m,))
-        if lam:
-            _dcombine(out, _qs_comps(u, v, lam), lam, (n + m,))
-    _QS_MEMO[key] = out
-    return out
-
-
 def _quasi_word_fn(alphabet: Alphabet, lam: Rational) -> Callable[[Word, Word], Poly]:
-    def fn(u: Word, v: Word) -> Poly:
-        return _comps_to_poly(_qs_comps(z_decode(u), z_decode(v), lam), alphabet)
-
-    return fn
+    return lambda u, v: _comps_to_poly(_product(_stuffle, z_decode(u), z_decode(v), lam), alphabet)
 
 
 def quasi_shuffle(u: Operand, v: Operand) -> Poly:
@@ -166,74 +227,15 @@ def quasi_shuffle_lambda(u: Operand, v: Operand, lam: Rational = 1) -> Poly:
 # deformed shuffle on p/y and p/d/y
 # ---------------------------------------------------------------------------
 
-_SHL_MEMO: dict[tuple, Poly] = {}
-
-
-def _cons(letter: str, poly: Poly) -> Poly:
-    # letter * poly; one term per term, as prefixing is injective (p/d cancel at the front)
-    alphabet, head = poly.alphabet, (letter,)
-    inv = ({"p": "d", "d": "p"}.get(letter),) if alphabet is PDY else None
-    terms = {
-        _normal_word((alphabet, w.letters[1:] if w.letters[:1] == inv else head + w.letters)): c
-        for w, c in poly.terms.items()
-    }
-    return Poly._make(alphabet, terms)
-
-
 def shuffle_lambda_ordered(u: Word, v: Word, lam: Rational) -> Poly:
-    alphabet = u.alphabet
-    key = (alphabet.tag, lam, u.letters, v.letters)
-    hit = _SHL_MEMO.get(key)
-    if hit is not None:
-        return hit
-    if u.is_unit:
-        out = Poly.of(v)
-    elif v.is_unit:
-        out = Poly.of(u)
-    else:
-        a, ut = u.letters[0], Word._make(alphabet, u.letters[1:])
-        b, vt = v.letters[0], Word._make(alphabet, v.letters[1:])
-        if a == "y":
-            out = _cons("y", shuffle_lambda_ordered(ut, v, lam))
-        elif b == "y":
-            out = _cons("y", shuffle_lambda_ordered(u, vt, lam))
-        elif a == "p" and b == "p":
-            out = (
-                _cons("p", shuffle_lambda_ordered(ut, v, lam))
-                + _cons("p", shuffle_lambda_ordered(u, vt, lam))
-                + _cons("p", shuffle_lambda_ordered(ut, vt, lam)).scale(lam)
-            )
-        elif a == "d" and b == "d":
-            if not lam:
-                raise WordError("the d/d recursion needs lam != 0")
-            out = (
-                _cons("d", shuffle_lambda_ordered(ut, vt, lam))
-                - shuffle_lambda_ordered(ut, v, lam)
-                - shuffle_lambda_ordered(u, vt, lam)
-            ).scale(Fraction(1) / lam)
-        elif a == "d":  # b == "p"
-            out = (
-                _cons("d", shuffle_lambda_ordered(ut, v, lam))
-                - shuffle_lambda_ordered(ut, vt, lam)
-                - shuffle_lambda_ordered(u, vt, lam).scale(lam)
-            )
-        else:  # a == "p", b == "d"
-            out = (
-                _cons("d", shuffle_lambda_ordered(u, vt, lam))
-                - shuffle_lambda_ordered(ut, vt, lam)
-                - shuffle_lambda_ordered(ut, v, lam).scale(lam)
-            )
-    _SHL_MEMO[key] = out
-    return out
+    return _letters_to_poly(_product(_shuffle_lam, u.letters, v.letters, lam), u.alphabet)
 
 
 def shuffle_lambda(u: Operand, v: Operand, lam: Rational = 1) -> Poly:
     """Deformed shuffle on p/y words, and its unique extension to p/d/y words.
 
     Leading-y letters factor out on either side; two leading p's shuffle with a
-    lam-weighted overlap; the d-cases are forced by pd = dp = 1.  Total letter
-    length drops in every recursive call, so the recursion terminates even
-    though d-words can grow back under concatenation.
+    lam-weighted overlap; the d-cases are forced by pd = dp = 1.
     """
     lam = _lam(lam)
     alphabet = as_poly(u).alphabet
@@ -246,28 +248,8 @@ def shuffle_lambda(u: Operand, v: Operand, lam: Rational = 1) -> Poly:
 # star-shuffle on x0/x1 (two equivalent recursions)
 # ---------------------------------------------------------------------------
 
-_STAR_MEMO: dict[tuple, Poly] = {}
-
-
 def shuffle_star_ordered(u: Word, v: Word) -> Poly:
-    key = (u.letters, v.letters)
-    hit = _STAR_MEMO.get(key)
-    if hit is not None:
-        return hit
-    if u.is_unit:
-        out = Poly.of(v)
-    elif v.is_unit:
-        out = Poly.of(u)
-    else:
-        a, ut = u.letters[0], Word._make(H2, u.letters[1:])
-        b, vt = v.letters[0], Word._make(H2, v.letters[1:])
-        out = _cons(a, shuffle_star_ordered(ut, v)) + _cons(b, shuffle_star_ordered(u, vt))
-        if ut.is_unit:
-            out = out - Poly.of(Word._make(H2, (_SWAP[a],) + v.letters))
-        if vt.is_unit:
-            out = out - Poly.of(Word._make(H2, (_SWAP[b],) + u.letters))
-    _STAR_MEMO[key] = out
-    return out
+    return _letters_to_poly(_product(_star, u.letters, v.letters), H2)
 
 
 def shuffle_star(u: Operand, v: Operand) -> Poly:
@@ -283,14 +265,11 @@ def shuffle_star_alt_ordered(u: Word, v: Word) -> Poly:
     """
     if u.is_unit or v.is_unit:
         raise WordError("shuffle_star_alt needs nonempty words")
-    a, uh = u.letters[-1], Word._make(H2, u.letters[:-1])
-    b, vh = v.letters[-1], Word._make(H2, v.letters[:-1])
-    tail_a = Poly.of(Word._make(H2, (a,)))
-    tail_b = Poly.of(Word._make(H2, (b,)))
-    full = shuffle_ordered(u, v)
-    left = shuffle_ordered(uh, Word._make(H2, vh.letters + (_SWAP[b],))) * tail_a
-    right = shuffle_ordered(Word._make(H2, uh.letters + (_SWAP[a],)), vh) * tail_b
-    return full - left - right
+    (*uh, a), (*vh, b) = u.letters, v.letters
+    w = lambda *letters: Word._make(H2, letters)
+    left = shuffle_ordered(w(*uh), w(*vh, _SWAP[b])) * w(a)
+    right = shuffle_ordered(w(*uh, _SWAP[a]), w(*vh)) * w(b)
+    return shuffle_ordered(u, v) - left - right
 
 
 def shuffle_star_alt(u: Operand, v: Operand) -> Poly:
@@ -320,32 +299,21 @@ def t_op(x: Operand) -> Poly:
     return as_poly(x).map_words(fn)
 
 
-_OOZ_MEMO: dict[tuple, CompDict] = {}
-
-
 def _ooz_comps(c1: Comp, c2: Comp) -> CompDict:
-    key = (c1, c2)
-    hit = _OOZ_MEMO.get(key)
-    if hit is not None:
-        return hit
+    # the T-twisted stuffle; the stuffles come from the driver
+    if not c1 or not c2:
+        return {c1 + c2: 1}
+    m, u, n, v = c1[0], c1[1:], c2[0], c2[1:]
+    if m < 1 or n < 1:
+        raise NotInSubalgebraError("ooz_quasi_shuffle needs leading z-parts >= 1")
     out: CompDict = {}
-    if not c1:
-        out[c2] = 1
-    elif not c2:
-        out[c1] = 1
-    else:
-        m, u = c1[0], c1[1:]
-        n, v = c2[0], c2[1:]
-        if m < 1 or n < 1:
-            raise NotInSubalgebraError("ooz_quasi_shuffle needs leading z-parts >= 1")
-        for tc, ts in _t_comp(c2).items():
-            _dcombine(out, _qs_comps(u, tc, 1), ts, (m,))
-        for tc, ts in _t_comp(c1).items():
-            _dcombine(out, _qs_comps(tc, v, 1), ts, (n,))
-        uv = _qs_comps(u, v, 1)
-        _dcombine(out, uv, 1, (m + n,))
-        _dcombine(out, uv, -1, (m + n - 1,))
-    _OOZ_MEMO[key] = out
+    for tc, ts in _t_comp(c2).items():
+        _dcombine(out, _product(_stuffle, u, tc), ts, (m,))
+    for tc, ts in _t_comp(c1).items():
+        _dcombine(out, _product(_stuffle, tc, v), ts, (n,))
+    uv = _product(_stuffle, u, v)
+    _dcombine(out, uv, 1, (m + n,))
+    _dcombine(out, uv, -1, (m + n - 1,))
     return out
 
 
@@ -409,36 +377,10 @@ def zpoly_to_poly(x: ZPoly) -> Poly:
     return _comps_to_poly(x.terms, PY)
 
 
-_OOZX_MEMO: dict[tuple, ZPoly] = {}
-
-
 def ooz_explicit_ordered(u: ZWord, v: ZWord) -> ZPoly:
-    key = (u, v)
-    hit = _OOZX_MEMO.get(key)
-    if hit is not None:
-        return hit
-    terms: dict[ZWord, Rational] = {}
-    if u.is_unit:
-        terms[v] = 1
-    elif v.is_unit:
-        terms[u] = 1
-    else:
-        uh, m = ZWord(u[:-1]), u[-1]
-        vh, n = ZWord(v[:-1]), v[-1]
-        for a, b, k in ((uh, v, m), (u, vh, n), (uh, vh, n + m)):
-            prod = ooz_explicit_ordered(a, b).terms.items()
-            add_pairs(terms, ((ZWord(w + (k,)), c) for w, c in prod))
-        if vh.is_unit:
-            add_into(terms, ZWord(u + (n - 1,)), -1)
-            add_into(terms, ZWord(uh + (n + m - 1,)), -1)
-        if uh.is_unit:
-            add_into(terms, ZWord(v + (m - 1,)), -1)
-            add_into(terms, ZWord(vh + (n + m - 1,)), -1)
-        if uh.is_unit and vh.is_unit:
-            add_into(terms, ZWord((n + m - 1,)), 1)
-    out = ZPoly._make(None, terms)
-    _OOZX_MEMO[key] = out
-    return out
+    # the last-letter recursion is the first-letter one on reversed z-words
+    d = _product(_ooz_explicit, u[::-1], v[::-1])
+    return ZPoly._make(None, {ZWord(k[::-1]): c for k, c in d.items()})
 
 
 def ooz_explicit(u: ZPoly | ZWord, v: ZPoly | ZWord) -> ZPoly:
@@ -450,12 +392,7 @@ def ooz_explicit(u: ZPoly | ZWord, v: ZPoly | ZWord) -> ZPoly:
     """
     U = ZPoly({u: 1}) if isinstance(u, ZWord) else u
     V = ZPoly({v: 1}) if isinstance(v, ZWord) else v
-    terms: dict[ZWord, Rational] = {}
-    for wu, cu in U.terms.items():
-        for wv, cv in V.terms.items():
-            a, b = (wu, wv) if wu <= wv else (wv, wu)
-            add_scaled(terms, ooz_explicit_ordered(a, b).terms, cu * cv)
-    return ZPoly._make(None, terms)
+    return _pair_sum(U, V, ooz_explicit_ordered)
 
 
 # ---------------------------------------------------------------------------
@@ -534,5 +471,4 @@ def ooz_square(u: Operand, v: Operand) -> Poly:
 
 
 def clear_caches() -> None:
-    for memo in (_SH_MEMO, _QS_MEMO, _SHL_MEMO, _STAR_MEMO, _OOZ_MEMO, _OOZX_MEMO):
-        memo.clear()
+    _MEMO.clear()

@@ -274,6 +274,13 @@ def test_main_bad_lambda_is_one_line_usage_error(capsys, lam):
     assert err.startswith("error: --lambda") and len(err.splitlines()) == 1
 
 
+def test_main_dd_shuffle_at_lambda_0_is_one_line_error(capsys):
+    argv = ["product", "--kind", "shuffle", "--alphabet", "pdy", "d", "d", "--lambda", "0"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: the d/d recursion needs lam != 0\n"
+
+
 def test_main_scalar_division_by_zero_is_one_line_usage_error(capsys):
     assert main(["product", "--alphabet", "H", "1/0*py"]) == 2
     err = capsys.readouterr().err

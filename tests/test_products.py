@@ -6,10 +6,11 @@ would make u*v == v*u vacuously true.
 """
 
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mzv_lab import products
@@ -72,7 +73,7 @@ def test_shuffle_lambda_d_rules():
         assert shuffle_lambda(d, d, lam) == d.scale(Fraction(-1, 1) / lam)
         assert shuffle_lambda(d, p, lam) == d.scale(-lam)
         assert shuffle_lambda(p, d, lam) == d.scale(-lam)
-    with pytest.raises(WordError):
+    with pytest.raises(WordError, match=r"^the d/d recursion needs lam != 0$"):
         shuffle_lambda(d, d, 0)
 
 
@@ -270,7 +271,10 @@ def test_in_place_accumulation_leaves_memo_values_alone():
     snapshot = dict(first.terms)
     shuffle(Poly.of(u) + Poly.of(w), v)
     Poly.of(v, 2).map_words(lambda x: first) + first
-    assert products.shuffle_ordered(u, v) is first and first.terms == snapshot
+    assert first.terms == snapshot and products.shuffle_ordered(u, v).terms == snapshot
+    # a returned value owns its dict: changing it leaves the memo alone
+    first.terms.clear()
+    assert products.shuffle_ordered(u, v).terms == snapshot
     zu, zv = ZWord((1,)), ZWord((2, 1))
     zfirst = products.ooz_explicit_ordered(zu, zv)
     zsnapshot = dict(zfirst.terms)
@@ -344,37 +348,30 @@ def test_alphabet_mismatch_rejected():
         shuffle(zh(2), zp((1,)))
 
 
+def test_cold_stuffle_spends_one_frame_per_part():
+    # D(300, 1) = 601 lattice paths: the coefficients sum to 601.  The
+    # recursion peels one part per frame, so 300 parts fit in 360 frames
+    # above the caller's depth
+    u, v = z_encode((1,) * 300, H2), z_encode((1,), H2)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    products.clear_caches()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 360)
+    try:
+        out = quasi_shuffle(u, v)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sum(out.terms.values()) == 601 and out.coeff(z_encode((1,) * 301, H2)) == 301
+
+
 def test_clear_caches_runs():
     products.clear_caches()
     assert quasi_shuffle(zh(2), zh(2)) == 2 * zh(2, 2) + zh(4)
 
 
-# -- prefixing a letter, and the z-word carrier --------------------------------
-
-pdy_polys = st.dictionaries(
-    st.lists(st.sampled_from(["p", "d", "y"]), max_size=5).map(lambda l: Word(PDY, l)),
-    st.integers(-3, 3).filter(bool) | st.fractions().filter(bool),
-    max_size=5,
-).map(lambda terms: Poly(PDY, terms))
-
-
-@given(st.sampled_from(["p", "d", "y"]), pdy_polys)
-def test_cons_is_left_concatenation_by_the_letter(letter, poly):
-    assume(any("d" in w.letters for w in poly.terms))
-    got = products._cons(letter, poly)
-    assert got == Poly.of(Word(PDY, (letter,))) * poly
-    assert len(got.terms) == len(poly.terms)
-
-
-def test_cons_cancels_a_leading_inverse_letter():
-    x = Poly(PDY, {Word(PDY, ("d", "y")): 2, Word(PDY, ("p",)): -1, Word(PDY): 3})
-    assert products._cons("p", x) == Poly(
-        PDY, {Word(PDY, ("y",)): 2, Word(PDY, ("p", "p")): -1, Word(PDY, ("p",)): 3}
-    )
-    assert products._cons("d", x) == Poly(
-        PDY, {Word(PDY, ("d", "d", "y")): 2, Word(PDY): -1, Word(PDY, ("d",)): 3}
-    )
-
+# -- the z-word carrier ------------------------------------------------------
 
 def test_zword_is_the_tuple_of_its_parts():
     z = ZWord([1, -1])
