@@ -345,6 +345,44 @@ def test_export_vectors_output_is_pinned(tmp_path, suite, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# case count and sha256 of the json.dumps([case_id, inputs]) lines of each
+# suite at default bounds, in registry order; enumeration evaluates nothing
+SUITE_PINS = [
+    ("classical-products", 318, "15c5392216a1f4e7f8b886c151d55b211640058cf5dd915e20bebcd6fd6ffdc0"),
+    ("thm-derivation", 129, "f304c3cc2d3b818d4a4c4051d17479045e8783a179a96be6b304e5733524a199"),
+    ("hoffman-ohno", 266, "581e08629b3033146a9c0796fbcfa038556b788d5c2618b44c2a82a0cae91eda"),
+    ("thm-szdual", 100, "8d4d3423c1c1941992b352dd78854661f36d0f0d9fcd666d3630e371f429ff47"),
+    ("thm-oozdual", 100, "1c0e3b47280d07e7d8c9ede259bbaacf7e2251969dbd5adafc8b6c4bd123ddd2"),
+    ("zhao-duality", 252, "dd6d3a0bcccb514953fcc1324c56c781ac03f673dc52ea064abf18d502ce5d66"),
+    ("bradley-duality", 16, "6ec30be32ae98fe0ff0380a5c87bb13dcce8bbc7b7babbfc3f1f8c848ecb7b08"),
+    ("ooz-szstar-duality", 252, "ecb63f9e3f556b6920521e83ba9cb85c40b8c82102123b5a222c4a59b1f655a0"),
+    ("model-transfers", 268, "0e92a0896be5c9c10953e0b8892b73e38e84fa7797cc889c3f70d4869b892f8b"),
+    ("ooz-duality-families", 268, "86ba54410f865977eebc0948f2aaaf23c0b164fe1fb8ed61c7d26d01182dcaa7"),
+    ("qseries-spot-values", 3, "5b696d44d80c98628a7cb6d6bb9a6e56875b9bd5d71cd0962f4737cd69e37326"),
+    ("characters", 1152, "edf7af0959a28f39f547d2194ac264831cff2369058d817e6e9f863dfb9605db"),
+    ("ihara-s", 4652, "c013b8388d8b59108f8a3e180da2c2c319ae4f642f47a27cdcdcfbdc9a1a6fbc"),
+    ("pdy-shuffle", 6603, "12d4e35dd43d6842e9e19259e86f41709254eae539a4a73f86df994e87ec8c26"),
+    ("infinitesimal", 596, "71545059370c3a91a38185e52eb42ad87800549d59ed7973586444b786b1f321"),
+    ("ooz-explicit-vs-recursive", 934, "70f4cb3df523a93e6c4e9b7b1f8f291068ff59f6d601d2a33cf78cbf38f6cf20"),
+    ("star-shuffle", 1555, "a399b8c40c528566a8b12c7015801b1a703e1d0e37684c62857dd7130468b9c7"),
+    ("thm-szsdual", 69, "2e63480f7d9562ab29f64f457059555a22cc4c91fccd0376432ae443551304d6"),
+    ("hopf-axioms", 960, "1c43ba86bac1ef7d2ddb70453de4cc31235a84ba6c84519ad1eff6bbb5ebd9d5"),
+    ("rota-baxter", 176, "a0d8141cc73f09e9c962c918bc343d26e1e2065ad6e6181fed22200b20b76003"),
+    ("float-oracle", 3, "f3d6f5442ccf697325783eda56fde887bf4ab775430b88745b71f25400e73947"),
+]
+
+
+def test_registry_order_is_pinned():
+    assert list(SUITES) == [name for name, _, _ in SUITE_PINS]
+
+
+@pytest.mark.parametrize("suite, count, digest", SUITE_PINS)
+def test_suite_cases_are_pinned(suite, count, digest):
+    lines = [json.dumps([case.case_id, case.inputs]) + "\n" for case in SUITES[suite](None, None)]
+    assert len(lines) == count
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
+
+
 # sha256 of the text and --json output of one command of each product kind,
 # each named map and each coproduct, p/d/y operands included
 CLI_PINS = [
