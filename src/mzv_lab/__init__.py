@@ -15,7 +15,8 @@ products  every bilinear product (shuffle, quasi-shuffle, lambda-variants, ...)
 hopf      deconcatenation coalgebra, antipode, transferred Hopf structure
 maps      duality involutions, derivations, U/V/S transfer maps
 qseries   truncated q-series arithmetic and the four q-MZV evaluators
-cli       expression parser, verification suites, command line interface
+suites    the named verification suites and their default bounds
+cli       expression parser, suite runner and export, command line interface
 """
 
 from mzv_lab.words import Alphabet, Word, Poly, H2, PY, PDY

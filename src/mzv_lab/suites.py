@@ -1,0 +1,639 @@
+"""The named verification suites.
+
+``SUITES`` maps each suite's name, in registry order, to a function
+``(max_weight, order) -> Iterator[Case]``.  A suite registers once, through
+``@suite(name, max_weight=..., order=...)``, with its default bounds: a bound
+the caller leaves out (None) takes that default, while 0 is a bound like any
+other.  Most cases come from two family helpers: ``word_cases`` (per word of a
+domain, one case per check) and ``pair_cases`` (per canonical pair u <= v
+whose lengths, depths and weights sum within bounds, one case per check).  A
+check is a function of the operands that returns the two sides of its
+identity, lhs and rhs.
+
+Suites reach the math layers through module attributes (``products.shuffle``,
+``qseries.eval_word``, ...), never through names imported from them, so a
+wrapper installed on a module attribute before a run sees every call.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import partial
+from math import inf
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+from mzv_lab import hopf, maps, products, qseries
+from mzv_lab.words import (
+    H2,
+    PDY,
+    PY,
+    Alphabet,
+    Poly,
+    Word,
+    add_into,
+    add_scaled,
+    format_word,
+    iter_words,
+    iter_zcomps,
+    membership,
+    poly_membership,
+    weight_projection,
+    z_decode,
+    z_encode,
+    zp,
+)
+
+Composition = tuple[int, ...]
+Check = Callable[..., tuple[object, object]]
+
+
+@dataclass
+class Case:
+    case_id: str
+    inputs: dict
+    run: Callable[[], tuple[object, object]]
+
+
+SUITES: dict[str, Callable[[int | None, int | None], Iterator[Case]]] = {}
+
+
+def suite(name: str, max_weight: int | None = None, order: int | None = None):
+    """Register the decorated ``fn(max_weight, order)`` as suite ``name``,
+    with these defaults for the bounds a caller leaves out."""
+
+    def register(fn):
+        SUITES[name] = lambda mw, od: fn(
+            max_weight if mw is None else mw, order if od is None else od
+        )
+        return fn
+
+    return register
+
+
+# ---------------------------------------------------------------------------
+# case families
+# ---------------------------------------------------------------------------
+
+def word_cases(
+    words: Iterable[Word], checks: Mapping[str, Check], extra: Mapping = {}
+) -> Iterator[Case]:
+    """Per word w, one case per check: id "<tag>-<w>", inputs {"w", **extra}."""
+    for w in words:
+        text = format_word(w)
+        inputs = {"w": text, **extra}
+        for tag, check in checks.items():
+            yield Case(f"{tag}-{text}", inputs, partial(check, w))
+
+
+def pair_cases(
+    words: Sequence[Word],
+    checks: Mapping[str, Check],
+    extra: Mapping = {},
+    *,
+    max_len: float = inf,
+    max_depth: float = inf,
+    max_weight: float = inf,
+) -> Iterator[Case]:
+    """Per pair u <= v (by position in words) whose lengths, depths and
+    weights sum to at most these bounds, one case per check: id
+    "<tag>-<u>-<v>", inputs {"u", "v", **extra}."""
+    graded = [(w, format_word(w), len(w), w.depth, w.weight) for w in words]
+    for i, (u, tu, lu, du, wu) in enumerate(graded):
+        for v, tv, lv, dv, wv in graded[i:]:
+            if lu + lv <= max_len and du + dv <= max_depth and wu + wv <= max_weight:
+                inputs = {"u": tu, "v": tv, **extra}
+                for tag, check in checks.items():
+                    yield Case(f"{tag}-{tu}-{tv}", inputs, partial(check, u, v))
+
+
+def _at_order(order: int) -> Callable[[str, object], object]:
+    # a model's value of a word or Poly, truncated at order
+    return lambda model, x: qseries.eval_word(model, x, order)
+
+
+def _commutes(mul: Callable) -> Check:
+    return lambda u, v: (mul(u, v), mul(v, u))
+
+
+def _equals(expected: object, f: Callable, *args) -> tuple[object, object]:
+    # a worked example: f(*args) against its known value
+    return f(*args), expected
+
+
+def _monoid_laws(
+    words: list[Word], max_len: int, mul: Callable, tags: tuple[str, str], extra: Mapping = {}
+) -> Iterator[Case]:
+    """Per word u, its unit law, then associativity on each triple (u, v, w)
+    of total length at most max_len."""
+    texts = [format_word(w) for w in words]
+    unit_tag, assoc_tag = tags
+    for u, tu in zip(words, texts):
+        yield Case(f"{unit_tag}-{tu}", {"u": tu, **extra}, partial(_unit_law, mul, u))
+        for v, tv in zip(words, texts):
+            for w, tw in zip(words, texts):
+                if len(u) + len(v) + len(w) <= max_len:
+                    yield Case(
+                        f"{assoc_tag}-{tu}-{tv}-{tw}",
+                        {"u": tu, "v": tv, "w": tw, **extra},
+                        partial(_assoc_law, mul, u, v, w),
+                    )
+
+
+def _unit_law(mul: Callable, u: Word) -> tuple[Poly, Poly]:
+    return mul(Poly.unit(u.alphabet), Poly.of(u)), Poly.of(u)
+
+
+def _assoc_law(mul: Callable, u: Word, v: Word, w: Word) -> tuple[Poly, Poly]:
+    return mul(mul(u, v), Poly.of(w)), mul(Poly.of(u), mul(v, w))
+
+
+# ---------------------------------------------------------------------------
+# word enumeration (by weight, then canonical order)
+# ---------------------------------------------------------------------------
+
+def h0_words(alphabet: Alphabet, max_weight: int, max_depth: int) -> list[Word]:
+    """The words of h0 (x0/x1 words starting x0 and ending x1) or of H0 (p/y
+    words starting p and ending y), plus the unit, weight ascending; depth is
+    capped because trailing zero parts of p/y words are weightless."""
+    least = 1 if alphabet is H2 else 0  # the least z-part
+    out = [Word(alphabet)]
+    for w in range(1, max_weight + 1):
+        for depth in range(1, max_depth + 1):
+            for comp in iter_zcomps(w, depth, least + 1, least):
+                out.append(z_encode(comp, alphabet))
+    return out
+
+
+def words_by_length(alphabet: Alphabet, max_len: int, pred=None) -> list[Word]:
+    out = []
+    for n in range(0, max_len + 1):
+        for w in iter_words(alphabet, n):
+            if pred is None or pred(w):
+                out.append(w)
+    return out
+
+
+def _zh(comp: Iterable[int]) -> Poly:
+    return Poly.of(z_encode(comp, H2))
+
+
+def _py_view(x: Poly) -> Poly:
+    # re-encode z-decodable x0/x1 combinations as p/y combinations
+    return Poly(PY, {z_encode(z_decode(w), PY): c for w, c in x.terms.items()})
+
+
+# ---------------------------------------------------------------------------
+# the suites, in registry order
+# ---------------------------------------------------------------------------
+
+@suite("classical-products", max_weight=4)
+def _classical(mw: int, order: int | None) -> Iterator[Case]:
+    yield Case(
+        "stuffle-z2-z2",
+        {"u": "z{2}", "v": "z{2}"},
+        lambda: (products.quasi_shuffle(_zh((2,)), _zh((2,))), _zh((2, 2)) + _zh((2, 2)) + _zh((4,))),
+    )
+    x0x1 = _zh((2,))
+    yield Case(
+        "shuffle-x0x1-x0x1",
+        {"u": "z{2}", "v": "z{2}"},
+        lambda: (products.shuffle(x0x1, x0x1), 2 * _zh((2, 2)) + 4 * _zh((3, 1))),
+    )
+    words = words_by_length(H2, min(mw, 4), lambda w: membership(w, "h1"))
+    yield from pair_cases(words, {
+        "stuffle-comm": _commutes(products._quasi_word_fn(H2, 1)),
+        "shuffle-comm": _commutes(products.shuffle_ordered),
+    }, max_len=mw)
+    small = [w for w in words if len(w) <= 3]
+    tags = ("stuffle-unit", "stuffle-assoc")
+    yield from _monoid_laws(small, min(mw + 2, 6), products.quasi_shuffle, tags)
+
+
+@suite("thm-derivation", max_weight=8)
+def _derivation(mw: int, order: int | None) -> Iterator[Case]:
+    z2 = _zh((2,))
+    yield Case(
+        "square-example",
+        {"u": "z{2}", "v": "z{2}"},
+        lambda: (products.square_classical(z2, z2), 2 * _zh((2, 2)) + _zh((2, 1, 1))),
+    )
+    yield from word_cases(h0_words(H2, mw, mw), {
+        "derivation2": lambda w: (
+            maps.derivation(w, 2),
+            products.square_classical(w, z2) - products.quasi_shuffle(w, z2),
+        ),
+    })
+
+
+@suite("hoffman-ohno", max_weight=8)
+def _hoffman(mw: int, order: int | None) -> Iterator[Case]:
+    z1 = _zh((1,))
+    yield from word_cases(h0_words(H2, mw, mw), {
+        "derivation1": lambda w: (
+            maps.derivation(w, 1),
+            products.shuffle(w, z1) - products.quasi_shuffle(w, z1),
+        ),
+        "membership": lambda w: (poly_membership(_hoffman_difference(w), "h0"), True),
+    })
+    # numeric spot checks on low-depth samples (z-parts of the difference
+    # gain one depth, so keep sample depth <= 2)
+    samples = [w for w in h0_words(H2, min(mw, 5), 2) if not w.is_unit]
+    yield from word_cases(
+        samples, {"float": lambda w: (_hoffman_float_ok(w), True)}, {"tolerance": "1e-4"}
+    )
+
+
+def _hoffman_difference(w: Word) -> Poly:
+    return products.quasi_shuffle(_zh((1,)), w) - products.shuffle(Poly.of(Word(H2, ("x1",))), w)
+
+
+def _hoffman_float_ok(w: Word) -> bool:
+    total = 0.0
+    for term, c in _hoffman_difference(w).terms.items():
+        total += float(c) * qseries.zeta_classical_float(z_decode(term), 10_000_000).value
+    return abs(total) < 1e-4
+
+
+def _square_vs_shuffle(lam: int, mw: int) -> Iterator[Case]:
+    words = words_by_length(PY, mw - 2, lambda w: membership(w, "H0"))
+    return pair_cases(words, {
+        f"square-vs-shuffle-{lam}": lambda u, v: (
+            products.square_lambda(u, v, lam),
+            products.shuffle_lambda(u, v, lam),
+        ),
+    }, {"lambda": str(lam)}, max_len=mw)
+
+
+@suite("thm-szdual", max_weight=8)
+def _szdual(mw: int, order: int | None) -> Iterator[Case]:
+    return _square_vs_shuffle(1, mw)
+
+
+@suite("thm-oozdual", max_weight=8)
+def _oozdual(mw: int, order: int | None) -> Iterator[Case]:
+    return _square_vs_shuffle(-1, mw)
+
+
+@suite("zhao-duality", max_weight=5, order=30)
+def _zhao(mw: int, order: int) -> Iterator[Case]:
+    q = _at_order(order)
+    return word_cases(h0_words(PY, mw, 5), {
+        "sz-tau~": lambda w: (q("SZ", maps.tau_tilde(w)), q("SZ", w)),
+    }, {"order": order})
+
+
+@suite("bradley-duality", max_weight=5, order=30)
+def _bradley(mw: int, order: int) -> Iterator[Case]:
+    q = _at_order(order)
+    return word_cases(h0_words(H2, mw, mw), {
+        "bz-tau": lambda w: (q("BZ", maps.tau(w)), q("BZ", w)),
+    }, {"order": order})
+
+
+@suite("ooz-szstar-duality", max_weight=5, order=30)
+def _ooz_szstar(mw: int, order: int) -> Iterator[Case]:
+    q = _at_order(order)
+    return word_cases(h0_words(PY, mw, 5), {
+        "ooz-szstar": lambda w: (q("OOZ", w), q("SZstar", maps.tau_tilde(w))),
+    }, {"order": order})
+
+
+@suite("model-transfers", max_weight=5, order=30)
+def _transfers(mw: int, order: int) -> Iterator[Case]:
+    q = _at_order(order)
+
+    def ooz_bz_u(w: Word) -> tuple[object, object]:
+        return qseries.zeta_OOZ(z_decode(w), order), q("BZ", maps.map_U(w))
+
+    for w in h0_words(H2, mw, mw):
+        inputs = {"comp": list(z_decode(w)), "order": order}
+        yield Case(f"ooz-bz-U-{format_word(w)}", inputs, partial(ooz_bz_u, w))
+    yield from word_cases(h0_words(PY, mw, 5), {
+        "ooz-sz-V": lambda w: (q("OOZ", w), q("SZ", maps.map_V(w))),
+    }, {"order": order})
+
+
+@suite("ooz-duality-families", max_weight=5, order=30)
+def _ooz_families(mw: int, order: int) -> Iterator[Case]:
+    q = _at_order(order)
+    yield from word_cases(h0_words(PY, mw, 5), {
+        "ooz-dual1": lambda w: (q("OOZ", maps.dual_family_1(w)), q("OOZ", w)),
+    }, {"order": order})
+    yield from word_cases(h0_words(H2, mw, mw), {
+        "ooz-dual2": lambda w: (
+            q("OOZ", _py_view(maps.dual_family_2(w))), q("OOZ", _py_view(Poly.of(w)))
+        ),
+    }, {"order": order})
+
+
+@suite("qseries-spot-values")
+def _spot(mw: int | None, order: int | None) -> Iterator[Case]:
+    # (id, evaluator, composition, its coefficients of q^0 .. q^order)
+    for case_id, zeta, comp, coeffs in (
+        ("sz-2", qseries.zeta_SZ, (2,), (0, 0, 1, 2, 4)),
+        ("ooz-3", qseries.zeta_OOZ, (3,), (0, 1, 4, 7, 14)),
+        ("ooz-1-divisors", qseries.zeta_OOZ, (1,), (0, 1, 2, 2, 3, 2, 4)),
+    ):
+        n = len(coeffs) - 1
+        check = partial(_equals, qseries.QPoly(n, coeffs), zeta, comp, n)
+        yield Case(case_id, {"comp": list(comp), "order": n}, check)
+
+
+@suite("characters", max_weight=5, order=30)
+def _characters(mw: int, order: int) -> Iterator[Case]:
+    zmax = min(5, mw)
+    words = [w for w in h0_words(PY, mw, 4) if not w.is_unit and w.depth <= zmax - 1]
+    q = _at_order(order)
+
+    def character(model: str, mul: Callable) -> Check:
+        # the model's value of a product is the product of the two values
+        return lambda u, v: (q(model, mul(u, v)), q(model, u) * q(model, v))
+
+    return pair_cases(words, {
+        "sz-stuffle": character("SZ", lambda u, v: products.quasi_shuffle_lambda(u, v, 1)),
+        "sz-shuffle": character("SZ", lambda u, v: products.shuffle_lambda(u, v, 1)),
+        "sz-double-shuffle": lambda u, v: (
+            q(
+                "SZ", products.shuffle_lambda(u, v, 1) - products.quasi_shuffle_lambda(u, v, 1)
+            ).is_zero(),
+            True,
+        ),
+        "szstar-stuffle": character("SZstar", lambda u, v: products.quasi_shuffle_lambda(u, v, -1)),
+        "ooz-stuffle": character("OOZ", lambda u, v: products.ooz_quasi_shuffle(u, v)),
+        "ooz-shuffle": character("OOZ", lambda u, v: products.shuffle_lambda(u, v, -1)),
+    }, {"order": order}, max_depth=zmax, max_weight=mw)
+
+
+@suite("ihara-s", max_weight=6)
+def _ihara(mw: int, order: int | None) -> Iterator[Case]:
+    words = h0_words(PY, mw, min(mw, 6))
+    yield Case(
+        "s-z2z1",
+        {"w": "ppypy"},
+        lambda: (maps.ihara_S(zp((2, 1))), zp((2, 1)) + zp((3,))),
+    )
+    yield Case(
+        "s-z1z1z1",
+        {"w": "pypypy"},
+        lambda: (
+            maps.ihara_S(zp((1, 1, 1))),
+            zp((1, 1, 1)) + zp((1, 2)) + zp((2, 1)) + zp((3,)),
+        ),
+    )
+    yield from word_cases(words, {
+        "s-roundtrip": lambda w: (maps.ihara_S(maps.ihara_S_inv(w)), Poly.of(w)),
+        "s-roundtrip-rev": lambda w: (maps.ihara_S_inv(maps.ihara_S(w)), Poly.of(w)),
+    })
+
+    def square(lam: int) -> Check:
+        # a side of the square: the lam-shuffle is the tau~-conjugate of the lam-stuffle
+        return lambda u, v: (
+            products.shuffle_lambda(u, v, lam),
+            maps.tau_tilde(products.quasi_shuffle_lambda(maps.tau_tilde(u), maps.tau_tilde(v), lam)),
+        )
+
+    yield from pair_cases([w for w in words if not w.is_unit], {
+        "s-homomorphism": lambda u, v: (
+            maps.ihara_S(products.quasi_shuffle_lambda(u, v, -1)),
+            products.quasi_shuffle_lambda(maps.ihara_S(u), maps.ihara_S(v), 1),
+        ),
+        "square-top": square(-1),
+        "square-bottom": square(1),
+    }, max_depth=min(mw, 6), max_weight=mw)
+
+
+@suite("pdy-shuffle", max_weight=6)
+def _pdy(mw: int, order: int | None) -> Iterator[Case]:
+    d = Poly.of(Word(PDY, ("d",)))
+    for lam in (1, -1, 2):
+        for v, expected in (("d", d.scale(Fraction(-1, lam))), ("p", d.scale(-lam))):
+            check = partial(_equals, expected, products.shuffle_lambda, d, Word(PDY, (v,)), lam)
+            yield Case(f"d{v}-{lam}", {"u": "d", "v": v, "lambda": str(lam)}, check)
+    words = words_by_length(PDY, min(mw - 1, 4))
+    short = [w for w in words if len(w) <= 2]
+    for lam in (1, -1, 2):
+        extra = {"lambda": str(lam)}
+        ordered = partial(products.shuffle_lambda_ordered, lam=Fraction(lam))
+        yield from pair_cases(words, {f"comm-{lam}": _commutes(ordered)}, extra, max_len=mw)
+        shuffle = partial(products.shuffle_lambda, lam=lam)
+        yield from _monoid_laws(short, mw, shuffle, (f"unit-{lam}", f"assoc-{lam}"), extra)
+
+
+@suite("infinitesimal", max_weight=7)
+def _infinitesimal(mw: int, order: int | None) -> Iterator[Case]:
+    py, one = Word(PY, ("p", "y")), Word(PY)
+    expected = hopf.Tensor2(PY, {(py, one): 1, (one, py): 1})
+    yield Case("d-py", {"w": "py"}, lambda: (hopf.infinitesimal_coproduct(Poly.of(py)), expected))
+    pdy_words = words_by_length(PDY, min(mw - 2, 5))
+    yield from word_cases([w for w in pdy_words if len(w) >= 2], {
+        "split-independent": lambda w: (
+            all(
+                hopf.infinitesimal_coproduct_at(w, i) == hopf.infinitesimal_coproduct(Poly.of(w))
+                for i in range(1, len(w))
+            ),
+            True,
+        ),
+    })
+    yield from word_cases(pdy_words, {
+        "coassoc": lambda w: (_coassoc_holds(hopf.infinitesimal_coproduct, Poly.of(w)), True),
+    })
+
+    def bialgebra(lam: int) -> Check:
+        shuffle = partial(products.shuffle_lambda, lam=lam)
+        return lambda u, v: (
+            hopf.infinitesimal_coproduct(shuffle(u, v)),
+            hopf.infinitesimal_coproduct(Poly.of(u)).mul_with(
+                hopf.infinitesimal_coproduct(Poly.of(v)), shuffle
+            ),
+        )
+
+    short = [w for w in pdy_words if len(w) <= 2]
+    for lam in (1, -1, 2):
+        checks = {f"bialgebra-{lam}": bialgebra(lam)}
+        yield from pair_cases(short, checks, {"lambda": str(lam)}, max_len=4)
+    h0 = words_by_length(PY, mw, lambda w: membership(w, "H0"))
+    yield from word_cases(h0, {
+        "square-op-vs-infinitesimal": lambda w: (
+            hopf.coproduct_square_op(Poly.of(w)),
+            hopf.infinitesimal_coproduct(Poly.of(w)),
+        ),
+    })
+    yield Case(
+        "right-coideal",
+        {"space": "H0", "side": "right", "max_len": mw},
+        lambda: (
+            hopf.coideal_check(
+                lambda w: membership(w, "H0"),
+                hopf.coproduct_square_op,
+                "right",
+                h0,
+            ),
+            True,
+        ),
+    )
+
+
+def _coassoc_holds(coproduct, x: Poly) -> bool:
+    left: dict = {}
+    right: dict = {}
+    for (a, b), c in coproduct(x).terms.items():
+        for (a1, a2), c2 in coproduct(Poly.of(a)).terms.items():
+            add_into(left, (a1, a2, b), c * c2)
+        for (b1, b2), c2 in coproduct(Poly.of(b)).terms.items():
+            add_into(right, (a, b1, b2), c * c2)
+    return left == right
+
+
+@suite("ooz-explicit-vs-recursive", max_weight=6)
+def _ooz_explicit(mw: int, order: int | None) -> Iterator[Case]:
+    words = [w for w in h0_words(PY, mw, mw - 1) if not w.is_unit]
+    return pair_cases(words, {
+        "explicit": lambda u, v: (
+            products.zpoly_to_poly(
+                products.ooz_explicit(products.ZWord(z_decode(u)), products.ZWord(z_decode(v)))
+            ),
+            products.ooz_quasi_shuffle(u, v),
+        ),
+    }, max_depth=mw, max_weight=mw)
+
+
+@suite("star-shuffle", max_weight=8)
+def _star(mw: int, order: int | None) -> Iterator[Case]:
+    x0 = Word(H2, ("x0",))
+    x1 = Word(H2, ("x1",))
+    yield Case(
+        "star-x1-x1",
+        {"u": "x1", "v": "x1"},
+        lambda: (
+            products.shuffle_star(Poly.of(x1), Poly.of(x1)),
+            2 * Poly.of(x1 * x1) - 2 * Poly.of(x0 * x1),
+        ),
+    )
+    yield Case(
+        "star-x1-x0",
+        {"u": "x1", "v": "x0"},
+        lambda: (
+            products.shuffle_star(Poly.of(x1), Poly.of(x0)),
+            Poly.of(x1 * x0) + Poly.of(x0 * x1) - Poly.of(x0 * x0) - Poly.of(x1 * x1),
+        ),
+    )
+    words = [w for w in words_by_length(H2, mw - 1) if not w.is_unit]
+    yield from pair_cases(words, {
+        "alt": lambda u, v: (products.shuffle_star_alt(u, v), products.shuffle_star(u, v)),
+    }, max_len=mw)
+
+
+@suite("thm-szsdual", max_weight=6)
+def _szsdual(mw: int, order: int | None) -> Iterator[Case]:
+    py = zp((1,))
+    yield Case(
+        "worked-top",
+        {"u": "py", "v": "py"},
+        lambda: (
+            _block_top(products.ooz_square(py, py), 2),
+            products.shuffle_star(_zh((1,)), _zh((1,))),
+        ),
+    )
+    words = [w for w in h0_words(PY, mw, mw) if not w.is_unit and all(k >= 1 for k in z_decode(w))]
+    yield from pair_cases(words, {
+        "block-top": lambda u, v: (
+            _block_top(products.ooz_square(u, v), u.weight + v.weight),
+            products.shuffle_star(
+                Poly.of(z_encode(z_decode(u), H2)), Poly.of(z_encode(z_decode(v), H2))
+            ),
+        ),
+    }, max_depth=mw, max_weight=mw)
+
+
+def _block_top(x: Poly, weight: int) -> Poly:
+    top = weight_projection(x, weight)
+    return Poly(H2, {z_encode(z_decode(w), H2): c for w, c in top.terms.items()})
+
+
+@suite("hopf-axioms", max_weight=6)
+def _hopf(mw: int, order: int | None) -> Iterator[Case]:
+    py_words = words_by_length(PY, mw, lambda w: membership(w, "H1"))
+    pm1_words = words_by_length(PY, mw, lambda w: membership(w, "Hm1"))
+    h2m1_words = words_by_length(H2, mw, lambda w: membership(w, "hm1"))
+    structures: list[tuple[str, hopf.HopfStructure, list[Word]]] = []
+    for lam in (1, -1):
+        name = f"tau~-transfer lam={lam}"
+        tilde = hopf.transfer_hopf(hopf.base_hopf(PY, lam), maps.tau_tilde, maps.tau_tilde, name=name)
+        structures.append((f"base-lam{lam}", hopf.base_hopf(PY, lam), py_words))
+        structures.append((f"tau~-transfer-lam{lam}", tilde, pm1_words))
+    tau = hopf.transfer_hopf(hopf.base_hopf(H2, 1), maps.tau, maps.tau, name="tau-transfer")
+    structures.append(("tau-transfer", tau, h2m1_words))
+    laws = {
+        "counit": lambda H, w: (_counit_laws(H, w), True),
+        "coassoc": lambda H, w: (_coassoc_holds(H.coproduct, Poly.of(w)), True),
+        "antipode": lambda H, w: (_antipode_laws(H, w), True),
+    }
+    for tag, H, domain in structures:
+        for w in domain:
+            text = format_word(w)
+            inputs = {"structure": tag, "w": text}
+            for law, check in laws.items():
+                yield Case(f"{law}-{tag}-{text}", inputs, partial(check, H, w))
+
+
+def _counit_laws(H: hopf.HopfStructure, w: Word) -> bool:
+    left: dict = {}
+    right: dict = {}
+    for (a, b), c in H.coproduct(Poly.of(w)).terms.items():
+        add_into(left, b, c * H.counit(Poly.of(a)))
+        add_into(right, a, c * H.counit(Poly.of(b)))
+    return left == right == {w: 1}
+
+
+def _antipode_laws(H: hopf.HopfStructure, w: Word) -> bool:
+    x = Poly.of(w)
+    left: dict = {}
+    right: dict = {}
+    for (a, b), c in H.coproduct(x).terms.items():
+        add_scaled(left, H.product(H.antipode(Poly.of(a)), Poly.of(b)).terms, c)
+        add_scaled(right, H.product(Poly.of(a), H.antipode(Poly.of(b))).terms, c)
+    target = H.unit_elem.scale(H.counit(x)).terms
+    return left == right == target
+
+
+@suite("rota-baxter", max_weight=5, order=15)
+def _rota(mw: int, order: int) -> Iterator[Case]:
+    def both_routes(comp: Composition) -> tuple[object, object]:
+        return qseries.rota_baxter_eval_OOZ(comp, order), qseries.zeta_OOZ(comp, order)
+
+    comps: list[Composition] = [()]
+    for w in range(1, mw + 1):
+        for depth in range(1, min(w + 1, 6)):
+            comps.extend(iter_zcomps(w, depth, 1, 0))
+    for comp in comps:
+        yield Case(
+            f"rb-{'-'.join(map(str, comp)) or 'unit'}",
+            {"comp": list(comp), "order": order},
+            partial(both_routes, comp),
+        )
+
+
+@suite("float-oracle")
+def _float(mw: int | None, order: int | None) -> Iterator[Case]:
+    yield Case(
+        "zeta-2",
+        {"comp": [2], "reference": "1.644934", "tolerance": "1e-5"},
+        lambda: (abs(qseries.zeta_classical_float((2,), 1_000_000).value - 1.644934) < 1e-5, True),
+    )
+
+    def within(c1: Composition, c2: Composition) -> bool:
+        r1 = qseries.zeta_classical_float(c1, 1_000_000)
+        r2 = qseries.zeta_classical_float(c2, 1_000_000)
+        return abs(r1.value - r2.value) <= r1.tail_bound + r2.tail_bound
+
+    yield Case(
+        "zeta-21-vs-3",
+        {"lhs": [2, 1], "rhs": [3]},
+        lambda: (within((2, 1), (3,)), True),
+    )
+    yield Case(
+        "zeta-211-vs-4",
+        {"lhs": [2, 1, 1], "rhs": [4]},
+        lambda: (within((2, 1, 1), (4,)), True),
+    )

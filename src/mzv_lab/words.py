@@ -506,6 +506,19 @@ def zp(comp: Iterable[int], alphabet: Alphabet = PY, coeff: Rational = 1) -> Pol
     return Poly.of(z_encode(comp, alphabet), coeff)
 
 
+# the text of one z-block x0^(k-1) x1, from its run "x0...x0" of counting letters
+_z_text = lru_cache(256)(lambda run: f"z{{{len(run) // 2 + 1}}}")
+
+
+def format_word(w: Word) -> str:
+    """Canonical text: z-block form for z-decodable x0/x1 words, letter
+    juxtaposition otherwise, and "1" for the unit."""
+    text = str(w)
+    if w.alphabet is H2 and text.endswith("x1"):
+        return "".join(map(_z_text, text.split("x1")[:-1]))
+    return text
+
+
 # -- letter-level morphisms --------------------------------------------------
 
 _PHI = {"p": "x0", "y": "x1"}

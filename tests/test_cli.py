@@ -634,6 +634,31 @@ def test_unknown_suite_raises():
         run_suite("nope")
 
 
+def test_unknown_suite_is_one_lookup_for_verify_and_export(capsys, tmp_path):
+    known = ", ".join(sorted(name for name, _, _ in SUITE_PINS))
+    assert main(["verify", "--suite", "nope"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: unknown suite 'nope'; known: {known} or 'all'\n"
+    path = tmp_path / "never.jsonl"
+    assert main(["export-vectors", "--suite", "nope", "--out", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: unknown suite 'nope'; known: {known}\n"
+    assert not path.exists()
+
+
+def test_suites_module_imports_alone_and_cli_reexports_it():
+    code = (
+        "import sys\n"
+        "import mzv_lab.suites as suites\n"
+        "assert 'mzv_lab.cli' not in sys.modules\n"
+        "from mzv_lab import cli, words\n"
+        "from mzv_lab.cli import format_word\n"
+        "print(cli.SUITES is suites.SUITES, cli.Case is suites.Case, format_word is words.format_word)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["True", "True", "True"]
+
+
 def test_suite_case_that_raises_is_a_failure_and_the_run_goes_on(capsys, monkeypatch):
     ran = []
 
