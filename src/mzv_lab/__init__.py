@@ -10,7 +10,7 @@ classical evaluator with a proven error bound, used as an oracle.
 
 Modules
 -------
-words     alphabets, normalized words, the Poly carrier, gradings, codecs
+words     alphabets, normalized words, weight and depth, the Poly carrier, codecs
 products  every bilinear product (shuffle, quasi-shuffle, lambda-variants, ...)
 hopf      deconcatenation coalgebra, antipode, transferred Hopf structure
 maps      duality involutions, derivations, U/V/S transfer maps

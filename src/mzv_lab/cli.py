@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -81,130 +82,94 @@ class Token:
     pos: int
 
 
-_WORD_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789{}")
+# One token at a position, after optional whitespace.  Each alternative is one
+# named group, the token's kind; the last two are the end of the text and any
+# character that starts no token.  A composition is what int() reads in every
+# comma-separated part; a WORD is juxtaposed letters, decoded by _chunk_items.
+_INT = r"[+-]?\d(?:_?\d)*"
+_TOKEN = re.compile(
+    r"\s*(?:(?P<NUM>\d+(?:/\d*)?)"
+    r"|(?P<OP>s[hq])(?![a-z0-9{}])"
+    r"|(?P<WORD>[a-z][a-z0-9{}]*)"
+    rf"|(?P<COMP>\(\s*(?:{_INT}\s*(?:,\s*{_INT}\s*)*)?\))"
+    r"|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<PLUS>\+)|(?P<MINUS>-)|(?P<STAR>\*)"
+    r"|(?P<END>\Z)|(?P<BAD>.))",
+    re.DOTALL,
+)
+_PART = re.compile(_INT)
+_PARENS = re.compile(r"[()]")
 
 
-def _lex_comp(text: str, start: int) -> tuple[Composition, int] | None:
-    # '(' already seen at start; composition iff interior is comma-separated ints
-    depth = 1
-    i = start + 1
-    while i < len(text) and depth:
-        if text[i] == "(":
-            depth += 1
-        elif text[i] == ")":
-            depth -= 1
-        i += 1
-    if depth:
-        raise ParseError("unbalanced parenthesis", start)
-    interior = text[start + 1 : i - 1].strip()
-    if interior == "":
-        return (), i
-    parts = [p.strip() for p in interior.split(",")]
-    try:
-        comp = tuple(int(p) for p in parts)
-    except ValueError:
-        return None
-    return comp, i
+def _closed(text: str, start: int) -> bool:
+    """Whether a ')' closes the '(' at start."""
+    depth = 0
+    for m in _PARENS.finditer(text, start):
+        depth += 1 if m[0] == "(" else -1
+        if not depth:
+            return True
+    return False
+
+
+def _number(lexeme: str, pos: int) -> Rational:
+    num, slash, den = lexeme.partition("/")
+    value: Rational = int(num)
+    if slash:
+        if not den:
+            raise ParseError("expected digits after '/'", pos + len(num))
+        if not int(den):
+            raise WordError(f"division by zero in {lexeme!r}")
+        value = Fraction(value, int(den))
+    return value
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "(":
-            comp = _lex_comp(text, i)
-            if comp is not None:
-                tokens.append(Token("COMP", comp[0], i))
-                i = comp[1]
-            else:
-                tokens.append(Token("LPAREN", None, i))
-                i += 1
-            continue
-        if c == ")":
-            tokens.append(Token("RPAREN", None, i))
-            i += 1
-            continue
-        if c == "+":
-            tokens.append(Token("PLUS", None, i))
-            i += 1
-            continue
-        if c == "-":
-            tokens.append(Token("MINUS", None, i))
-            i += 1
-            continue
-        if c == "*":
-            tokens.append(Token("STAR", None, i))
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            num = int(text[i:j])
-            if j < n and text[j] == "/":
-                k = j + 1
-                if k >= n or not text[k].isdigit():
-                    raise ParseError("expected digits after '/'", j)
-                m = k
-                while m < n and text[m].isdigit():
-                    m += 1
-                den = int(text[k:m])
-                if den == 0:
-                    raise WordError(f"division by zero in {text[i:m]!r}")
-                tokens.append(Token("NUM", Fraction(num, den), i))
-                i = m
-            else:
-                tokens.append(Token("NUM", num, i))
-                i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and text[j] in _WORD_CHARS:
-                j += 1
-            chunk = text[i:j]
-            if chunk in ("sh", "sq"):
-                tokens.append(Token("OP", chunk, i))
-            else:
-                tokens.append(Token("WORD", chunk, i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(Token("END", None, n))
-    return tokens
+    end = 0
+    while True:
+        m = _TOKEN.match(text, end)
+        kind = m.lastgroup
+        lexeme, pos, end = m[kind], m.start(kind), m.end()
+        value: object = lexeme if kind in ("WORD", "OP") else None
+        if kind == "NUM":
+            value = _number(lexeme, pos)
+        elif kind == "COMP":
+            try:
+                value = tuple(map(int, _PART.findall(lexeme)))
+            except ValueError:  # a part past int()'s digit limit: a plain '(' after all
+                kind, end = "LPAREN", pos + 1
+        elif kind == "BAD":
+            raise ParseError(f"unexpected character {lexeme!r}", pos)
+        if kind == "LPAREN" and not _closed(text, pos):
+            raise ParseError("unbalanced parenthesis", pos)
+        tokens.append(Token(kind, value, pos))
+        if kind == "END":
+            return tokens
 
 
 # ---------------------------------------------------------------------------
 # word-chunk decoding and alphabet inference
 # ---------------------------------------------------------------------------
 
+# one item of a word: a z-block (its index read by int()), an unterminated
+# z-block, a letter, or any other character
+_ITEM = re.compile(r"z\{(?P<z>[^}]*)\}|(?P<open>z\{)|(?P<letter>x[01]|[pdy])|(?P<bad>.)")
+
+
 def _chunk_items(chunk: str, pos: int) -> list[tuple[str, object]]:
     items: list[tuple[str, object]] = []
-    i = 0
-    while i < len(chunk):
-        c = chunk[i]
-        if c == "z" and i + 1 < len(chunk) and chunk[i + 1] == "{":
-            j = chunk.find("}", i + 2)
-            if j < 0:
-                raise ParseError("unterminated z-block", pos + i)
+    for m in _ITEM.finditer(chunk):
+        kind, at = m.lastgroup, pos + m.start()
+        if kind == "letter":
+            items.append(("letter", m[kind]))
+        elif kind == "z":
             try:
-                k = int(chunk[i + 2 : j])
+                items.append(("z", int(m[kind])))
             except ValueError:
-                raise ParseError("z-block index must be an integer", pos + i) from None
-            items.append(("z", k))
-            i = j + 1
-        elif c == "x" and i + 1 < len(chunk) and chunk[i + 1] in "01":
-            items.append(("letter", "x" + chunk[i + 1]))
-            i += 2
-        elif c in "pdy":
-            items.append(("letter", c))
-            i += 1
+                raise ParseError("z-block index must be an integer", at) from None
+        elif kind == "open":
+            raise ParseError("unterminated z-block", at)
         else:
-            raise ParseError(f"unknown letter {c!r}", pos + i)
+            raise ParseError(f"unknown letter {m[kind]!r}", at)
     return items
 
 
@@ -273,27 +238,19 @@ class _Parser:
         acc = self.term()
         while self.peek().kind in ("PLUS", "MINUS"):
             op = self.next()
-            rhs = self.term()
-            acc = acc + rhs if op.kind == "PLUS" else acc - rhs
+            acc = acc + self.term() if op.kind == "PLUS" else acc - self.term()
         return acc
 
     # term := factor (prodop factor)*
     def term(self) -> Poly:
         acc = self.factor()
-        while True:
-            t = self.peek()
-            if t.kind == "STAR":
-                self.next()
-                acc = self._apply_star(acc, self.factor(), t.pos)
-            elif t.kind == "OP":
-                self.next()
-                acc = self._apply_named(str(t.value), acc, self.factor(), t.pos)
-            else:
-                return acc
+        while (t := self.peek()).kind in ("STAR", "OP"):
+            self.next()
+            acc = self._apply(t, acc, self.factor())
+        return acc
 
     def factor(self) -> Poly:
-        t = self.peek()
-        if t.kind == "MINUS":
+        if self.peek().kind == "MINUS":
             self.next()
             return -self.factor()
         return self.atom()
@@ -325,34 +282,47 @@ class _Parser:
                 return c
         return None
 
-    def _apply_star(self, a: Poly, b: Poly, pos: int) -> Poly:
-        sa, sb = self._scalar_of(a), self._scalar_of(b)
-        if sa is not None:
-            return b.scale(sa)
-        if sb is not None:
-            return a.scale(sb)
+    def _apply(self, op: Token, a: Poly, b: Poly) -> Poly:
+        if op.kind == "STAR":  # scaling when a side is a scalar
+            sa, sb = self._scalar_of(a), self._scalar_of(b)
+            if sa is not None:
+                return b.scale(sa)
+            if sb is not None:
+                return a.scale(sb)
+        kind, lacking = _INFIX[op.value or op.kind]
+        if lacking and self.alphabet is PDY:
+            raise ParseError(f"{lacking} on the p/d/y alphabet", op.pos)
         try:
-            if self.alphabet is H2:
-                return products.quasi_shuffle(a, b)
-            if self.alphabet is PY:
-                return products.quasi_shuffle_lambda(a, b, self.lam)
+            return _PRODUCT_KINDS[kind](a, b, self.lam)
         except WordError as exc:
-            raise ParseError(str(exc), pos) from None
-        raise ParseError("no stuffle on the p/d/y alphabet", pos)
+            raise ParseError(str(exc), op.pos) from None
 
-    def _apply_named(self, op: str, a: Poly, b: Poly, pos: int) -> Poly:
-        try:
-            if op == "sh":
-                if self.alphabet is H2:
-                    return products.shuffle(a, b)
-                return products.shuffle_lambda(a, b, self.lam)
-            if self.alphabet is H2:
-                return products.square_classical(a, b)
-            if self.alphabet is PY:
-                return products.square_lambda(a, b, self.lam)
-            raise WordError("no square product on the p/d/y alphabet")
-        except WordError as exc:
-            raise ParseError(str(exc), pos) from None
+
+# every product by kind, for '--kind' and the infix operators alike; the
+# classical product on x0/x1 words, its lambda-deformation on the others
+_PRODUCT_KINDS = {
+    "shuffle": lambda a, b, lam: products.shuffle(a, b)
+    if a.alphabet is H2
+    else products.shuffle_lambda(a, b, lam),
+    "quasi": lambda a, b, lam: products.quasi_shuffle(a, b)
+    if a.alphabet is H2
+    else products.quasi_shuffle_lambda(a, b, lam),
+    "square": lambda a, b, lam: products.square_classical(a, b)
+    if a.alphabet is H2
+    else products.square_lambda(a, b, lam),
+    "star": lambda a, b, lam: products.shuffle_star(a, b),
+    "star-alt": lambda a, b, lam: products.shuffle_star_alt(a, b),
+    "ooz": lambda a, b, lam: products.ooz_quasi_shuffle(a, b),
+    "ooz-square": lambda a, b, lam: products.ooz_square(a, b),
+    "ihara-circ": lambda a, b, lam: products.ihara_circ(a, b),
+}
+
+
+# each infix operator ('*' is the valueless STAR token): its product kind and
+# what the p/d/y alphabet lacks for it, if anything
+_INFIX = {
+    "STAR": ("quasi", "no stuffle"), "sh": ("shuffle", None), "sq": ("square", "no square product")
+}
 
 
 def parse_expr(
@@ -483,15 +453,22 @@ class SuiteReport:
 def _suite_cases(
     name: str, max_weight: int | None, order: int | None, others: str = ""
 ) -> list[Case]:
-    """The cases of the suite registered as name.  An unknown name is a
-    usage error that lists the registered suites, then others: the text
-    naming what else the caller accepts."""
+    """The cases of the suite registered as name.  A negative bound, then an
+    unknown name, is a usage error; the latter lists the registered suites,
+    then others: the text naming what else the caller accepts."""
+    _check_bounds(max_weight, order)
     if name not in SUITES:
         raise WordError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}{others}")
-    # a non-positive bound means "enumerate nothing" (header-only exports)
-    if max_weight is not None and max_weight <= 0:
+    # max_weight 0 means "enumerate nothing" (header-only exports)
+    if max_weight == 0:
         return []
     return list(SUITES[name](max_weight, order))
+
+
+def _check_bounds(max_weight: int | None, order: int | None) -> None:
+    for flag, value in (("--max-weight", max_weight), ("--order", order)):
+        if value is not None and value < 0:
+            raise WordError(f"{flag} must be >= 0, got {value}")
 
 
 def run_suite(name: str, max_weight: int | None = None, order: int | None = None) -> SuiteReport:
@@ -563,24 +540,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--json", action="store_true")
 
 
-_PRODUCT_KINDS = {
-    "shuffle": lambda a, b, lam: products.shuffle(a, b)
-    if a.alphabet is H2
-    else products.shuffle_lambda(a, b, lam),
-    "quasi": lambda a, b, lam: products.quasi_shuffle(a, b)
-    if a.alphabet is H2
-    else products.quasi_shuffle_lambda(a, b, lam),
-    "square": lambda a, b, lam: products.square_classical(a, b)
-    if a.alphabet is H2
-    else products.square_lambda(a, b, lam),
-    "star": lambda a, b, lam: products.shuffle_star(a, b),
-    "star-alt": lambda a, b, lam: products.shuffle_star_alt(a, b),
-    "ooz": lambda a, b, lam: products.ooz_quasi_shuffle(a, b),
-    "ooz-square": lambda a, b, lam: products.ooz_square(a, b),
-    "ihara-circ": lambda a, b, lam: products.ihara_circ(a, b),
-}
-
-
 def _parse_operand(text: str, alphabet: str | None, lam: Fraction) -> Poly:
     out = parse_expr(text, alphabet, lam)
     if isinstance(out, tuple):
@@ -632,9 +591,7 @@ def _parser() -> argparse.ArgumentParser:
     sq.add_argument("--comp", default=None)
     sq.add_argument("--expr", default=None)
     sq.add_argument("--order", type=int, default=30)
-    sq.add_argument(
-        "--evaluator", choices=["chain", "rota-baxter"], default="chain"
-    )
+    sq.add_argument("--evaluator", choices=["chain", "rota-baxter"], default="chain")
     sq.add_argument("--json", action="store_true")
 
     sv = sub.add_parser("verify", help="run a verification suite")
@@ -720,12 +677,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(json.dumps({"type": "qseries", **out.to_json()}) if args.json else str(out))
         return 0
 
-    if args.command in ("verify", "export-vectors"):
-        for flag, value in (("--max-weight", args.max_weight), ("--order", args.order)):
-            if value is not None and value < 0:
-                raise WordError(f"{flag} must be >= 0, got {value}")
-
     if args.command == "verify":
+        _check_bounds(args.max_weight, args.order)  # before any suite starts, "all" included
         report = run_suite(args.suite, args.max_weight, args.order)
         print(json.dumps(report.to_json()) if args.json else report.text())
         return 0 if report.passed else 1

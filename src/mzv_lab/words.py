@@ -180,26 +180,9 @@ class Word(tuple):
     def depth(self) -> int:
         return self[1].count("x1" if self[0] is H2 else "y")
 
-    def grading(self) -> "Grading":
-        return Grading(self.weight, self.depth, len(self[1]))
-
 
 # trusted constructor, one C call, of a word from letters already in normal form
 _normal_word = partial(tuple.__new__, Word)
-
-
-@dataclass(frozen=True)
-class Grading:
-    weight: int
-    depth: int
-    length: int
-
-    def __add__(self, other: "Grading") -> "Grading":
-        return Grading(
-            self.weight + other.weight,
-            self.depth + other.depth,
-            self.length + other.length,
-        )
 
 
 # -- linear combinations ------------------------------------------------------
@@ -524,7 +507,6 @@ def format_word(w: Word) -> str:
 _PHI = {"p": "x0", "y": "x1"}
 _PHI_INV = {"x0": "p", "x1": "y"}
 _SWAP = {"x0": "x1", "x1": "x0", "p": "y", "y": "p"}
-_EMBED_J = {"x0": ("p",), "x1": ("p", "y")}
 
 
 def phi(word: Word) -> Word:
@@ -550,30 +532,6 @@ def reverse_swap(word: Word) -> Word:
     if word.alphabet is PDY:
         raise AlphabetMismatchError("reverse_swap is not defined on p/d/y words")
     return _normal_word((word.alphabet, tuple(map(_SWAP.__getitem__, reversed(word.letters)))))
-
-
-def embed_J(word: Word) -> Word:
-    """Injective algebra morphism H2 -> PY on letters: x0 -> p, x1 -> py.
-
-    Maps h1 into H0 and renders the two z-block codecs consistent:
-    embed_J(x0^(k-1) x1) = p^k y.
-    """
-    if word.alphabet is not H2:
-        raise AlphabetMismatchError("embed_J acts on H2 words")
-    return _normal_word((PY, tuple(chain.from_iterable(map(_EMBED_J.__getitem__, word.letters)))))
-
-
-def block_map(word: Word) -> Word:
-    """Send an H0 word with all z-parts >= 1 to the H2 word of the same parts.
-
-    Classical weight of the output equals PY-weight + depth of the input.
-    """
-    comp = z_decode(word)
-    if word.alphabet is not PY or not membership(word, "H0"):
-        raise NotInSubalgebraError(f"block_map needs an H0 word, got {word!r}")
-    if any(k < 1 for k in comp):
-        raise EncodingError(f"zero z-part in {word!r}; p^0 y blocks have no H2 image")
-    return z_encode(comp, H2)
 
 
 def weight_projection(poly: Poly, w: int) -> Poly:

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -119,6 +120,128 @@ def test_pdy_has_no_stuffle_or_square():
         parse_expr("d sq d", "pdy")
     # but scalars still use '*'
     assert parse_expr("2*d", "pdy") == Poly.of(Word(PDY, ("d",)), 2)
+
+
+def test_parse_error_precedence_and_pdy_refusals():
+    # words decode lazily under a flag, but all at once to infer the alphabet
+    with pytest.raises(ParseError, match=r"^syntax error at position 3: expected END, found RPAREN$"):
+        parse_expr("x0 ) qq", "h")
+    with pytest.raises(ParseError, match=r"^syntax error at position 5: unknown letter 'q'$"):
+        parse_expr("x0 ) qq")
+    for text, lacking in (("d * d", "no stuffle"), ("d sq d", "no square product")):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text, "pdy")
+        assert str(err.value) == f"syntax error at position 2: {lacking} on the p/d/y alphabet"
+
+
+def test_main_kind_products_keep_their_pdy_errors(capsys):
+    # '--kind' reaches the same product table as the infix operators, unguarded
+    for kind, err in (
+        ("quasi", "operands must be PY polynomials"),
+        ("square", "reverse_swap is not defined on p/d/y words"),
+    ):
+        assert main(["product", "--kind", kind, "--alphabet", "pdy", "d", "p"]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+
+# A fixed corpus of (expression, alphabet flag) pairs: hand-picked edge cases,
+# then a seeded fuzz over lexical fragments and over well-formed terms.
+_HAND = (
+    "x0 ) qq", "(2 sh (1)", "((2))", "(1_0)", "1/", "1/0", "z{a}", "z{2", "x2", "z{0}",
+    "d * d", "d sq d", "2*d", "p * y", "py sq d", "( 1 , 2 )", "(+1)", "(1__0)", "(_1)", "(1_)",
+    "(\u0661)", "\u0663*py", "1/\u0663", "py ?? py", "", "   ", "()", "( )", "(,)", "(1,)",
+    "((1))", "(x0)", "-(1)", "z{}", "z{{2}", "x0x1 sh x0x1", "py sh py + py", "(py sh py) * py",
+    "3/2*py", "2 * 3", "shx0", "sq", "x0 sh", "z{2}x0q", "x0p", "x0 py", "\tx0\n", "\u3000x0",
+    "x0\xa0x1", "(2,-1)", "(- 1)", "(+ 1)", "1 /2", "1/00", "2x0", "x0 2", "z{2}z{1}", "ppy",
+    "pdy", "(1,0)", "(2,1) sh (1)", "z{2} * z{1}", "x1p", "px1", "dypy", "1", "-", "*", "+x0",
+    "x0 + + x1", "(", ")", "((", "))", "(x0))(", "x0 (", "( x0", "z", "x", "x0x", "z{1}}",
+    "{", "}", "z{2}{", "x0\x1cx1", "1,2", "(1;2)", "(1 2)", "(\t3\t)", "(1,2)(3)",
+    "-(2,1)", "(1) * (1)", "(1) sq (1)", "(0) sh (0)", "y * y", "p sh d", "d sh d", "1/2 sh py",
+    "x0 sh 2", "2 sq 3", "z{1} sq z{1}", "z{01}", "z{-1}", "z{1", "qq ) x0", "x0 ) qq ) (",
+)
+_FRAGMENTS = (
+    "x0", "x1", "p", "d", "y", "z{1}", "z{2}", "z{", "}", "{", "z", "x", "x2", "q",
+    "(", ")", ",", "+", "-", "*", "/", "_", "sh", "sq", " ", " ", "0", "1", "2",
+    "\u0663", "\xa0", "?", "()", "(1,2)",
+)
+_TERMS = (
+    "x0", "x1", "x0x1", "p", "y", "py", "d", "z{1}", "z{2}", " sh ", " sq ", " * ", " + ",
+    " - ", "2", "1/2", "(1)", "(2,1)", "(", ")", "-",
+)
+
+
+def _parse_record(text, flag):
+    try:
+        out = parse_expr(text, flag)
+    except (ParseError, words.WordError) as exc:
+        return ("error", type(exc).__name__, str(exc), getattr(exc, "position", None))
+    if isinstance(out, tuple):
+        return ("comp", repr(out))
+    return ("poly", out.alphabet.tag, format_poly(out))
+
+
+def test_parse_results_are_pinned():
+    # result kind, value or error type, message and position of every pair
+    rng = random.Random(20261018)
+    corpus = _HAND + tuple(
+        "".join(rng.choice(pool) for _ in range(rng.randint(1, 6)))
+        for pool in (_FRAGMENTS, _TERMS)
+        for _ in range(1000)
+    )
+    lines = [
+        repr((text, flag) + _parse_record(text, flag))
+        for text in corpus
+        for flag in (None, "h", "H", "pdy")
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "b640fb4d8b897d9c237940a7d6488c76e449c94afeb9a11c9707ac7ba7034c9a"
+
+
+@pytest.mark.parametrize(
+    "text, char, position",
+    [("Py", "P", 0), ("x0 é", "é", 3), ("²", "²", 0), ("1²", "²", 1), ("x1ǅ", "ǅ", 2)],
+)
+def test_letters_and_digits_outside_the_grammar_are_syntax_errors(text, char, position):
+    with pytest.raises(ParseError) as err:
+        parse_expr(text, "H")
+    assert str(err.value) == f"syntax error at position {position}: unexpected character {char!r}"
+    assert err.value.position == position
+
+
+def test_decimal_digits_of_any_script_are_numbers():
+    assert parse_expr("٣*py", "H") == zp(1).scale(3)
+    assert parse_expr("1/٣", "H") == Poly.unit(PY).scale(Fraction(1, 3))
+
+
+def _cap_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_main_uppercase_letter_is_one_line_error_not_a_hang():
+    # capped in time and memory so that a tokenizer that loops fails fast and small
+    out = subprocess.run(
+        [sys.executable, "-m", "mzv_lab.cli", "product", "--alphabet", "H", "Py"],
+        env=_src_env(), capture_output=True, text=True, timeout=5, preexec_fn=_cap_memory,
+    )
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error: syntax error at position 0: unexpected character 'P'\n"
+
+
+def test_main_non_decimal_digit_is_one_line_usage_error(capsys):
+    assert main(["product", "--alphabet", "H", "²"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: syntax error at position 0: unexpected character '²'\n"
+
+
+@given(st.text(max_size=20))
+def test_tokenize_ends_in_END_or_raises_a_usage_error(text):
+    try:
+        tokens = cli.tokenize(text)
+    except (ParseError, words.WordError):
+        return
+    assert tokens[-1].kind == "END" and all(t.kind != "END" for t in tokens[:-1])
 
 
 # -- formatting and roundtrip ---------------------------------------------------
@@ -628,6 +751,19 @@ def test_main_verify_passing(capsys):
 
 
 # -- suites and export ------------------------------------------------------------
+
+def test_run_suite_rejects_a_negative_bound_for_every_suite(capsys, tmp_path):
+    with pytest.raises(words.WordError, match=r"^--max-weight must be >= 0, got -1$"):
+        run_suite("zhao-duality", -1)
+    with pytest.raises(words.WordError, match=r"^--order must be >= 0, got -1$"):
+        run_suite("rota-baxter", None, -1)
+    with pytest.raises(words.WordError, match=r"^--order must be >= 0, got -1$"):
+        export_vectors("rota-baxter", str(tmp_path / "never.jsonl"), None, -1)
+    assert not (tmp_path / "never.jsonl").exists()
+    # the bounds are checked before the name
+    assert main(["verify", "--suite", "nope", "--max-weight", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --max-weight must be >= 0, got -1\n"
+
 
 def test_unknown_suite_raises():
     with pytest.raises(Exception):

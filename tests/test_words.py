@@ -1,4 +1,4 @@
-"""Words, gradings, codecs, memberships, and the structural morphisms."""
+"""Words, weight and depth, codecs, memberships, and the structural morphisms."""
 
 import copy
 import pickle
@@ -15,15 +15,12 @@ from mzv_lab.words import (
     ALPHABETS,
     AlphabetMismatchError,
     EncodingError,
-    Grading,
     InvalidLetterError,
     NotInSubalgebraError,
     Poly,
     Word,
     WordError,
     add_into,
-    block_map,
-    embed_J,
     iter_words,
     iter_zcomps,
     membership,
@@ -87,7 +84,7 @@ def test_invalid_letter_rejected():
         Word(PY, ("d",))
 
 
-# -- gradings ----------------------------------------------------------------
+# -- weight and depth -------------------------------------------------------
 
 def test_weight_conventions():
     assert Word(H2, ("x0", "x1", "x1")).weight == 3  # length on x0/x1
@@ -101,22 +98,12 @@ def test_depth_counts_trailing_letter():
     assert Word(PDY, ("d",)).depth == 0
 
 
-@given(py_words, py_words)
-def test_grading_additive_under_concatenation(u, v):
-    assert (u * v).grading() == u.grading() + v.grading()
-
-
 @given(pdy_raw, pdy_raw)
 def test_pdy_weight_survives_normalization(a, b):
-    # pd -> 1 removes weight +1 and -1 together
+    # pd -> 1 removes weight +1 and -1 together and no y: weight and depth add
     u, v = Word(PDY, a), Word(PDY, b)
     assert (u * v).weight == u.weight + v.weight
-
-
-def test_grading_value():
-    g = Word(PY, ("p", "p", "y")).grading()
-    assert (g.weight, g.depth, g.length) == (2, 1, 3)
-    assert g + Grading(1, 0, 1) == Grading(3, 1, 4)
+    assert (u * v).depth == u.depth + v.depth
 
 
 # -- z codecs ----------------------------------------------------------------
@@ -201,21 +188,6 @@ def test_reverse_swap_rejects_pdy():
 @given(py_words)
 def test_phi_roundtrip(w):
     assert phi_inv(phi(w)) == w
-
-
-def test_embed_J_codec_compatibility():
-    # x0^(k-1) x1 -> p^k y for every k
-    for k in range(1, 6):
-        assert embed_J(z_encode((k,), H2)) == z_encode((k,), PY)
-    assert embed_J(Word(H2, ("x1", "x1"))) == Word(PY, ("p", "y", "p", "y"))
-
-
-def test_block_map_examples_and_domain():
-    assert block_map(z_encode((2, 1), PY)) == z_encode((2, 1), H2)
-    with pytest.raises(EncodingError):
-        block_map(z_encode((1, 0), PY))  # zero part has no x0/x1 block
-    with pytest.raises(NotInSubalgebraError):
-        block_map(Word(PY, ("y",)))
 
 
 def test_weight_projection():
