@@ -18,9 +18,18 @@ words) or plain scaling when one side is a scalar; 'sh' the (deformed)
 shuffle; 'sq' the transferred square product.  A parenthesized list of
 integers is always read as a composition, never as a grouped scalar.
 
+Parentheses nest at most ``MAX_NESTING`` deep, and a number has at most as
+many digits as int() converts; past either limit the input is a syntax error.
+
 Exit codes: 0 success, 1 verification failure or runtime error, 2 usage or
 syntax error.  A suite case that raises is recorded as a failure and the
 run goes on.
+
+Importing this module loads ``words``, ``products`` and ``maps``, which is all
+``product`` and ``map`` run.  The rest loads on first use, inside the code
+that needs it: ``hopf`` for ``coproduct`` and tensor output, ``qseries`` for
+``qeval`` and q-series output, and ``suites`` (which imports every module) for
+``verify``, ``export-vectors`` and the re-exported ``SUITES`` and ``Case``.
 """
 
 from __future__ import annotations
@@ -31,12 +40,10 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
-from mzv_lab import hopf, maps, products, qseries
-from mzv_lab.suites import SUITES, Case
+from mzv_lab import maps, products
 from mzv_lab.words import (
     H2,
     PDY,
@@ -50,7 +57,20 @@ from mzv_lab.words import (
     z_encode,
 )
 
+if TYPE_CHECKING:
+    from mzv_lab import hopf, suites
+
 Composition = tuple[int, ...]
+
+
+def __getattr__(name: str):
+    # SUITES and Case are re-exported from mzv_lab.suites, which loads on first
+    # access (PEP 562), not with this module
+    if name in ("SUITES", "Case"):
+        from mzv_lab import suites
+
+        return getattr(suites, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +95,7 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # WORD COMP NUM OP LPAREN RPAREN PLUS MINUS STAR END
     value: object
     pos: int
@@ -99,6 +118,10 @@ _TOKEN = re.compile(
 _PART = re.compile(_INT)
 _PARENS = re.compile(r"[()]")
 
+# the parser descends a few frames per parenthesis level, so deeper nesting is
+# refused in tokenize rather than left to the interpreter's recursion limit
+MAX_NESTING = 100
+
 
 def _closed(text: str, start: int) -> bool:
     """Whether a ')' closes the '(' at start."""
@@ -110,21 +133,29 @@ def _closed(text: str, start: int) -> bool:
     return False
 
 
+def _digits(text: str, pos: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # past int()'s limit on the digits it converts
+        raise ParseError(f"number too long ({len(text)} digits)", pos) from None
+
+
 def _number(lexeme: str, pos: int) -> Rational:
     num, slash, den = lexeme.partition("/")
-    value: Rational = int(num)
+    value: Rational = _digits(num, pos)
     if slash:
         if not den:
             raise ParseError("expected digits after '/'", pos + len(num))
-        if not int(den):
+        d = _digits(den, pos + len(num) + 1)
+        if not d:
             raise WordError(f"division by zero in {lexeme!r}")
-        value = Fraction(value, int(den))
+        value = Fraction(value, d)
     return value
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    end = 0
+    end = depth = 0
     while True:
         m = _TOKEN.match(text, end)
         kind = m.lastgroup
@@ -139,8 +170,14 @@ def tokenize(text: str) -> list[Token]:
                 kind, end = "LPAREN", pos + 1
         elif kind == "BAD":
             raise ParseError(f"unexpected character {lexeme!r}", pos)
-        if kind == "LPAREN" and not _closed(text, pos):
-            raise ParseError("unbalanced parenthesis", pos)
+        if kind == "LPAREN":
+            if not _closed(text, pos):
+                raise ParseError("unbalanced parenthesis", pos)
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+        elif kind == "RPAREN":
+            depth -= 1
         tokens.append(Token(kind, value, pos))
         if kind == "END":
             return tokens
@@ -250,10 +287,11 @@ class _Parser:
         return acc
 
     def factor(self) -> Poly:
-        if self.peek().kind == "MINUS":
+        negate = False
+        while self.peek().kind == "MINUS":  # a loop: a long run of '-' takes no frames
             self.next()
-            return -self.factor()
-        return self.atom()
+            negate = not negate
+        return -self.atom() if negate else self.atom()
 
     def atom(self) -> Poly:
         t = self.next()
@@ -381,6 +419,8 @@ def tensor_json(t: hopf.Tensor2) -> dict:
 def value_json(x: object) -> object:
     if isinstance(x, Poly):
         return poly_json(x)
+    from mzv_lab import hopf, qseries
+
     if isinstance(x, hopf.Tensor2):
         return tensor_json(x)
     if isinstance(x, qseries.QPoly):
@@ -400,6 +440,8 @@ def value_json(x: object) -> object:
 def value_text(x: object) -> str:
     if isinstance(x, Poly):
         return format_poly(x)
+    from mzv_lab import hopf
+
     if isinstance(x, hopf.Tensor2):
         return format_tensor(x)
     return str(x)
@@ -409,20 +451,23 @@ def value_text(x: object) -> str:
 # suite runner
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Failure:
+class Failure(NamedTuple):
     case_id: str
     inputs: dict
     lhs: str
     rhs: str
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    cases: int
-    failures: list[Failure] = field(default_factory=list)
-    wall_time: float = 0.0
+    __slots__ = ("suite", "cases", "failures", "wall_time")
+
+    def __init__(
+        self, suite: str, cases: int, failures: list[Failure] | None = None, wall_time: float = 0.0
+    ):
+        self.suite = suite
+        self.cases = cases
+        self.failures = [] if failures is None else failures
+        self.wall_time = wall_time
 
     @property
     def passed(self) -> bool:
@@ -452,11 +497,13 @@ class SuiteReport:
 
 def _suite_cases(
     name: str, max_weight: int | None, order: int | None, others: str = ""
-) -> list[Case]:
+) -> list[suites.Case]:
     """The cases of the suite registered as name.  A negative bound, then an
     unknown name, is a usage error; the latter lists the registered suites,
     then others: the text naming what else the caller accepts."""
     _check_bounds(max_weight, order)
+    from mzv_lab.suites import SUITES
+
     if name not in SUITES:
         raise WordError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}{others}")
     # max_weight 0 means "enumerate nothing" (header-only exports)
@@ -475,6 +522,8 @@ def run_suite(name: str, max_weight: int | None = None, order: int | None = None
     """Run a named verification suite; bounds default to the values the
     acceptance criteria prescribe.  "all" runs every suite."""
     if name == "all":
+        from mzv_lab.suites import SUITES
+
         start = time.perf_counter()
         combined = SuiteReport("all", 0)
         for sub in SUITES:
@@ -560,6 +609,10 @@ def _emit_poly(p: Poly, as_json: bool) -> None:
     print(json.dumps(poly_json(p)) if as_json else format_poly(p))
 
 
+# sorted(qseries.MODELS), spelled out so that the parser loads no q-series code
+_MODEL_CHOICES = ["BZ", "OOZ", "SZ", "SZstar"]
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser: built on the first call to ``main`` (never at
@@ -587,7 +640,7 @@ def _parser() -> argparse.ArgumentParser:
     sc.add_argument("expr")
 
     sq = sub.add_parser("qeval", help="evaluate a q-series model")
-    sq.add_argument("--model", choices=sorted(qseries.MODELS), required=True)
+    sq.add_argument("--model", choices=_MODEL_CHOICES, required=True)
     sq.add_argument("--comp", default=None)
     sq.add_argument("--expr", default=None)
     sq.add_argument("--order", type=int, default=30)
@@ -645,6 +698,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "coproduct":
+        from mzv_lab import hopf
+
         x = _parse_operand(args.expr, args.alphabet, _parse_lambda(args.lam))
         fn = {
             "deconcat": hopf.deconcat,
@@ -656,6 +711,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "qeval":
+        from mzv_lab import qseries
+
         if (args.comp is None) == (args.expr is None):
             raise WordError("pass exactly one of --comp or --expr")
         if args.comp is not None:

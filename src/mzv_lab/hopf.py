@@ -8,7 +8,6 @@ the span of z-decodable words (ending in y, resp. x1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Union
 
@@ -190,21 +189,28 @@ def antipode(x: Operand, lam: Rational = 1) -> Poly:
 # packaged Hopf structures and transfer along an isomorphism
 # ---------------------------------------------------------------------------
 
-@dataclass
 class HopfStructure:
     """A product/coproduct/counit/antipode bundle over one alphabet."""
 
-    name: str
-    alphabet: Alphabet
-    product: Callable[[Operand, Operand], Poly]
-    coproduct: Callable[[Operand], Tensor2]
-    counit: Callable[[Operand], Rational]
-    antipode: Callable[[Operand], Poly]
-    unit_elem: Poly = field(repr=False, default=None)  # type: ignore[assignment]
+    __slots__ = ("name", "alphabet", "product", "coproduct", "counit", "antipode", "unit_elem")
 
-    def __post_init__(self):
-        if self.unit_elem is None:
-            self.unit_elem = Poly.unit(self.alphabet)
+    def __init__(
+        self,
+        name: str,
+        alphabet: Alphabet,
+        product: Callable[[Operand, Operand], Poly],
+        coproduct: Callable[[Operand], Tensor2],
+        counit: Callable[[Operand], Rational],
+        antipode: Callable[[Operand], Poly],
+        unit_elem: Poly | None = None,
+    ):
+        self.name = name
+        self.alphabet = alphabet
+        self.product = product
+        self.coproduct = coproduct
+        self.counit = counit
+        self.antipode = antipode
+        self.unit_elem = Poly.unit(alphabet) if unit_elem is None else unit_elem
 
 
 def base_hopf(alphabet: Alphabet, lam: Rational = 1) -> HopfStructure:

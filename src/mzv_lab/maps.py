@@ -7,10 +7,9 @@ memoized where they are not already cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iterprod
 from math import comb
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from mzv_lab.products import _comps_to_poly, _rs, ihara_circ
 from mzv_lab.words import (
@@ -198,8 +197,7 @@ def ihara_S_inv(x: Operand) -> Poly:
 # registry for the command line
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(NamedTuple):
     name: str
     alphabet: Alphabet
     apply: Callable[[Operand], Poly]

@@ -23,11 +23,10 @@ as (N+1)(N+2)/2 ints, with about N^2/2 additions per operator and unit of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, sub
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from mzv_lab.words import (
     H2,
@@ -151,8 +150,7 @@ class QPoly:
 # the four models
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Model:
+class Model(NamedTuple):
     tag: str
     strict: bool
     first_min: int
@@ -351,8 +349,7 @@ def rota_baxter_eval_OOZ(comp: Iterable[int], order: int) -> QPoly:
 # float oracle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FloatResult:
+class FloatResult(NamedTuple):
     value: float
     tail_bound: float
     cutoff: int
@@ -422,8 +419,7 @@ def zeta_classical_float(comp: Iterable[int], cutoff: int = 1_000_000) -> FloatR
 # numeric limit diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScalingReport:
+class ScalingReport(NamedTuple):
     model: str
     comp: Comp
     target: float

@@ -17,11 +17,10 @@ wrapper installed on a module attribute before a run sees every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import inf
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from mzv_lab import hopf, maps, products, qseries
 from mzv_lab.words import (
@@ -48,8 +47,7 @@ Composition = tuple[int, ...]
 Check = Callable[..., tuple[object, object]]
 
 
-@dataclass
-class Case:
+class Case(NamedTuple):
     case_id: str
     inputs: dict
     run: Callable[[], tuple[object, object]]

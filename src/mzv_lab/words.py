@@ -35,7 +35,6 @@ the formatter of ``LinComb``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, product
@@ -66,15 +65,22 @@ class EncodingError(WordError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
 class Alphabet:
-    tag: str
-    letters: tuple[str, ...]
-    rank: dict[str, int] = field(init=False, repr=False)
+    """One of the three singleton alphabets: immutable, equal only to itself."""
 
-    def __post_init__(self):
+    __slots__ = ("tag", "letters", "rank")
+
+    def __init__(self, tag: str, letters: tuple[str, ...]):
+        _set(self, "tag", tag)
+        _set(self, "letters", letters)
         # letter -> its index in ``letters``: the canonical letter order
-        _set(self, "rank", {a: i for i, a in enumerate(self.letters)})
+        _set(self, "rank", {a: i for i, a in enumerate(letters)})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Alphabet is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Alphabet is immutable")
 
     def __repr__(self) -> str:
         return self.tag

@@ -235,6 +235,32 @@ def test_main_non_decimal_digit_is_one_line_usage_error(capsys):
     assert out.out == "" and out.err == "error: syntax error at position 0: unexpected character '²'\n"
 
 
+def test_nesting_past_the_limit_is_one_line_usage_error(capsys):
+    nested = "(" * 300 + "x1" + ")" * 300
+    assert main(["product", "--alphabet", "h", nested]) == 2
+    out = capsys.readouterr()
+    err = f"error: syntax error at position {cli.MAX_NESTING}: parentheses nested deeper than {cli.MAX_NESTING}\n"
+    assert out.out == "" and out.err == err
+    # at the limit it parses, a product inside included
+    depth = cli.MAX_NESTING
+    assert parse_expr("(" * depth + "x1 * x0x1" + ")" * depth, "h") == parse_expr("x1 * x0x1", "h")
+    assert parse_expr("(" * depth + "x1)" + "+(x1)" * 5 + ")" * (depth - 1), "h") == zh(1).scale(6)
+    # a run of unary minus signs is not nesting: it takes no parser frames
+    assert parse_expr("- " * 3001 + "x1", "h") == -zh(1)
+
+
+def test_number_past_the_digit_limit_is_one_line_usage_error(capsys):
+    limit = sys.get_int_max_str_digits()
+    if not 0 < limit < 5000:
+        pytest.skip(f"int() converts {limit or 'any number of'} digits")
+    big = "3" * 5000
+    # a composition part past the limit leaves a plain '(' and a number, as before
+    for expr, pos in ((f"{big}*py", 0), (f"1/{big}*py", 2), (f"py + 2/{big}", 7), (f"({big})", 1)):
+        assert main(["product", "--alphabet", "H", expr]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: syntax error at position {pos}: number too long (5000 digits)\n"
+
+
 @given(st.text(max_size=20))
 def test_tokenize_ends_in_END_or_raises_a_usage_error(text):
     try:
@@ -793,6 +819,75 @@ def test_suites_module_imports_alone_and_cli_reexports_it():
     )
     out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["True", "True", "True"]
+
+
+def _fresh(code: str) -> str:
+    return subprocess.run(
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True
+    ).stdout
+
+
+LAZY = ("mzv_lab.suites", "mzv_lab.qseries", "mzv_lab.hopf", "dataclasses")
+
+
+def test_cli_import_and_product_load_no_lazy_module():
+    code = (
+        "import sys\n"
+        f"lazy = {LAZY!r}\n"
+        "from mzv_lab import cli\n"
+        "print([m for m in lazy if m in sys.modules])\n"
+        "assert cli.main(['product', '--kind', 'quasi', '--alphabet', 'h', 'z{2}', 'z{3}']) == 0\n"
+        "assert cli.main(['map', '--name', 'tau', '--alphabet', 'h', 'z{5}z{1}']) == 0\n"
+        "print([m for m in lazy if m in sys.modules])\n"
+    )
+    assert _fresh(code).splitlines() == ["[]", "z{5} + z{3}z{2} + z{2}z{3}", "z{3}z{1}z{1}z{1}", "[]"]
+
+
+def test_no_module_of_the_package_imports_dataclasses():
+    code = (
+        "import sys\n"
+        "import mzv_lab.suites\n"
+        "print(sorted(m for m in sys.modules if m.startswith('mzv_lab')), 'dataclasses' in sys.modules)\n"
+    )
+    loaded = ["mzv_lab", "mzv_lab.hopf", "mzv_lab.maps", "mzv_lab.products", "mzv_lab.qseries",
+              "mzv_lab.suites", "mzv_lab.words"]
+    assert _fresh(code).strip() == f"{loaded} False"
+
+
+def test_model_choices_are_the_qseries_models(capsys):
+    assert cli._MODEL_CHOICES == sorted(qseries.MODELS)
+    with pytest.raises(SystemExit) as exc:
+        main(["qeval", "--model", "nope", "--comp", "(2)"])
+    assert exc.value.code == 2
+    assert f"--model {{{','.join(sorted(qseries.MODELS))}}}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coproduct", "--kind", "infinitesimal", "--alphabet", "H", "pypy + 1/2*ppy"],
+        ["qeval", "--model", "OOZ", "--comp", "(2,1)", "--order", "8"],
+        ["qeval", "--model", "OOZ", "--comp", "(2,1)", "--order", "8", "--evaluator", "rota-baxter", "--json"],
+        ["qeval", "--model", "BZ", "--expr", "z{3} - 2*x0x1x1", "--order", "9"],
+        ["verify", "--suite", "bradley-duality", "--json"],
+        ["export-vectors", "--suite", "bradley-duality", "--out", "vectors.jsonl"],
+    ],
+)
+def test_lazily_loading_commands_match_in_a_fresh_interpreter(capsys, monkeypatch, tmp_path, argv):
+    for side in ("fresh", "here"):
+        (tmp_path / side).mkdir()
+    fresh = subprocess.run(
+        [sys.executable, "-m", "mzv_lab.cli", *argv],
+        cwd=tmp_path / "fresh", env=_src_env(), capture_output=True, text=True,
+    )
+    monkeypatch.chdir(tmp_path / "here")
+    assert main(argv) == fresh.returncode == 0
+    outs = [fresh.stdout, capsys.readouterr().out]
+    if argv[0] == "verify":  # wall_time is the one field that is a measurement
+        outs = [{**json.loads(out), "wall_time": None} for out in outs]
+    assert outs[0] == outs[1]
+    if argv[0] == "export-vectors":
+        assert (tmp_path / "fresh/vectors.jsonl").read_text() == Path("vectors.jsonl").read_text()
 
 
 def test_suite_case_that_raises_is_a_failure_and_the_run_goes_on(capsys, monkeypatch):
