@@ -25,6 +25,10 @@ Exit codes: 0 success, 1 verification failure or runtime error, 2 usage or
 syntax error.  A suite case that raises is recorded as a failure and the
 run goes on.
 
+JSON has one writer per value type: ``poly_json`` for a Poly and
+``tensor_json`` for a Tensor2 assemble, from strings, the text json.dumps
+writes for their dict form; ``value_json`` writes any computed value.
+
 Importing this module loads ``words``, ``products`` and ``maps``, which is all
 ``product`` and ``map`` run.  The rest loads on first use, inside the code
 that needs it: ``hopf`` for ``coproduct`` and tensor output, ``qseries`` for
@@ -41,7 +45,8 @@ import re
 import sys
 import time
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
 from mzv_lab import maps, products
 from mzv_lab.words import (
@@ -54,6 +59,8 @@ from mzv_lab.words import (
     Word,
     WordError,
     format_word,
+    signed_sum,
+    word_texts,
     z_encode,
 )
 
@@ -78,11 +85,14 @@ def __getattr__(name: str):
 # ---------------------------------------------------------------------------
 
 def format_poly(p: Poly) -> str:
-    return p.format_terms(format_word)
+    texts, _, coeffs = p.sorted_texts()
+    return signed_sum(word_texts(texts, p.alphabet), coeffs)
 
 
 def format_tensor(t: hopf.Tensor2) -> str:
-    return t.format_terms(lambda k: f"{format_word(k[0])} (x) {format_word(k[1])}")
+    left, right, _, coeffs = t.sorted_texts()
+    bodies = map(" (x) ".join, zip(word_texts(left, t.alphabet), word_texts(right, t.alphabet)))
+    return signed_sum(bodies, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +158,7 @@ def _number(lexeme: str, pos: int) -> Rational:
             raise ParseError("expected digits after '/'", pos + len(num))
         d = _digits(den, pos + len(num) + 1)
         if not d:
-            raise WordError(f"division by zero in {lexeme!r}")
+            raise WordError(f"division by zero at position {pos + len(num)}")
         value = Fraction(value, d)
     return value
 
@@ -397,26 +407,29 @@ _ALPHABET_FLAGS = {"h": H2, "H": PY, "pdy": PDY}
 # JSON codecs
 # ---------------------------------------------------------------------------
 
-def poly_json(p: Poly) -> dict:
-    return {
-        "type": "poly",
-        "alphabet": p.alphabet.tag,
-        "terms": [{"coeff": str(c), "word": list(w.letters)} for w, c in p],
-    }
+def _json_value(kind: str, alphabet: Alphabet, coeffs: list, **fields: Iterable[Word]) -> str:
+    # a term is {"coeff", **fields}, each field's letters joined by '", "' in '["' and '"]'
+    rows, close = map(str, coeffs), '"'  # close: the end of the field before
+    for name, words in fields.items():
+        letters = map('", "'.join, map(itemgetter(1), words))
+        rows, close = map(f'{close}, "{name}": ["'.join, zip(rows, letters)), '"]'
+    rows = '{"coeff": "' + '"]}, {"coeff": "'.join(rows) + '"]}' if coeffs else ""
+    text = f'{{"type": "{kind}", "alphabet": "{alphabet.tag}", "terms": [{rows}]}}'
+    return text.replace('[""]', "[]")  # the unit's letters
 
 
-def tensor_json(t: hopf.Tensor2) -> dict:
-    return {
-        "type": "tensor",
-        "alphabet": t.alphabet.tag,
-        "terms": [
-            {"coeff": str(c), "left": list(a.letters), "right": list(b.letters)}
-            for a, b, c in t
-        ],
-    }
+def poly_json(p: Poly) -> str:
+    _, words, coeffs = p.sorted_texts()
+    return _json_value("poly", p.alphabet, coeffs, word=words)
 
 
-def value_json(x: object) -> object:
+def tensor_json(t: hopf.Tensor2) -> str:
+    *_, pairs, coeffs = t.sorted_texts()
+    left, right = (map(itemgetter(i), pairs) for i in (0, 1))
+    return _json_value("tensor", t.alphabet, coeffs, left=left, right=right)
+
+
+def value_json(x: object) -> str:
     if isinstance(x, Poly):
         return poly_json(x)
     from mzv_lab import hopf, qseries
@@ -424,17 +437,13 @@ def value_json(x: object) -> object:
     if isinstance(x, hopf.Tensor2):
         return tensor_json(x)
     if isinstance(x, qseries.QPoly):
-        return {"type": "qseries", **x.to_json()}
+        return json.dumps({"type": "qseries", **x.to_json()})
     if isinstance(x, qseries.FloatResult):
-        return {"type": "float", **x.to_json()}
-    if isinstance(x, bool):
-        return x
+        return json.dumps({"type": "float", **x.to_json()})
     if isinstance(x, products.ZPoly):
-        return {
-            "type": "zpoly",
-            "terms": [{"coeff": str(c), "parts": list(w.parts)} for w, c in x.sorted_terms()],
-        }
-    return str(x)
+        terms = [{"coeff": str(c), "parts": list(w.parts)} for w, c in x.sorted_terms()]
+        return json.dumps({"type": "zpoly", "terms": terms})
+    return json.dumps(x if isinstance(x, bool) else str(x))
 
 
 def value_text(x: object) -> str:
@@ -569,13 +578,8 @@ def export_vectors(
         )
         for case in cases:
             lhs, rhs = case.run()
-            record = {
-                "case": case.case_id,
-                "inputs": case.inputs,
-                "lhs": value_json(lhs),
-                "rhs": value_json(rhs),
-            }
-            fh.write(json.dumps(record) + "\n")
+            head = json.dumps({"case": case.case_id, "inputs": case.inputs})[:-1]
+            fh.write(f'{head}, "lhs": {value_json(lhs)}, "rhs": {value_json(rhs)}}}\n')
     return len(cases)
 
 
@@ -606,7 +610,7 @@ def _parse_lambda(text: str) -> Fraction:
 
 
 def _emit_poly(p: Poly, as_json: bool) -> None:
-    print(json.dumps(poly_json(p)) if as_json else format_poly(p))
+    print(poly_json(p) if as_json else format_poly(p))
 
 
 # sorted(qseries.MODELS), spelled out so that the parser loads no q-series code
@@ -707,7 +711,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             "infinitesimal": hopf.infinitesimal_coproduct,
         }[args.kind]
         t = fn(x)
-        print(json.dumps(tensor_json(t)) if args.json else format_tensor(t))
+        print(tensor_json(t) if args.json else format_tensor(t))
         return 0
 
     if args.command == "qeval":

@@ -32,6 +32,7 @@ from mzv_lab.words import (
     add_pairs,
     add_scaled,
     as_poly,
+    display_sorted,
     z_decode,
 )
 
@@ -58,9 +59,9 @@ class Tensor2(LinComb):
         if a.alphabet is not alphabet or b.alphabet is not alphabet:
             raise AlphabetMismatchError("tensor factors must share the alphabet")
 
-    @staticmethod
-    def _order(key: Pair) -> tuple:
-        return (key[0].sort_key(), key[1].sort_key())
+    def sorted_texts(self) -> list[list]:
+        left, right = zip(*self.terms) if self.terms else ((), ())
+        return display_sorted(self.alphabet, self.terms, left, right)
 
     @classmethod
     def of(cls, left: Operand, right: Operand) -> "Tensor2":

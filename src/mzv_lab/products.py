@@ -352,10 +352,6 @@ class ZPoly(LinComb):
     def __init__(self, terms: Mapping[ZWord, Rational] | None = None):
         super().__init__(None, terms)
 
-    @staticmethod
-    def _order(w: ZWord) -> tuple[int, ...]:
-        return w.parts
-
     @classmethod
     def of(cls, parts: Iterable[int], coeff: Rational = 1) -> "ZPoly":
         return cls({ZWord(tuple(parts)): coeff})

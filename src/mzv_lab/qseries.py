@@ -40,7 +40,7 @@ from mzv_lab.words import (
     as_poly,
     exact,
     reverse_swap,
-    signed_join,
+    signed_sum,
     z_decode,
     z_encode,
 )
@@ -128,16 +128,13 @@ class QPoly:
         return not any(self.coeffs)
 
     def __str__(self) -> str:
-        bits: list[str] = []
+        bodies = []  # the text of |c| q^k for each nonzero c, whose sign goes to signed_sum
         for k, c in enumerate(self.coeffs):
-            mono = "q" if k == 1 else f"q^{k}"
-            if c and k == 0:
-                bits.append(str(c))
-            elif c in (1, -1):
-                bits.append(mono if c == 1 else f"-{mono}")
-            elif c:
-                bits.append(f"{c}{mono}" if c.denominator == 1 else f"{c}*{mono}")
-        return signed_join(bits)
+            if c:
+                a, mono = abs(c), "q" if k == 1 else f"q^{k}"
+                star = "" if a.denominator == 1 else "*"
+                bodies.append(str(a) if not k else mono if a == 1 else f"{a}{star}{mono}")
+        return signed_sum(bodies, (1 if c > 0 else -1 for c in self.coeffs if c))
 
     def __repr__(self) -> str:
         return f"QPoly[{self.order}]({self})"

@@ -36,9 +36,9 @@ the formatter of ``LinComb``.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain, product
-from operator import ge, gt, itemgetter, le, lt
+from operator import ge, gt, itemgetter, le, lt, methodcaller
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 Rational = Union[int, Fraction]
@@ -105,6 +105,22 @@ def _normalize_pdy(letters: tuple[str, ...]) -> tuple[str, ...]:
         else:
             out.append(a)
     return tuple(out)
+
+
+# p/d/y letters joined -> their ranks (p < d < y), which sort in string order
+_RANK = methodcaller("translate", str.maketrans("pdy", "012"))
+
+
+def display_sorted(alphabet: Alphabet, terms: dict, *columns: Iterable[Word]) -> list[list]:
+    """[each column's words' letters joined, ..., keys, coefficients] in display order: by each
+    column's word in turn as ``Word.sort_key`` orders it, two stable sorts in C per column."""
+    texts = [list(map("".join, map(itemgetter(1), words))) for words in columns]
+    order = list(range(len(terms)))
+    for col in reversed(texts):
+        keys = list(map(_RANK, col)) if alphabet is PDY else col
+        order.sort(key=keys.__getitem__)
+        order.sort(key=list(map(len, keys)).__getitem__)
+    return [list(map(c.__getitem__, order)) for c in (*texts, list(terms), list(terms.values()))]
 
 
 def _by_sort_key(op):
@@ -225,11 +241,14 @@ def add_pairs(terms: dict, pairs: Iterable[tuple], c: Rational = 1) -> None:
             del terms[key]
 
 
-def signed_join(parts: list[str]) -> str:
-    """Join signed term texts as "a - b + 2*c"; the empty sum is "0"."""
-    if not parts:
-        return "0"
-    return parts[0] + "".join(f" - {t[1:]}" if t.startswith("-") else f" + {t}" for t in parts[1:])
+def signed_sum(bodies: Iterable[str], coeffs: Iterable[Rational]) -> str:
+    """The sum of c*body as "a - b + 2*c": a coefficient c != +-1 is written
+    in front as "c*", and each sign inline; the empty sum is "0"."""
+    text = "".join([
+        f" + {b}" if c == 1 else f" - {b}" if c == -1 else f" + {c}*{b}" if c > 0 else
+        f" - {-c}*{b}" for b, c in zip(bodies, coeffs)
+    ])
+    return (text[3:] if text[1] == "+" else "-" + text[3:]) if text else "0"  # the first sign
 
 
 class LinComb:
@@ -238,11 +257,11 @@ class LinComb:
     ``terms`` maps each key to a nonzero ``int | Fraction``; a coefficient
     stays an ``int`` until a rational one enters.  Subclasses fix the key:
     words (``Poly``), word pairs (``hopf.Tensor2``) or z-indexed words
-    (``products.ZPoly``), and its display order (``_order``, a sort key for
-    one key).  ``alphabet`` is the space the keys live in, and
-    ``+`` and ``-`` need the same one on both sides.  Values are immutable,
-    so memoized results are shared freely: accumulation in place writes only
-    to a dict its caller created, and ``_make`` wraps that dict without a copy.
+    (``products.ZPoly``), whose ``<`` is the display order.  ``alphabet`` is
+    the space the keys live in, and ``+`` and ``-`` need the same one on both
+    sides.  Values are immutable, so memoized results are shared freely:
+    accumulation in place writes only to a dict its caller created, and
+    ``_make`` wraps that dict without a copy.
     """
 
     __slots__ = ("alphabet", "terms")
@@ -319,19 +338,20 @@ class LinComb:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
+    def sorted_texts(self) -> list[list]:
+        """[keys, coefficients] in display order; ``Poly`` and ``Tensor2`` put texts first."""
+        keys = sorted(self.terms)
+        return [keys, list(map(self.terms.__getitem__, keys))]
+
     def sorted_terms(self) -> list:
         """(key, coefficient) pairs in the canonical display order."""
-        terms = self.terms
-        return [(k, terms[k]) for k in sorted(terms, key=self._order)]
+        return list(zip(*self.sorted_texts()[-2:]))
 
     def format_terms(self, body: Callable[[object], str]) -> str:
         """Signed sum in canonical order, key k shown as body(k) with a
         coefficient c != +-1 written in front as "c*"."""
-        parts = []
-        for k, c in self.sorted_terms():
-            b = body(k)
-            parts.append(b if c == 1 else f"-{b}" if c == -1 else f"{c}*{b}")
-        return signed_join(parts)
+        *_, keys, coeffs = self.sorted_texts()
+        return signed_sum(map(body, keys), coeffs)
 
 
 class Poly(LinComb):
@@ -352,7 +372,6 @@ class Poly(LinComb):
     __rmul__ = LinComb.__rmul__
     __eq__ = LinComb.__eq__
     scale = LinComb.scale
-    _order = staticmethod(Word.sort_key)
 
     @staticmethod
     def _check_key(w: Word, alphabet: Alphabet) -> None:
@@ -387,12 +406,8 @@ class Poly(LinComb):
         add_pairs(terms, ((u * v, cu * cv) for u, cu in self.terms.items() for v, cv in right))
         return Poly._make(self.alphabet, terms)
 
-    def sorted_terms(self) -> list:
-        if self.alphabet is PDY:
-            return LinComb.sorted_terms(self)
-        # the sort key is (len, letters) on x0/x1 and p/y: decorate in C
-        letters = list(map(itemgetter(1), self.terms))
-        return list(map(itemgetter(2), sorted(zip(map(len, letters), letters, self.terms.items()))))
+    def sorted_texts(self) -> list[list]:
+        return display_sorted(self.alphabet, self.terms, self.terms)
 
     def __iter__(self) -> Iterator[tuple[Word, Rational]]:
         return iter(self.sorted_terms())
@@ -455,10 +470,28 @@ def poly_membership(poly: Poly, space: str) -> bool:
 
 # -- z-block codecs ----------------------------------------------------------
 
+class _Table(dict):
+    """A self-filling table of ``make``'s values, read in C by ``dict.__getitem__``, that keeps
+    those of keys below ``limit`` only: the 256 least z-parts, or runs of fewer than 256
+    counting letters (as strings), so a larger part is built at each lookup, never kept."""
+
+    __slots__ = ("make", "limit")
+
+    def __init__(self, make: Callable, limit):
+        self.make, self.limit = make, limit
+
+    def __missing__(self, key):
+        value = self.make(key)
+        if key < self.limit:
+            self[key] = value
+        return value
+
+
 def _zcodec(count: str, terminal: str, least: int) -> tuple:
-    # (terminal, least part, part -> its letters, text length of its run -> part)
-    block = lru_cache(256)(lambda k: (count,) * (k - least) + (terminal,))
-    return terminal, least, block, lru_cache(256)(lambda n: n // len(count) + least)
+    # (terminal, least part, part -> its letters, its run of counting letters, joined -> part)
+    block = _Table(lambda k: (count,) * (k - least) + (terminal,), least + 256)
+    part = _Table(lambda run: len(run) // len(count) + least, count * 256)
+    return terminal, least, block.__getitem__, part.__getitem__
 
 
 _ZCODECS = {"PY": _zcodec("p", "y", 0), "H2": _zcodec("x0", "x1", 1)}
@@ -488,24 +521,33 @@ def z_decode(word: Word) -> tuple[int, ...]:
     *runs, rest = "".join(word.letters).split(terminal)
     if rest:
         raise NotInSubalgebraError(f"{word!r} does not end in {terminal}; not z-decodable")
-    return tuple(map(part, map(len, runs)))
+    return tuple(map(part, runs))
 
 
 def zp(comp: Iterable[int], alphabet: Alphabet = PY, coeff: Rational = 1) -> Poly:
     return Poly.of(z_encode(comp, alphabet), coeff)
 
 
-# the text of one z-block x0^(k-1) x1, from its run "x0...x0" of counting letters
-_z_text = lru_cache(256)(lambda run: f"z{{{len(run) // 2 + 1}}}")
+# a z-block's text by its run of x0s; the run "|" of word_texts stays "|"
+_Z_TEXT = _Table(lambda run: f"z{{{len(run) // 2 + 1}}}", "x0" * 256)
+_Z_TEXT["|"] = "|"
+
+
+def word_texts(texts: list[str], alphabet: Alphabet) -> list[str]:
+    """``format_word`` of each word from its letters, joined; x0/x1 words that all end
+    in x1 (or are empty) take one split in C for all, and a table lookup per z-block."""
+    joined = "|x1".join(texts) if alphabet is H2 else ""  # a split cuts each "|x1" to a run "|"
+    if joined.endswith("x1") and joined.count("x1|") + joined.startswith("|") >= len(texts) - 1:
+        texts = "".join(map(_Z_TEXT.__getitem__, joined.split("x1")[:-1])).split("|")
+    elif joined and len(texts) > 1:
+        return [word_texts([t], H2)[0] for t in texts]
+    return [t or "1" for t in texts]
 
 
 def format_word(w: Word) -> str:
     """Canonical text: z-block form for z-decodable x0/x1 words, letter
     juxtaposition otherwise, and "1" for the unit."""
-    text = str(w)
-    if w.alphabet is H2 and text.endswith("x1"):
-        return "".join(map(_z_text, text.split("x1")[:-1]))
-    return text
+    return word_texts(["".join(w[1])], w[0])[0]
 
 
 # -- letter-level morphisms --------------------------------------------------

@@ -194,7 +194,7 @@ def test_parse_results_are_pinned():
         for flag in (None, "h", "H", "pdy")
     ]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "b640fb4d8b897d9c237940a7d6488c76e449c94afeb9a11c9707ac7ba7034c9a"
+    assert digest == "217df2594934d294b4baeea81f87ccc1f25c6e94b78984afc20bea408d765db4"
 
 
 @pytest.mark.parametrize(
@@ -304,6 +304,79 @@ def test_every_formatter_pins_its_signed_terms():
     zeros = [format_poly(Poly.zero(H2)), str(Poly.zero(H2)), cli.format_tensor(hopf.Tensor2(H2))]
     zeros += [str(hopf.Tensor2(H2)), repr(products.ZPoly()), str(qseries.QPoly(3))]
     assert zeros == ["0", "0", "0", "0", "ZPoly(0)", "0"]
+
+
+# -- the one-pass writers against the term-by-term reference ------------------
+
+def _ref_word(w):
+    # format_word as it was written term by term: z-blocks from a split of the letters
+    text = str(w)
+    if w.alphabet is H2 and text.endswith("x1"):
+        return "".join(f"z{{{len(run) // 2 + 1}}}" for run in text.split("x1")[:-1])
+    return text
+
+
+def _ref_format(terms, body):
+    # a coefficient c != +-1 in front as "c*", then the signs joined by a re-scan
+    parts = [body(k) if c == 1 else f"-{body(k)}" if c == -1 else f"{c}*{body(k)}" for k, c in terms]
+    if not parts:
+        return "0"
+    return parts[0] + "".join(f" - {t[1:]}" if t.startswith("-") else f" + {t}" for t in parts[1:])
+
+
+_ref_coeffs = st.one_of(
+    st.integers(-12, 12), st.fractions(min_value=-3, max_value=3, max_denominator=7)
+).filter(bool)
+
+
+def _ref_words(alphabet, max_size=6):
+    return st.lists(st.sampled_from(alphabet.letters), max_size=max_size).map(
+        lambda ls: Word(alphabet, ls)
+    )
+
+
+@given(st.sampled_from([H2, PY, PDY]).flatmap(
+    lambda a: st.tuples(st.just(a), st.dictionaries(_ref_words(a), _ref_coeffs, max_size=12))
+))
+def test_poly_writers_equal_the_term_by_term_reference(case):
+    # unit and zero polys, negative and rational coefficients, and x0/x1 words
+    # that end in x1 (z-blocks) next to words that do not
+    alphabet, terms = case
+    p = Poly(alphabet, terms)
+    ordered = sorted(p.terms.items(), key=lambda t: t[0].sort_key())
+    assert format_poly(p) == _ref_format(ordered, _ref_word)
+    assert str(p) == _ref_format(ordered, str)
+    record = {
+        "type": "poly",
+        "alphabet": alphabet.tag,
+        "terms": [{"coeff": str(c), "word": list(w.letters)} for w, c in ordered],
+    }
+    assert cli.poly_json(p) == json.dumps(record) == cli.value_json(p)
+    assert [format_word(w) for w, _ in ordered] == [_ref_word(w) for w, _ in ordered]
+
+
+@given(st.sampled_from([H2, PY, PDY]).flatmap(
+    lambda a: st.tuples(
+        st.just(a),
+        st.dictionaries(st.tuples(_ref_words(a, 4), _ref_words(a, 4)), _ref_coeffs, max_size=12),
+    )
+))
+def test_tensor_writers_equal_the_term_by_term_reference(case):
+    alphabet, terms = case
+    t = hopf.Tensor2(alphabet, terms)
+    ordered = sorted(t.terms.items(), key=lambda kc: (kc[0][0].sort_key(), kc[0][1].sort_key()))
+    body = lambda k: f"{_ref_word(k[0])} (x) {_ref_word(k[1])}"  # noqa: E731
+    assert cli.format_tensor(t) == _ref_format(ordered, body)
+    assert str(t) == _ref_format(ordered, lambda k: f"{k[0]} (x) {k[1]}")
+    record = {
+        "type": "tensor",
+        "alphabet": alphabet.tag,
+        "terms": [
+            {"coeff": str(c), "left": list(a.letters), "right": list(b.letters)}
+            for (a, b), c in ordered
+        ],
+    }
+    assert cli.tensor_json(t) == json.dumps(record) == cli.value_json(t)
 
 
 coeffs = st.integers(min_value=-9, max_value=9).filter(bool).map(Fraction)
@@ -433,7 +506,10 @@ def test_main_dd_shuffle_at_lambda_0_is_one_line_error(capsys):
 def test_main_scalar_division_by_zero_is_one_line_usage_error(capsys):
     assert main(["product", "--alphabet", "H", "1/0*py"]) == 2
     err = capsys.readouterr().err
-    assert err == "error: division by zero in '1/0'\n"
+    assert err == "error: division by zero at position 1\n"
+    # the message names the position of the '/', not the number
+    assert main(["product", "--alphabet", "h", "x1 + 12/" + "0" * 4000]) == 2
+    assert capsys.readouterr().err == "error: division by zero at position 7\n"
 
 
 @pytest.mark.parametrize("suite, flag", [("rota-baxter", "--order"), ("zhao-duality", "--max-weight")])
@@ -922,8 +998,8 @@ def test_export_vectors_spot_check(tmp_path):
         u = parse_expr(rec["inputs"]["u"], "H")
         v = parse_expr(rec["inputs"]["v"], "H")
         lam = Fraction(rec["inputs"]["lambda"])
-        assert cli.poly_json(products.square_lambda(u, v, lam)) == rec["lhs"]
-        assert cli.poly_json(products.shuffle_lambda(u, v, lam)) == rec["rhs"]
+        assert json.loads(cli.poly_json(products.square_lambda(u, v, lam))) == rec["lhs"]
+        assert json.loads(cli.poly_json(products.shuffle_lambda(u, v, lam))) == rec["rhs"]
         assert rec["lhs"] == rec["rhs"]
 
 

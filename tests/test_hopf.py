@@ -2,6 +2,7 @@
 
 import copy
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -269,3 +270,18 @@ def test_tensors_survive_deepcopy():
     t = deconcat(zp((2, 1)) - zp((1, 0), PY, Fraction(1, 2)))
     c = copy.deepcopy(t)
     assert type(c) is Tensor2 and c == t and c.alphabet is PY and str(c) == str(t)
+
+
+@given(
+    st.sampled_from([H2, PY, PDY]).flatmap(
+        lambda a: st.dictionaries(
+            st.tuples(*[st.lists(st.sampled_from(a.letters), max_size=5).map(partial(Word, a))] * 2),
+            st.integers(-3, 3).filter(bool),
+            max_size=12,
+        ).map(lambda terms, a=a: Tensor2(a, terms))
+    )
+)
+def test_tensor_display_order_is_the_pair_of_sort_keys_order(t):
+    want = sorted(t.terms.items(), key=lambda kc: (kc[0][0].sort_key(), kc[0][1].sort_key()))
+    assert t.sorted_terms() == want
+    assert list(t) == [(a, b, c) for (a, b), c in want]

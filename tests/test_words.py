@@ -21,6 +21,7 @@ from mzv_lab.words import (
     Word,
     WordError,
     add_into,
+    format_word,
     iter_words,
     iter_zcomps,
     membership,
@@ -373,6 +374,20 @@ def test_codecs_outside_their_cached_range_and_on_bad_parts():
         z_decode(Word(H2, ("x1", "x0")))
     with pytest.raises(NotInSubalgebraError, match=r"^no z-block codec on alphabet PDY$"):
         z_decode(Word(PDY, ("y",)))
+
+
+def test_codec_tables_keep_only_the_256_least_parts():
+    from mzv_lab import words
+
+    big = (30000, 300, 1, 255, 256)
+    for alphabet in (H2, PY):
+        assert z_decode(z_encode(big, alphabet)) == big
+    assert format_word(z_encode(big, H2)) == "z{30000}z{300}z{1}z{255}z{256}"
+    for (_, least, block, part), width in zip(words._ZCODECS.values(), (1, 2)):  # PY, H2
+        assert 0 < len(block.__self__) <= 256 and max(block.__self__) < least + 256
+        assert 0 < len(part.__self__) <= 256 and max(map(len, part.__self__)) < 256 * width
+    runs = set(words._Z_TEXT) - {"|"}
+    assert 0 < len(runs) <= 256 and max(map(len, runs)) < 512
 
 
 @given(st.sampled_from([H2, PY]).flatmap(
