@@ -20,6 +20,8 @@ integers is always read as a composition, never as a grouped scalar.
 
 Parentheses nest at most ``MAX_NESTING`` deep, and a number has at most as
 many digits as int() converts; past either limit the input is a syntax error.
+``map --name dn:<n>`` takes 1 <= n <= ``maps.MAX_DERIVATION``; another index is
+a usage error.
 
 Exit codes: 0 success, 1 verification failure or runtime error, 2 usage or
 syntax error.  A suite case that raises is recorded as a failure and the
@@ -440,9 +442,6 @@ def value_json(x: object) -> str:
         return json.dumps({"type": "qseries", **x.to_json()})
     if isinstance(x, qseries.FloatResult):
         return json.dumps({"type": "float", **x.to_json()})
-    if isinstance(x, products.ZPoly):
-        terms = [{"coeff": str(c), "parts": list(w.parts)} for w, c in x.sorted_terms()]
-        return json.dumps({"type": "zpoly", "terms": terms})
     return json.dumps(x if isinstance(x, bool) else str(x))
 
 

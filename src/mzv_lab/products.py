@@ -5,12 +5,14 @@ combines by a rule for the two leading letters (Hoffman, "Quasi-shuffle
 products", 2000).  One memoized driver, ``_product``, runs every rule on
 plain tuples (letters or z-parts) with one memo, ``_MEMO``.  A rule yields
 terms (head, c, u', v'), each c * head (u' x v'); a boundary correction has
-u' = v' = (), as the empty product is {(): 1}.  Words and Polys are built at
-the ``*_ordered`` boundary, which never hands out the memo's dicts; p/d/y
-tuples are normalized there, by ``Word._make``, since prefixing commutes with
-pd = dp = 1 and the rules branch only on (normal) input letters.  Public
-entry points canonicalize the word pair; the ``*_ordered`` functions take it
-as given and are what the commutativity tests exercise.
+u' = v' = (), as the empty product is {(): 1}.  A public product decodes each
+term of its operands once into its key (letters or z-parts), orders each pair
+of terms as words, adds every pair's product into one tuple dict, and builds
+the words of that sum once, by ``_letters_to_poly`` or ``_comps_to_poly``;
+neither ever hands out the memo's dicts.  p/d/y tuples are normalized there,
+by ``Word._make``, since prefixing commutes with pd = dp = 1 and the rules
+branch only on (normal) input letters.  The ``*_ordered`` functions take one
+word pair as given and are what the commutativity tests exercise.
 
 Conventions:
 
@@ -19,15 +21,17 @@ Conventions:
 * ``shuffle_lambda`` and ``quasi_shuffle_lambda`` live on the p/y alphabet
   (``shuffle_lambda`` also accepts p/d/y words),
 * the once-out-of-zeta products (``ooz_*``) live on p/y words whose z-parts
-  may drop to 0 (and, for the explicit recursion, below 0: see ``ZWord``).
+  may drop to 0; inside the explicit recursion they may drop below 0, which
+  ``ooz_explicit_ordered`` shows on int tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import chain
-from operator import not_
-from typing import Callable, Iterable, Mapping, Union
+from operator import itemgetter
+from typing import Callable, Mapping, Union
 
 from mzv_lab.words import (
     H2,
@@ -36,7 +40,6 @@ from mzv_lab.words import (
     Alphabet,
     AlphabetMismatchError,
     NotInSubalgebraError,
-    LinComb,
     Poly,
     Rational,
     Word,
@@ -58,6 +61,8 @@ Operand = Union[Word, Poly]
 # tuple-level linear combinations (letters or z-parts -> nonzero coefficient)
 Comp = tuple
 CompDict = dict[Comp, Rational]
+
+_letters = itemgetter(1)  # a word's key on the letter alphabets: its letters
 
 
 def _dcombine(acc: CompDict, other: Mapping[Comp, Rational], scale: Rational, head: Comp) -> None:
@@ -88,21 +93,24 @@ def _lam(lam: Rational) -> Rational:
     return lam.numerator if lam.denominator == 1 else lam
 
 
-def _pair_sum(U: LinComb, V: LinComb, word_fn: Callable) -> LinComb:
-    # sum of cu*cv * word_fn(a, b) over term pairs ordered a <= b (the products commute)
-    terms: dict = {}
-    for wu, cu in U.terms.items():
-        for wv, cv in V.terms.items():
-            a, b = (wu, wv) if wu <= wv else (wv, wu)
-            add_scaled(terms, word_fn(a, b).terms, cu * cv)
-    return U._make(U.alphabet, terms)
-
-
-def _bilinear_words(u: Operand, v: Operand, word_fn: Callable, alphabet: Alphabet) -> Poly:
+def _pair_sum(
+    u: Operand, v: Operand, alphabet: Alphabet, decode: Callable, kernel: Callable, encode: Callable
+) -> Poly:
+    # the sum of cu*cv * kernel(key a, key b) over term pairs ordered as words a <= b (the
+    # products commute); each word is decoded once, on first use, and the sum encoded once
     U, V = as_poly(u), as_poly(v)
     if U.alphabet is not alphabet or V.alphabet is not alphabet:
         raise AlphabetMismatchError(f"operands must be {alphabet} polynomials")
-    return _pair_sum(U, V, word_fn)
+    keys: dict[Word, Comp] = {}
+    out: CompDict = {}
+    for wu, cu in U.terms.items():
+        for wv, cv in V.terms.items():
+            a, b = (wu, wv) if wu <= wv else (wv, wu)
+            for w in (a, b):
+                if w not in keys:
+                    keys[w] = decode(w)
+            add_scaled(out, kernel(keys[a], keys[b]), cu * cv)
+    return encode(out, alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +209,7 @@ def shuffle_ordered(u: Word, v: Word) -> Poly:
 
 def shuffle(u: Operand, v: Operand) -> Poly:
     """Plain shuffle product on x0/x1 words."""
-    return _bilinear_words(u, v, shuffle_ordered, H2)
+    return _pair_sum(u, v, H2, _letters, partial(_product, _shuffle), _letters_to_poly)
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +223,12 @@ def _quasi_word_fn(alphabet: Alphabet, lam: Rational) -> Callable[[Word, Word], 
 def quasi_shuffle(u: Operand, v: Operand) -> Poly:
     """Stuffle product z_n u * z_m v = z_n(u*z_m v) + z_m(z_n u*v) + z_{n+m}(u*v)
     on x0/x1 words ending in x1."""
-    return _bilinear_words(u, v, _quasi_word_fn(H2, 1), H2)
+    return _pair_sum(u, v, H2, z_decode, partial(_product, _stuffle), _comps_to_poly)
 
 
 def quasi_shuffle_lambda(u: Operand, v: Operand, lam: Rational = 1) -> Poly:
     """Deformed stuffle on p/y words ending in y: the overlap term carries lam."""
-    return _bilinear_words(u, v, _quasi_word_fn(PY, _lam(lam)), PY)
+    return _pair_sum(u, v, PY, z_decode, partial(_product, _stuffle, lam=_lam(lam)), _comps_to_poly)
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +245,11 @@ def shuffle_lambda(u: Operand, v: Operand, lam: Rational = 1) -> Poly:
     Leading-y letters factor out on either side; two leading p's shuffle with a
     lam-weighted overlap; the d-cases are forced by pd = dp = 1.
     """
-    lam = _lam(lam)
+    kernel = partial(_product, _shuffle_lam, lam=_lam(lam))
     alphabet = as_poly(u).alphabet
     if alphabet not in (PY, PDY):
         raise AlphabetMismatchError("shuffle_lambda lives on p/y and p/d/y words")
-    return _bilinear_words(u, v, lambda a, b: shuffle_lambda_ordered(a, b, lam), alphabet)
+    return _pair_sum(u, v, alphabet, _letters, kernel, _letters_to_poly)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +263,18 @@ def shuffle_star_ordered(u: Word, v: Word) -> Poly:
 def shuffle_star(u: Operand, v: Operand) -> Poly:
     """Star-shuffle: the shuffle recursion with boundary corrections
     -tau(a) b v when u runs out and -tau(b) a u when v runs out."""
-    return _bilinear_words(u, v, shuffle_star_ordered, H2)
+    return _pair_sum(u, v, H2, _letters, partial(_product, _star), _letters_to_poly)
+
+
+def _star_alt(u: Comp, v: Comp) -> CompDict:
+    # shuffle_star_alt_ordered on letter tuples, its three shuffles from the driver
+    if not u or not v:
+        raise WordError("shuffle_star_alt needs nonempty words")
+    uh, a, vh, b = u[:-1], u[-1], v[:-1], v[-1]
+    out = dict(_product(_shuffle, u, v))
+    for x, y, last in ((uh, vh + (_SWAP[b],), a), (uh + (_SWAP[a],), vh, b)):
+        add_pairs(out, ((k + (last,), c) for k, c in _product(_shuffle, x, y).items()), -1)
+    return out
 
 
 def shuffle_star_alt_ordered(u: Word, v: Word) -> Poly:
@@ -263,17 +282,11 @@ def shuffle_star_alt_ordered(u: Word, v: Word) -> Poly:
 
     Defined for nonempty words only; agrees with shuffle_star there.
     """
-    if u.is_unit or v.is_unit:
-        raise WordError("shuffle_star_alt needs nonempty words")
-    (*uh, a), (*vh, b) = u.letters, v.letters
-    w = lambda *letters: Word._make(H2, letters)
-    left = shuffle_ordered(w(*uh), w(*vh, _SWAP[b])) * w(a)
-    right = shuffle_ordered(w(*uh, _SWAP[a]), w(*vh)) * w(b)
-    return shuffle_ordered(u, v) - left - right
+    return _letters_to_poly(_star_alt(u.letters, v.letters), H2)
 
 
 def shuffle_star_alt(u: Operand, v: Operand) -> Poly:
-    return _bilinear_words(u, v, shuffle_star_alt_ordered, H2)
+    return _pair_sum(u, v, H2, _letters, _star_alt, _letters_to_poly)
 
 
 # ---------------------------------------------------------------------------
@@ -324,71 +337,35 @@ def ooz_quasi_shuffle_ordered(u: Word, v: Word) -> Poly:
 def ooz_quasi_shuffle(u: Operand, v: Operand) -> Poly:
     """Once-out-of-zeta stuffle on p/y words that are empty or start with p
     and end in y: a single-step T-twist of the plain stuffle."""
-    return _bilinear_words(u, v, ooz_quasi_shuffle_ordered, PY)
+    return _pair_sum(u, v, PY, z_decode, _ooz_comps, _comps_to_poly)
 
 
-class ZWord(tuple):
-    """A z-indexed word whose parts may be any integers: the tuple of its parts.
-
-    Carrier for the explicit once-out-of-zeta recursion, whose intermediate
-    terms can have negative z-indices even when inputs and outputs do not.
-    """
-
-    __slots__ = ()
-
-    parts = property(tuple)
-    is_unit = property(not_)
-
-    def __repr__(self) -> str:
-        return f"ZWord(parts={tuple(self)!r})"
-
-
-class ZPoly(LinComb):
-    """Linear combination of ZWords with exact coefficients; it has no
-    alphabet (``alphabet`` is None)."""
-
-    __slots__ = ()
-
-    def __init__(self, terms: Mapping[ZWord, Rational] | None = None):
-        super().__init__(None, terms)
-
-    @classmethod
-    def of(cls, parts: Iterable[int], coeff: Rational = 1) -> "ZPoly":
-        return cls({ZWord(tuple(parts)): coeff})
-
-    def __repr__(self) -> str:
-        return f"ZPoly({self.format_terms(lambda w: f'z{list(w.parts)}')})"
-
-
-def zpoly_from_poly(x: Operand) -> ZPoly:
-    """View a p/y polynomial with z-decodable terms as a ZPoly."""
-    return ZPoly._make(None, {ZWord(z_decode(w)): c for w, c in as_poly(x).terms.items()})
-
-
-def zpoly_to_poly(x: ZPoly) -> Poly:
-    """Inverse of zpoly_from_poly; rejects negative z-indices."""
-    for w in x.terms:
-        if w and min(w) < 0:
-            raise NotInSubalgebraError(f"negative z-index in {w}; no p/y word image")
-    return _comps_to_poly(x.terms, PY)
-
-
-def ooz_explicit_ordered(u: ZWord, v: ZWord) -> ZPoly:
+def ooz_explicit_ordered(u: Comp, v: Comp) -> CompDict:
+    """The explicit recursion on two z-part tuples, whose parts may be any
+    integers, as a new dict of z-part tuples."""
     # the last-letter recursion is the first-letter one on reversed z-words
-    d = _product(_ooz_explicit, u[::-1], v[::-1])
-    return ZPoly._make(None, {ZWord(k[::-1]): c for k, c in d.items()})
+    return {k[::-1]: c for k, c in _product(_ooz_explicit, u[::-1], v[::-1]).items()}
 
 
-def ooz_explicit(u: ZPoly | ZWord, v: ZPoly | ZWord) -> ZPoly:
+def _rcomps_to_poly(d: Mapping[Comp, Rational], alphabet: Alphabet) -> Poly:
+    # the explicit recursion's sum, on reversed z-parts, as p/y words
+    for k in d:
+        if k and min(k) < 0:
+            raise NotInSubalgebraError(f"negative z-part in {k[::-1]}; no p/y word image")
+    return _comps_to_poly({k[::-1]: c for k, c in d.items()}, alphabet)
+
+
+def ooz_explicit(u: Operand, v: Operand) -> Poly:
     """Closed recursion for the once-out-of-zeta stuffle, peeling last letters.
 
     All inner products are the product itself; boundary corrections fire when
-    a factor shrinks to a single z-letter.  Agrees with ooz_quasi_shuffle on
-    words with nonnegative parts and leading part >= 1.
+    a factor shrinks to a single z-letter, and their terms may have negative
+    z-parts, which no p/y word encodes (``NotInSubalgebraError`` if one is
+    left in the result).  Agrees with ooz_quasi_shuffle on words with leading
+    part >= 1.
     """
-    U = ZPoly({u: 1}) if isinstance(u, ZWord) else u
-    V = ZPoly({v: 1}) if isinstance(v, ZWord) else v
-    return _pair_sum(U, V, ooz_explicit_ordered)
+    decode = lambda w: z_decode(w)[::-1]
+    return _pair_sum(u, v, PY, decode, partial(_product, _ooz_explicit), _rcomps_to_poly)
 
 
 # ---------------------------------------------------------------------------

@@ -487,12 +487,7 @@ def _coassoc_holds(coproduct, x: Poly) -> bool:
 def _ooz_explicit(mw: int, order: int | None) -> Iterator[Case]:
     words = [w for w in h0_words(PY, mw, mw - 1) if not w.is_unit]
     return pair_cases(words, {
-        "explicit": lambda u, v: (
-            products.zpoly_to_poly(
-                products.ooz_explicit(products.ZWord(z_decode(u)), products.ZWord(z_decode(v)))
-            ),
-            products.ooz_quasi_shuffle(u, v),
-        ),
+        "explicit": lambda u, v: (products.ooz_explicit(u, v), products.ooz_quasi_shuffle(u, v)),
     }, max_depth=mw, max_weight=mw)
 
 

@@ -28,9 +28,9 @@ other choice is consistent.
 ``Poly`` is the universal carrier of all products and linear maps: a finite
 formal sum of words with exact ``int | Fraction`` coefficients (zero
 coefficients are never stored; an ``int`` turns into a ``Fraction`` only when
-a rational coefficient enters).  It and the other carriers of exact linear
-combinations (``hopf.Tensor2``, ``products.ZPoly``) share the arithmetic and
-the formatter of ``LinComb``.
+a rational coefficient enters).  It and the other carrier of exact linear
+combinations, ``hopf.Tensor2``, share the arithmetic and the formatter of
+``LinComb``.
 """
 
 from __future__ import annotations
@@ -255,13 +255,14 @@ class LinComb:
     """Finite linear combination of basis keys with exact coefficients.
 
     ``terms`` maps each key to a nonzero ``int | Fraction``; a coefficient
-    stays an ``int`` until a rational one enters.  Subclasses fix the key:
-    words (``Poly``), word pairs (``hopf.Tensor2``) or z-indexed words
-    (``products.ZPoly``), whose ``<`` is the display order.  ``alphabet`` is
-    the space the keys live in, and ``+`` and ``-`` need the same one on both
-    sides.  Values are immutable, so memoized results are shared freely:
-    accumulation in place writes only to a dict its caller created, and
-    ``_make`` wraps that dict without a copy.
+    stays an ``int`` until a rational one enters.  Subclasses fix the key,
+    words (``Poly``) or word pairs (``hopf.Tensor2``), its check
+    (``_check_key``) and its display order (``sorted_texts``: the keys'
+    texts, keys and coefficients).  ``alphabet`` is the space the keys live
+    in, and ``+`` and ``-`` need the same one on both sides.  Values are
+    immutable, so memoized results are shared freely: accumulation in place
+    writes only to a dict its caller created, and ``_make`` wraps that dict
+    without a copy.
     """
 
     __slots__ = ("alphabet", "terms")
@@ -284,10 +285,6 @@ class LinComb:
         _set(out, "alphabet", alphabet)
         _set(out, "terms", terms)
         return out
-
-    @staticmethod
-    def _check_key(key, alphabet) -> None:
-        pass
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -337,11 +334,6 @@ class LinComb:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def sorted_texts(self) -> list[list]:
-        """[keys, coefficients] in display order; ``Poly`` and ``Tensor2`` put texts first."""
-        keys = sorted(self.terms)
-        return [keys, list(map(self.terms.__getitem__, keys))]
 
     def sorted_terms(self) -> list:
         """(key, coefficient) pairs in the canonical display order."""

@@ -296,14 +296,12 @@ def test_every_formatter_pins_its_signed_terms():
     t = hopf.Tensor2(H2, dict(zip([(ws[0], one), (one, ws[0]), (ws[1], ws[2]), (ws[3], ws[0])], cs)))
     assert cli.format_tensor(t) == "-1 (x) z{2} + z{2} (x) 1 - 1/2*x1x0 (x) z{2} + 3*z{2}z{1} (x) z{3}"
     assert str(t) == "-1 (x) x0x1 + x0x1 (x) 1 - 1/2*x1x0 (x) x0x1 + 3*x0x1x1 (x) x0x0x1"
-    z = products.ZPoly(dict(zip(map(products.ZWord, [(2,), (1, -1), (3, 0), ()]), cs)))
-    assert repr(z) == "ZPoly(-1/2*z[] - z[1, -1] + z[2] + 3*z[3, 0])"
     q = qseries.QPoly(4, (Fraction(-1, 2), 1, -1, 3, Fraction(-1, 2)))
     assert str(q) == "-1/2 + q - q^2 + 3q^3 - 1/2*q^4"
     assert str(qseries.QPoly(3, (3, Fraction(1, 2), 0, -1))) == "3 + 1/2*q - q^3"
     zeros = [format_poly(Poly.zero(H2)), str(Poly.zero(H2)), cli.format_tensor(hopf.Tensor2(H2))]
-    zeros += [str(hopf.Tensor2(H2)), repr(products.ZPoly()), str(qseries.QPoly(3))]
-    assert zeros == ["0", "0", "0", "0", "ZPoly(0)", "0"]
+    zeros += [str(hopf.Tensor2(H2)), str(qseries.QPoly(3))]
+    assert zeros == ["0", "0", "0", "0", "0"]
 
 
 # -- the one-pass writers against the term-by-term reference ------------------
@@ -501,6 +499,23 @@ def test_main_dd_shuffle_at_lambda_0_is_one_line_error(capsys):
     assert main(argv) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == "error: the d/d recursion needs lam != 0\n"
+
+
+def test_main_names_the_first_undecodable_word_of_the_ordered_pair(capsys):
+    # the pair is ordered (x0, x1x0) and its first word is decoded first
+    assert main(["product", "--kind", "quasi", "--alphabet", "h", "x0", "x1x0"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: Word(H2:x0) does not end in x1; not z-decodable\n"
+
+
+def test_main_derivation_index_has_a_ceiling(capsys):
+    assert maps.MAX_DERIVATION == 16
+    assert main(["map", "--name", "dn:17", "--alphabet", "h", "x0x1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: derivation index must be <= 16, got 17\n"
+    assert maps.get_map("dn:16").name == "dn:16"  # the largest index is served
+    assert main(["map", "--name", "dn:3", "--alphabet", "h", "x1"]) == 0
+    assert capsys.readouterr().out == format_poly(maps.derivation(Word(H2, ("x1",)), 3)) + "\n"
 
 
 def test_main_scalar_division_by_zero_is_one_line_usage_error(capsys):

@@ -5,7 +5,6 @@ the public wrappers canonicalize the operand pair before memoization, which
 would make u*v == v*u vacuously true.
 """
 
-import pickle
 import sys
 from fractions import Fraction
 
@@ -16,8 +15,6 @@ from hypothesis import strategies as st
 from mzv_lab import products
 from mzv_lab.products import (
     IsoConsistencyError,
-    ZPoly,
-    ZWord,
     ihara_circ,
     ooz_explicit,
     ooz_quasi_shuffle,
@@ -32,10 +29,19 @@ from mzv_lab.products import (
     square_lambda,
     t_op,
     transferred_product,
-    zpoly_from_poly,
-    zpoly_to_poly,
 )
-from mzv_lab.words import H2, PDY, PY, Poly, Word, WordError, z_encode, zp
+from mzv_lab.words import (
+    H2,
+    PDY,
+    PY,
+    NotInSubalgebraError,
+    Poly,
+    Word,
+    WordError,
+    z_decode,
+    z_encode,
+    zp,
+)
 
 small_h2 = st.lists(st.sampled_from(["x0", "x1"]), max_size=4).map(lambda l: Word(H2, l))
 small_py = st.lists(st.sampled_from(["p", "y"]), max_size=4).map(lambda l: Word(PY, l))
@@ -206,14 +212,13 @@ small_comps = st.tuples(
 @settings(max_examples=80)
 def test_ooz_explicit_matches_recursive(c1, c2):
     u, v = z_encode(c1, PY), z_encode(c2, PY)
-    lhs = zpoly_to_poly(ooz_explicit(ZWord(c1), ZWord(c2)))
-    assert lhs == ooz_quasi_shuffle(u, v)
+    assert ooz_explicit(u, v) == ooz_quasi_shuffle(u, v)
 
 
 @given(small_comps, small_comps)
 @settings(max_examples=60)
 def test_ooz_commutative(c1, c2):
-    assert ooz_explicit(ZWord(c1), ZWord(c2)) == ooz_explicit(ZWord(c2), ZWord(c1))
+    assert products.ooz_explicit_ordered(c1, c2) == products.ooz_explicit_ordered(c2, c1)
 
 
 mixed_parts = st.lists(st.integers(min_value=-2, max_value=3), max_size=3).map(tuple)
@@ -223,7 +228,7 @@ mixed_parts = st.lists(st.integers(min_value=-2, max_value=3), max_size=3).map(t
 @settings(max_examples=60)
 def test_ooz_explicit_commutative_on_mixed_sign_arguments(c1, c2):
     # the closed formula is defined for arbitrary integer parts
-    assert ooz_explicit(ZWord(c1), ZWord(c2)) == ooz_explicit(ZWord(c2), ZWord(c1))
+    assert products.ooz_explicit_ordered(c1, c2) == products.ooz_explicit_ordered(c2, c1)
 
 
 @given(small_comps, small_comps, small_comps)
@@ -235,19 +240,11 @@ def test_ooz_associative_on_nonnegative_words(c1, c2, c3):
     )
 
 
-def test_zpoly_conversions():
-    x = 2 * zp((2, 1)) - zp((1,))
-    assert zpoly_to_poly(zpoly_from_poly(x)) == x
-    neg = ZPoly.of((2, -1))
-    with pytest.raises(WordError):
-        zpoly_to_poly(neg)  # negative parts have no p/y word
-
-
-def test_zpoly_int_and_fraction_coefficients_are_interchangeable():
-    a = ZPoly({ZWord((2,)): 3, ZWord((1, -1)): -1})
-    b = ZPoly({ZWord((2,)): Fraction(3), ZWord((1, -1)): Fraction(-1)})
-    assert a == b and repr(a) == repr(b) == "ZPoly(-z[1, -1] + 3*z[2])"
-    assert hash(frozenset(a.terms.items())) == hash(frozenset(b.terms.items()))
+def test_ooz_explicit_refuses_a_negative_part_in_its_result():
+    # z_0 x z_0 has terms such as z_{-1}, which no p/y word encodes
+    assert products.ooz_explicit_ordered((0,), (0,))[(-1,)] == -1
+    with pytest.raises(NotInSubalgebraError):
+        ooz_explicit(zp((0,)), zp((0,)))
 
 
 def test_cancelling_pieces_leave_no_zero_coefficient():
@@ -256,8 +253,8 @@ def test_cancelling_pieces_leave_no_zero_coefficient():
     got = quasi_shuffle(a - b, a + b)
     assert got == quasi_shuffle(a, a) - quasi_shuffle(b, b)
     assert all(got.terms.values())
-    za, zb = ZWord((2,)), ZWord((1, 1))
-    got = ooz_explicit(ZPoly({za: 1, zb: -1}), ZPoly({za: 1, zb: 1}))
+    za, zb = zp((2,)), zp((1, 1))
+    got = ooz_explicit(za - zb, za + zb)
     assert got == ooz_explicit(za, za) - ooz_explicit(zb, zb)
     assert all(got.terms.values())
 
@@ -275,11 +272,13 @@ def test_in_place_accumulation_leaves_memo_values_alone():
     # a returned value owns its dict: changing it leaves the memo alone
     first.terms.clear()
     assert products.shuffle_ordered(u, v).terms == snapshot
-    zu, zv = ZWord((1,)), ZWord((2, 1))
+    zu, zv = (1,), (2, 1)
     zfirst = products.ooz_explicit_ordered(zu, zv)
-    zsnapshot = dict(zfirst.terms)
-    ooz_explicit(ZPoly({zu: 1, ZWord((3,)): 1}), zv)
-    assert products.ooz_explicit_ordered(zu, zv).terms == zsnapshot
+    zsnapshot = dict(zfirst)
+    ooz_explicit(zp(zu) + zp((3,)), zp(zv))
+    assert products.ooz_explicit_ordered(zu, zv) == zsnapshot
+    zfirst.clear()  # the returned dict is the caller's own
+    assert products.ooz_explicit_ordered(zu, zv) == zsnapshot
     py = Word(PY, ("p", "y"))
     dfirst = hopf.infinitesimal_coproduct(Poly.of(py))
     dsnapshot = dict(dfirst.terms)
@@ -298,7 +297,7 @@ def test_every_product_has_exact_coefficients(lam):
     outs.append(square_classical(zh(2), zh(3)))
     for u, v in zip(p, p[1:]):
         outs += [quasi_shuffle_lambda(u, v, lam), shuffle_lambda(u, v, lam), t_op(u)]
-        outs += [ooz_quasi_shuffle(u, v), zpoly_to_poly(ooz_explicit(zpoly_from_poly(u), zpoly_from_poly(v)))]
+        outs += [ooz_quasi_shuffle(u, v), ooz_explicit(u, v)]
     outs += [square_lambda(zp((2,)), zp((1, 1)), lam), ooz_square(zp((1,)), zp((2,)))]
     outs += [ihara_circ(zp((2,)), zp((1, 1))), shuffle_lambda(d[0], d[1], lam)]
     coeffs = [c for x in outs for c in x.terms.values()]
@@ -308,6 +307,63 @@ def test_every_product_has_exact_coefficients(lam):
 def test_ooz_quasi_shuffle_domain():
     with pytest.raises(WordError):
         ooz_quasi_shuffle(zp((0, 1)), zp((1,)))  # leading part must be >= 1
+
+
+def test_products_of_undecodable_words_decode_nothing_without_a_pair():
+    # no term pair, so the undecodable x1x0 is never decoded
+    x1x0 = Word(H2, ("x1", "x0"))
+    assert quasi_shuffle(Poly.zero(H2), x1x0) == Poly.zero(H2)
+
+
+# -- multi-term operands: every public product is the sum over term pairs -----
+
+# ints and Fractions, an integral one included; a short list shrinks fast
+coeffs = st.sampled_from([1, -1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(4)])
+h_z_words = st.lists(st.integers(min_value=1, max_value=3), max_size=3).map(
+    lambda c: z_encode(tuple(c), H2)
+)
+ooz_words = st.one_of(st.just(Word(PY)), small_comps.map(lambda c: z_encode(c, PY)))
+
+
+def _ooz_explicit_ref(a, b):
+    d = products.ooz_explicit_ordered(z_decode(a), z_decode(b))
+    return Poly(PY, {z_encode(k, PY): c for k, c in d.items()})
+
+
+# (term words, public product, its reference on one word pair, whether both take lam)
+_EXPANSIONS = {
+    "shuffle": (small_h2, shuffle, products.shuffle_ordered, False),
+    "quasi": (h_z_words, quasi_shuffle, products._quasi_word_fn(H2, 1), False),
+    "star": (small_h2, shuffle_star, products.shuffle_star_ordered, False),
+    "star-alt": (
+        small_h2.filter(lambda w: not w.is_unit), shuffle_star_alt,
+        products.shuffle_star_alt_ordered, False,
+    ),
+    "quasi-lambda": (
+        py_z_words, quasi_shuffle_lambda,
+        lambda a, b, lam: products._quasi_word_fn(PY, lam)(a, b), True,
+    ),
+    "shuffle-lambda-py": (small_py, shuffle_lambda, products.shuffle_lambda_ordered, True),
+    "shuffle-lambda-pdy": (small_pdy, shuffle_lambda, products.shuffle_lambda_ordered, True),
+    "ooz": (ooz_words, ooz_quasi_shuffle, products.ooz_quasi_shuffle_ordered, False),
+    "ooz-explicit": (ooz_words, ooz_explicit, _ooz_explicit_ref, False),
+}
+
+
+@pytest.mark.parametrize("kind", list(_EXPANSIONS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_products_expand_over_term_pairs(kind, data):
+    words, product, ordered, with_lam = _EXPANSIONS[kind]
+    extra = (data.draw(lams),) if with_lam else ()
+    U, V = (data.draw(st.dictionaries(words, coeffs, min_size=2, max_size=3)) for _ in "UV")
+    alphabet = next(iter(U)).alphabet
+    want = Poly.zero(alphabet)
+    for a, ca in U.items():
+        for b, cb in V.items():
+            want = want + ordered(a, b, *extra).scale(ca * cb)
+    got = product(Poly(alphabet, U), Poly(alphabet, V), *extra)
+    assert got == want and all(type(c) in (int, Fraction) for c in got.terms.values())
 
 
 # -- transferred squares -------------------------------------------------------
@@ -369,14 +425,3 @@ def test_cold_stuffle_spends_one_frame_per_part():
 def test_clear_caches_runs():
     products.clear_caches()
     assert quasi_shuffle(zh(2), zh(2)) == 2 * zh(2, 2) + zh(4)
-
-
-# -- the z-word carrier ------------------------------------------------------
-
-def test_zword_is_the_tuple_of_its_parts():
-    z = ZWord([1, -1])
-    assert z == ZWord((1, -1)) and z.parts == (1, -1) and type(z.parts) is tuple
-    assert ZWord(()).is_unit and not z.is_unit
-    assert repr(z) == "ZWord(parts=(1, -1))"
-    x = ZPoly({z: Fraction(1, 3), ZWord(()): 2})
-    assert pickle.loads(pickle.dumps(x)) == x and pickle.loads(pickle.dumps(z)) == z
