@@ -20,6 +20,9 @@ integers is always read as a composition, never as a grouped scalar.
 
 Parentheses nest at most ``MAX_NESTING`` deep, and a number has at most as
 many digits as int() converts; past either limit the input is a syntax error.
+The words of one expression build at most ``MAX_LETTERS`` letters in all,
+counted before each word is built (a z-block or composition part counts the
+letters it encodes to); past that the input is a usage error.
 ``map --name dn:<n>`` takes 1 <= n <= ``maps.MAX_DERIVATION``; another index is
 a usage error.
 
@@ -134,6 +137,11 @@ _PARENS = re.compile(r"[()]")
 # refused in tokenize rather than left to the interpreter's recursion limit
 MAX_NESTING = 100
 
+# the letters one expression may build, counted over all its words before each
+# word is built: a z-block or a composition part of a few digits asks for any
+# number of them (a single word of 10^6 letters takes about 0.1 s and 40 MB)
+MAX_LETTERS = 1_000_000
+
 
 def _closed(text: str, start: int) -> bool:
     """Whether a ')' closes the '(' at start."""
@@ -240,21 +248,19 @@ def _infer_alphabet(tokens: Sequence[Token]) -> Alphabet | None:
     return None
 
 
-def _word_from_chunk(chunk: str, pos: int, alphabet: Alphabet) -> Word:
-    letters: list[str] = []
-    for kind, v in _chunk_items(chunk, pos):
-        if kind == "z":
-            if alphabet is PDY:
-                raise ParseError("z-blocks are not defined on the p/d/y alphabet", pos)
-            try:
-                letters.extend(z_encode((int(v),), alphabet).letters)
-            except WordError as exc:
-                raise ParseError(str(exc), pos) from None
-        else:
-            if v not in alphabet.letters:
-                raise ParseError(f"letter {v!r} not in alphabet {alphabet.tag}", pos)
-            letters.append(str(v))
-    return Word._make(alphabet, tuple(letters))
+def _z_letters(parts: Sequence[int], alphabet: Alphabet) -> int:
+    # the letters z_encode builds, z_k being x0^(k-1) x1 or p^k y; it refuses
+    # a part below that, or any part on p/d/y, before building, so those count 0
+    least = {H2: 1, PY: 0}.get(alphabet)
+    if least is None or min(parts, default=least) < least:
+        return 0
+    return sum(parts) + len(parts) * (1 - least)
+
+
+def _check_letters(count: int) -> int:
+    if count > MAX_LETTERS:
+        raise WordError(f"expression builds more than {MAX_LETTERS} letters")
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +273,25 @@ class _Parser:
         self.i = 0
         self.alphabet = alphabet
         self.lam = lam
+        self.letters = 0  # built so far, at most MAX_LETTERS
+
+    def _word_from_chunk(self, chunk: str, pos: int) -> Word:
+        alphabet, letters = self.alphabet, []
+        for kind, v in _chunk_items(chunk, pos):
+            if kind == "z":
+                if alphabet is PDY:
+                    raise ParseError("z-blocks are not defined on the p/d/y alphabet", pos)
+                _check_letters(self.letters + len(letters) + _z_letters((v,), alphabet))
+                try:
+                    letters.extend(z_encode((v,), alphabet).letters)
+                except WordError as exc:
+                    raise ParseError(str(exc), pos) from None
+            else:
+                if v not in alphabet.letters:
+                    raise ParseError(f"letter {v!r} not in alphabet {alphabet.tag}", pos)
+                letters.append(v)
+        self.letters = _check_letters(self.letters + len(letters))
+        return Word._make(alphabet, tuple(letters))
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -308,8 +333,9 @@ class _Parser:
     def atom(self) -> Poly:
         t = self.next()
         if t.kind == "WORD":
-            return Poly.of(_word_from_chunk(str(t.value), t.pos, self.alphabet))
+            return Poly.of(self._word_from_chunk(str(t.value), t.pos))
         if t.kind == "COMP":
+            self.letters = _check_letters(self.letters + _z_letters(t.value, self.alphabet))
             try:
                 return Poly.of(z_encode(t.value, self.alphabet))  # type: ignore[arg-type]
             except WordError as exc:
@@ -597,6 +623,7 @@ def _parse_operand(text: str, alphabet: str | None, lam: Fraction) -> Poly:
     if isinstance(out, tuple):
         if alphabet is None:
             raise WordError("a bare composition needs --alphabet")
+        _check_letters(_z_letters(out, _ALPHABET_FLAGS[alphabet]))
         return Poly.of(z_encode(out, _ALPHABET_FLAGS[alphabet]))
     return out
 

@@ -2,20 +2,28 @@
 the opposite square coproduct, and the infinitesimal coproduct.
 
 ``Tensor2`` is the two-fold tensor carrier (words x words with rational
-coefficients).  Coproducts cut along z-letter boundaries, so their domain is
-the span of z-decodable words (ending in y, resp. x1).
+coefficients).  Besides the ``LinComb`` arithmetic it has ``of`` (the tensor
+of two operands), iteration in display order, ``map_factors`` (a linear map
+on each factor) and ``mul_with`` (the componentwise product for a given
+product).  Each coproduct builds the term dict of its word pairs by cutting
+each word once, with no recursion per letter, so word length is bounded by
+memory, not by the recursion limit.  Deconcatenation cuts along z-letter
+boundaries, so its domain is the span of z-decodable words (ending in y,
+resp. x1).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Union
+from functools import partial
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from mzv_lab.products import (
-    IsoConsistencyError,
+    _iso_checked,
     _rs,
     quasi_shuffle,
     quasi_shuffle_lambda,
+    transferred_product,
 )
 from mzv_lab.words import (
     H2,
@@ -24,20 +32,26 @@ from mzv_lab.words import (
     Alphabet,
     AlphabetMismatchError,
     LinComb,
+    NotInSubalgebraError,
     Poly,
     Rational,
     Word,
     WordError,
+    _normal_word,
     add_into,
     add_pairs,
     add_scaled,
     as_poly,
     display_sorted,
+    reverse_swap,
     z_decode,
 )
 
 Operand = Union[Word, Poly]
 Pair = tuple[Word, Word]
+Terms = dict[Pair, Rational]  # a tensor's term dict: word pair -> nonzero coefficient
+Linear = Callable[[Poly], Poly]
+Coproduct = Callable[[Operand], "Tensor2"]
 
 
 def _outer_into(terms: dict, left: Poly, right: Poly, c: Rational, alphabet: Alphabet) -> None:
@@ -66,7 +80,7 @@ class Tensor2(LinComb):
     @classmethod
     def of(cls, left: Operand, right: Operand) -> "Tensor2":
         L, R = as_poly(left), as_poly(right)
-        terms: dict[Pair, Rational] = {}
+        terms: Terms = {}
         _outer_into(terms, L, R, 1, L.alphabet)
         return cls._make(L.alphabet, terms)
 
@@ -74,45 +88,20 @@ class Tensor2(LinComb):
         for (a, b), c in self.sorted_terms():
             yield a, b, c
 
-    def flip(self) -> "Tensor2":
-        return Tensor2._make(self.alphabet, {(b, a): c for (a, b), c in self.terms.items()})
-
-    def map_factors(
-        self,
-        f_left: Callable[[Poly], Poly],
-        f_right: Callable[[Poly], Poly],
-    ) -> "Tensor2":
-        terms: dict[Pair, Rational] = {}
+    def map_factors(self, f_left: Linear, f_right: Linear) -> "Tensor2":
+        terms: Terms = {}
         for (a, b), c in self.terms.items():
             _outer_into(terms, f_left(Poly.of(a)), f_right(Poly.of(b)), c, self.alphabet)
         return Tensor2._make(self.alphabet, terms)
 
-    def concat_mul(self, other: "Tensor2") -> "Tensor2":
-        """Componentwise concatenation product (a x b)(c x d) = ac x bd."""
-        self._same_space(other)
-        terms: dict[Pair, Rational] = {}
-        for (a, b), c1 in self.terms.items():
-            for (c, d), c2 in other.terms.items():
-                add_into(terms, (a * c, b * d), c1 * c2)
-        return Tensor2._make(self.alphabet, terms)
-
     def mul_with(self, other: "Tensor2", product: Callable[[Poly, Poly], Poly]) -> "Tensor2":
         """Componentwise product of tensors for an arbitrary algebra product."""
-        terms: dict[Pair, Rational] = {}
+        terms: Terms = {}
         for (a, b), c1 in self.terms.items():
             for (c, d), c2 in other.terms.items():
                 left = product(Poly.of(a), Poly.of(c))
                 _outer_into(terms, left, product(Poly.of(b), Poly.of(d)), c1 * c2, self.alphabet)
         return Tensor2._make(self.alphabet, terms)
-
-    def contract(self, product: Callable[[Poly, Poly], Poly]) -> Poly:
-        """Multiply the two slots together: sum of c * product(a, b)."""
-        terms: dict[Word, Rational] = {}
-        for (a, b), c in self.terms.items():
-            piece = product(Poly.of(a), Poly.of(b))
-            self._same_space(piece)
-            add_scaled(terms, piece.terms, c)
-        return Poly._make(self.alphabet, terms)
 
     def __str__(self) -> str:
         return self.format_terms(lambda k: f"{k[0]} (x) {k[1]}")
@@ -148,6 +137,18 @@ def counit(x: Operand) -> Rational:
     return X.coeff(Word._make(X.alphabet, ()))
 
 
+def _stuffle(alphabet: Alphabet, lam: Fraction) -> Callable[[Operand, Operand], Poly]:
+    """The stuffle that deconcatenation makes a bialgebra: the plain one on
+    x0/x1 words, the lam-deformed one on p/y words."""
+    if alphabet is H2:
+        if lam != 1:
+            raise WordError("the x0/x1 stuffle is undeformed; lam must be 1")
+        return quasi_shuffle
+    if alphabet is PY:
+        return partial(quasi_shuffle_lambda, lam=lam)
+    raise AlphabetMismatchError("no stuffle bialgebra on p/d/y words")
+
+
 _ANTIPODE_MEMO: dict[tuple, Poly] = {}
 
 
@@ -161,13 +162,7 @@ def antipode(x: Operand, lam: Rational = 1) -> Poly:
     lam = Fraction(lam)
     X = as_poly(x)
     alphabet = X.alphabet
-    if alphabet is H2 and lam != 1:
-        raise WordError("the x0/x1 stuffle is undeformed; lam must be 1")
-
-    def mul(a: Poly, b: Poly) -> Poly:
-        if alphabet is H2:
-            return quasi_shuffle(a, b)
-        return quasi_shuffle_lambda(a, b, lam)
+    mul = _stuffle(alphabet, lam)
 
     def s_word(w: Word) -> Poly:
         key = (alphabet.tag, lam, w.letters)
@@ -190,98 +185,53 @@ def antipode(x: Operand, lam: Rational = 1) -> Poly:
 # packaged Hopf structures and transfer along an isomorphism
 # ---------------------------------------------------------------------------
 
-class HopfStructure:
+class HopfStructure(NamedTuple):
     """A product/coproduct/counit/antipode bundle over one alphabet."""
 
-    __slots__ = ("name", "alphabet", "product", "coproduct", "counit", "antipode", "unit_elem")
-
-    def __init__(
-        self,
-        name: str,
-        alphabet: Alphabet,
-        product: Callable[[Operand, Operand], Poly],
-        coproduct: Callable[[Operand], Tensor2],
-        counit: Callable[[Operand], Rational],
-        antipode: Callable[[Operand], Poly],
-        unit_elem: Poly | None = None,
-    ):
-        self.name = name
-        self.alphabet = alphabet
-        self.product = product
-        self.coproduct = coproduct
-        self.counit = counit
-        self.antipode = antipode
-        self.unit_elem = Poly.unit(alphabet) if unit_elem is None else unit_elem
+    name: str
+    alphabet: Alphabet
+    product: Callable[[Operand, Operand], Poly]
+    coproduct: Coproduct
+    counit: Callable[[Operand], Rational]
+    antipode: Callable[[Operand], Poly]
+    unit_elem: Poly
 
 
 def base_hopf(alphabet: Alphabet, lam: Rational = 1) -> HopfStructure:
     """The (deformed) stuffle bialgebra on z-decodable words with deconcatenation."""
     lam = Fraction(lam)
-    if alphabet is H2:
-        if lam != 1:
-            raise WordError("the x0/x1 stuffle is undeformed; lam must be 1")
-        prod = quasi_shuffle
-        name = "stuffle/deconcat on x0/x1"
-    elif alphabet is PY:
-        def prod(u, v, _l=lam):
-            return quasi_shuffle_lambda(u, v, _l)
-
-        name = f"stuffle(lam={lam})/deconcat on p/y"
-    else:
-        raise AlphabetMismatchError("no stuffle bialgebra on p/d/y words")
+    product = _stuffle(alphabet, lam)
+    name = "stuffle/deconcat on x0/x1" if alphabet is H2 else f"stuffle(lam={lam})/deconcat on p/y"
     return HopfStructure(
-        name=name,
-        alphabet=alphabet,
-        product=prod,
-        coproduct=deconcat,
-        counit=counit,
-        antipode=lambda x, _l=lam: antipode(x, _l),
+        name, alphabet, product, deconcat, counit, partial(antipode, lam=lam), Poly.unit(alphabet)
     )
 
 
 def transfer_hopf(
-    base: HopfStructure,
-    iso: Callable[[Poly], Poly],
-    iso_inv: Callable[[Poly], Poly],
-    name: str = "",
+    base: HopfStructure, iso: Linear, iso_inv: Linear, name: str = ""
 ) -> HopfStructure:
     """Pull the whole bundle back through a linear isomorphism.
 
-    product  -> iso_inv . m . (iso x iso)
+    product  -> iso_inv . m . (iso x iso)   (products.transferred_product)
     coproduct-> (iso_inv x iso_inv) . Delta . iso
     counit   -> eps . iso
     antipode -> iso_inv . S . iso
     The unit transfers to iso_inv(unit); each call checks iso_inv . iso = id
     on its operands.
     """
-
-    def check(x: Poly) -> Poly:
-        if iso_inv(iso(x)) != x:
-            raise IsoConsistencyError("iso_inv(iso(x)) != x on an operand")
-        return x
-
-    def product(u: Operand, v: Operand) -> Poly:
-        U, V = check(as_poly(u)), check(as_poly(v))
-        return iso_inv(base.product(iso(U), iso(V)))
+    checked = partial(_iso_checked, iso, iso_inv)
 
     def coproduct(x: Operand) -> Tensor2:
-        X = check(as_poly(x))
-        return base.coproduct(iso(X)).map_factors(iso_inv, iso_inv)
-
-    def counit_t(x: Operand) -> Rational:
-        return base.counit(iso(check(as_poly(x))))
-
-    def antipode_t(x: Operand) -> Poly:
-        return iso_inv(base.antipode(iso(check(as_poly(x)))))
+        return base.coproduct(iso(checked(x))).map_factors(iso_inv, iso_inv)
 
     return HopfStructure(
-        name=name or f"transfer of [{base.name}]",
-        alphabet=base.alphabet,
-        product=product,
-        coproduct=coproduct,
-        counit=counit_t,
-        antipode=antipode_t,
-        unit_elem=iso_inv(base.unit_elem),
+        name or f"transfer of [{base.name}]",
+        base.alphabet,
+        partial(transferred_product, base.product, iso, iso_inv),
+        coproduct,
+        lambda x: base.counit(iso(checked(x))),
+        lambda x: iso_inv(base.antipode(iso(checked(x)))),
+        iso_inv(base.unit_elem),
     )
 
 
@@ -290,27 +240,56 @@ def transfer_hopf(
 # ---------------------------------------------------------------------------
 
 def coproduct_square_op(x: Operand) -> Tensor2:
-    """Opposite of the reverse-swap transfer of deconcatenation, on p/y words
-    starting with p and ending in y.  Lands in (words starting with p or 1)
-    (x) (words in the same p...y span):  flip . (rs x rs) . deconcat . rs."""
+    """Opposite of the reverse-swap transfer of deconcatenation:
+    flip . (rs x rs) . deconcat . rs.  Its domain is spanned by the unit and
+    the p/y words that start with p (whose reverse-swaps end in y); on H0
+    words, which also end in y, it equals the infinitesimal coproduct."""
     X = as_poly(x)
     if X.alphabet is not PY:
         raise AlphabetMismatchError("coproduct_square_op lives on p/y words")
-    return deconcat(_rs(X)).map_factors(_rs, _rs).flip()
+    for w in X.terms:
+        if w.letters[:1] == ("y",):
+            msg = f"{w!r} does not start with p; not in the domain of coproduct_square_op"
+            raise NotInSubalgebraError(msg)
+    # reverse-swap is a bijection on words, so the terms map one to one
+    rs, terms = reverse_swap, deconcat(_rs(X)).terms
+    return Tensor2._make(PY, {(rs(b), rs(a)): c for (a, b), c in terms.items()})
 
 
-def _infinitesimal_letter(alphabet: Alphabet, a: str) -> Tensor2:
-    one = Word(alphabet)
-    la = Word(alphabet, (a,))
-    if a == "p":
-        return Tensor2(alphabet, {(la, one): 1, (one, la): 1})
-    if a == "y":
-        return Tensor2(alphabet, {(la, one): 1})
-    # a == "d": forced to 0 by pd = 1 and the splitting rule
-    return Tensor2(alphabet)
+_INF_MEMO: dict[tuple, Terms] = {}
 
 
-_INF_MEMO: dict[tuple, Tensor2] = {}
+def _d_terms(w: Word) -> Terms:
+    """D(w) as a term dict, memoized; callers only read it.
+
+    Split letter by letter, D(w) is the sum of m_j w[:j] (x) w[j:] over the
+    cuts 0 <= j <= len(w).  A letter's own D puts a cut after it (a (x) 1)
+    for a = p, y and before it (1 (x) a) for a = p, and each split subtracts
+    the cut between its halves once: m_j = [a_j != d] + [a_(j+1) = p] - 1,
+    with a p standing in for each end of the word.  Slices of a normal word
+    are normal.
+    """
+    alphabet, letters = w.alphabet, w.letters
+    key = (alphabet.tag, letters)
+    d = _INF_MEMO.get(key)
+    if d is None:
+        cuts = [(a != "d") + (b == "p") - 1 for a, b in zip(("p", *letters), (*letters, "p"))]
+        d = _INF_MEMO[key] = {
+            (_normal_word((alphabet, letters[:j])), _normal_word((alphabet, letters[j:]))): m
+            for j, m in enumerate(cuts)
+            if m
+        }
+    return d
+
+
+def _split_rule(u: Word, v: Word, du: Terms, dv: Terms) -> Terms:
+    """D(uv) = (u (x) 1) D(v) + D(u) (1 (x) v) - u (x) v, on term dicts; a
+    new dict."""
+    # u * a is injective in a (pd = dp = 1 keeps p/d/y cancellative)
+    out = {(u * a, b): c for (a, b), c in dv.items()}
+    add_pairs(out, (((a, b * v), c) for (a, b), c in du.items()))
+    add_into(out, (u, v), -1)
+    return out
 
 
 def infinitesimal_coproduct(x: Operand) -> Tensor2:
@@ -318,41 +297,17 @@ def infinitesimal_coproduct(x: Operand) -> Tensor2:
     and the splitting rule D(uv) = (u x 1) D(v) + D(u) (1 x v) - u x v.
 
     The rule gives the same answer for every choice of split point (see
-    infinitesimal_coproduct_at), so words are split after the first letter.
+    infinitesimal_coproduct_at), so each word's D is read off its letters in
+    one pass over its cuts (``_d_terms``), with no recursion.
     """
     X = as_poly(x)
     alphabet = X.alphabet
     if alphabet not in (PY, PDY):
         raise AlphabetMismatchError("infinitesimal_coproduct lives on p/y or p/d/y words")
-
-    def d_word(w: Word) -> Tensor2:
-        key = (alphabet.tag, w.letters)
-        hit = _INF_MEMO.get(key)
-        if hit is not None:
-            return hit
-        if w.is_unit:
-            out = Tensor2.of(Poly.unit(alphabet), Poly.unit(alphabet))
-        elif len(w) == 1:
-            out = _infinitesimal_letter(alphabet, w.letters[0])
-        else:
-            u = Word._make(alphabet, w.letters[:1])
-            v = Word._make(alphabet, w.letters[1:])
-            out = _split_rule(u, v, d_word)
-        _INF_MEMO[key] = out
-        return out
-
-    terms: dict[Pair, Rational] = {}
+    terms: Terms = {}
     for w, c in X.terms.items():
-        add_scaled(terms, d_word(w).terms, c)
+        add_scaled(terms, _d_terms(w), c)
     return Tensor2._make(alphabet, terms)
-
-
-def _split_rule(u: Word, v: Word, d: Callable[[Word], Tensor2]) -> Tensor2:
-    alphabet = u.alphabet
-    one = Poly.unit(alphabet)
-    left = Tensor2.of(Poly.of(u), one).concat_mul(d(v))
-    right = d(u).concat_mul(Tensor2.of(one, Poly.of(v)))
-    return left + right - Tensor2.of(Poly.of(u), Poly.of(v))
 
 
 def infinitesimal_coproduct_at(w: Word, i: int) -> Tensor2:
@@ -362,11 +317,8 @@ def infinitesimal_coproduct_at(w: Word, i: int) -> Tensor2:
         raise WordError(f"split position {i} out of range for {w!r}")
     u = Word._make(w.alphabet, w.letters[:i])
     v = Word._make(w.alphabet, w.letters[i:])
-
-    def d(x: Word) -> Tensor2:
-        return infinitesimal_coproduct(Poly.of(x))
-
-    return _split_rule(u, v, d)
+    d = [infinitesimal_coproduct(x).terms for x in (u, v)]
+    return Tensor2._make(w.alphabet, _split_rule(u, v, *d))
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +326,7 @@ def infinitesimal_coproduct_at(w: Word, i: int) -> Tensor2:
 # ---------------------------------------------------------------------------
 
 def coideal_check(
-    predicate: Callable[[Word], bool],
-    coproduct: Callable[[Operand], Tensor2],
-    side: str,
-    samples: Iterable[Word],
+    predicate: Callable[[Word], bool], coproduct: Coproduct, side: str, samples: Iterable[Word]
 ) -> bool:
     """Does every sample's coproduct keep the named factor inside the predicate?
 
@@ -388,10 +337,7 @@ def coideal_check(
 
 
 def coideal_witness(
-    predicate: Callable[[Word], bool],
-    coproduct: Callable[[Operand], Tensor2],
-    side: str,
-    samples: Iterable[Word],
+    predicate: Callable[[Word], bool], coproduct: Coproduct, side: str, samples: Iterable[Word]
 ) -> tuple[Word, Word] | None:
     """First (sample, offending factor) pair of ``coideal_check``, or None."""
     if side not in ("left", "right"):

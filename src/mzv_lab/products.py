@@ -397,6 +397,14 @@ class IsoConsistencyError(WordError):
     pass
 
 
+def _iso_checked(iso: Callable[[Poly], Poly], iso_inv: Callable[[Poly], Poly], x: Operand) -> Poly:
+    """x as a Poly, once iso_inv(iso(x)) == x holds on it."""
+    X = as_poly(x)
+    if iso_inv(iso(X)) != X:
+        raise IsoConsistencyError("iso_inv(iso(x)) != x on an operand")
+    return X
+
+
 def transferred_product(
     base: Callable[[Poly, Poly], Poly],
     iso: Callable[[Poly], Poly],
@@ -408,10 +416,7 @@ def transferred_product(
 
     Checks iso_inv(iso(x)) == x on both operands before trusting the transfer.
     """
-    U, V = as_poly(u), as_poly(v)
-    for x in (U, V):
-        if iso_inv(iso(x)) != x:
-            raise IsoConsistencyError("iso_inv(iso(x)) != x on an operand")
+    U, V = _iso_checked(iso, iso_inv, u), _iso_checked(iso, iso_inv, v)
     return iso_inv(base(iso(U), iso(V)))
 
 

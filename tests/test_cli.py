@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -516,6 +517,59 @@ def test_main_derivation_index_has_a_ceiling(capsys):
     assert maps.get_map("dn:16").name == "dn:16"  # the largest index is served
     assert main(["map", "--name", "dn:3", "--alphabet", "h", "x1"]) == 0
     assert capsys.readouterr().out == format_poly(maps.derivation(Word(H2, ("x1",)), 3)) + "\n"
+
+
+def test_main_letter_ceiling_is_one_line_usage_error(capsys):
+    assert cli.MAX_LETTERS == 1_000_000
+    err = "error: expression builds more than 1000000 letters\n"
+    for flag, text in (("h", "z{300000000}"), ("H", "(300000000)"), ("H", "p + (300000000)")):
+        assert main(["product", "--alphabet", flag, text]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == err
+    start = time.perf_counter()
+    assert main(["product", "--alphabet", "h", "z{1000000000000}"]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == err
+    # a part that z_encode refuses is still named first: nothing is built for it
+    assert main(["product", "--alphabet", "h", "(0,1000000000)"]) == 2
+    assert capsys.readouterr().err == "error: H2 z-block needs k >= 1, got 0\n"
+
+
+def test_letter_ceiling_counts_every_word_of_the_expression(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_LETTERS", 10)
+    # z{5} has 5 letters on x0/x1; (4) is p^4 y, 5 letters on p/y
+    for text, flag in (("z{5} + z{4}x0", "h"), ("(4) sh (4)", "H"), ("py sh z{3}yyyy", "H")):
+        parse_expr(text, flag)
+        with pytest.raises(words.WordError, match=r"^expression builds more than 10 letters$"):
+            parse_expr(text + " + x1" if flag == "h" else text + " + y", flag)
+    assert cli._parse_operand("(4,4)", "H", Fraction(1)) == zp(4, 4)
+    with pytest.raises(words.WordError, match=r"^expression builds more than 10 letters$"):
+        cli._parse_operand("(4,5)", "H", Fraction(1))
+
+
+def test_main_square_op_names_the_input_outside_its_domain(capsys):
+    assert main(["coproduct", "--kind", "square-op", "--alphabet", "H", "ypy"]) == 2
+    out = capsys.readouterr()
+    err = "error: Word(PY:ypy) does not start with p; not in the domain of coproduct_square_op\n"
+    assert out.out == "" and out.err == err
+    # the unit and the p/y words that start with p are served
+    served = {"pyp": "1 (x) pyp + py (x) p + pyp (x) 1", "p": "1 (x) p + p (x) 1", "1": "1 (x) 1"}
+    for text, want in served.items():
+        assert main(["coproduct", "--kind", "square-op", "--alphabet", "H", text]) == 0
+        assert capsys.readouterr().out == want + "\n"
+
+
+def test_main_infinitesimal_coproduct_of_600_parts_equals_square_op(capsys):
+    comp = "(" + ",".join(["1"] * 600) + ")"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        assert main(["coproduct", "--kind", "infinitesimal", "--alphabet", "H", comp]) == 0
+        infinitesimal = capsys.readouterr().out
+    finally:
+        sys.setrecursionlimit(limit)
+    assert main(["coproduct", "--kind", "square-op", "--alphabet", "H", comp]) == 0
+    assert infinitesimal == capsys.readouterr().out and infinitesimal.count(" (x) ") == 601
 
 
 def test_main_scalar_division_by_zero_is_one_line_usage_error(capsys):
