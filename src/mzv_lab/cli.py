@@ -1,6 +1,4 @@
-"""Command line interface: expression parsing, canonical formatting, the
-runner of the verification suites (registered in ``mzv_lab.suites``),
-golden-file export, and the argparse front end.
+"""Command line interface: expression parsing and the argparse front end.
 
 Grammar for expressions (whitespace separates tokens; letters inside a word
 are juxtaposed without separators):
@@ -30,15 +28,12 @@ Exit codes: 0 success, 1 verification failure or runtime error, 2 usage or
 syntax error.  A suite case that raises is recorded as a failure and the
 run goes on.
 
-JSON has one writer per value type: ``poly_json`` for a Poly and
-``tensor_json`` for a Tensor2 assemble, from strings, the text json.dumps
-writes for their dict form; ``value_json`` writes any computed value.
-
-Importing this module loads ``words``, ``products`` and ``maps``, which is all
+Values are written by ``words``' writers, imported here by name.  Importing
+this module loads ``words``, ``products`` and ``maps``, which is all
 ``product`` and ``map`` run.  The rest loads on first use, inside the code
-that needs it: ``hopf`` for ``coproduct`` and tensor output, ``qseries`` for
-``qeval`` and q-series output, and ``suites`` (which imports every module) for
-``verify``, ``export-vectors`` and the re-exported ``SUITES`` and ``Case``.
+that needs it: ``hopf`` for ``coproduct``, ``qseries`` for ``qeval``, and
+``suites`` (the registry, runner and export; it imports every module) for
+``verify``, ``export-vectors`` and the names in ``_FROM_SUITES``.
 """
 
 from __future__ import annotations
@@ -48,10 +43,8 @@ import functools
 import json
 import re
 import sys
-import time
 from fractions import Fraction
-from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from mzv_lab import maps, products
 from mzv_lab.words import (
@@ -63,41 +56,30 @@ from mzv_lab.words import (
     Rational,
     Word,
     WordError,
+    format_poly,
+    format_tensor,
     format_word,
-    signed_sum,
-    word_texts,
+    poly_json,
+    tensor_json,
     z_encode,
 )
-
-if TYPE_CHECKING:
-    from mzv_lab import hopf, suites
 
 Composition = tuple[int, ...]
 
 
+# re-exported from mzv_lab.suites, which loads on first access (PEP 562), not with this module
+_FROM_SUITES = (
+    "SUITES", "Case", "Failure", "SuiteReport", "run_suite", "export_vectors", "value_json",
+    "value_text",
+)
+
+
 def __getattr__(name: str):
-    # SUITES and Case are re-exported from mzv_lab.suites, which loads on first
-    # access (PEP 562), not with this module
-    if name in ("SUITES", "Case"):
+    if name in _FROM_SUITES:
         from mzv_lab import suites
 
         return getattr(suites, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# formatting
-# ---------------------------------------------------------------------------
-
-def format_poly(p: Poly) -> str:
-    texts, _, coeffs = p.sorted_texts()
-    return signed_sum(word_texts(texts, p.alphabet), coeffs)
-
-
-def format_tensor(t: hopf.Tensor2) -> str:
-    left, right, _, coeffs = t.sorted_texts()
-    bodies = map(" (x) ".join, zip(word_texts(left, t.alphabet), word_texts(right, t.alphabet)))
-    return signed_sum(bodies, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -432,183 +414,6 @@ _ALPHABET_FLAGS = {"h": H2, "H": PY, "pdy": PDY}
 
 
 # ---------------------------------------------------------------------------
-# JSON codecs
-# ---------------------------------------------------------------------------
-
-def _json_value(kind: str, alphabet: Alphabet, coeffs: list, **fields: Iterable[Word]) -> str:
-    # a term is {"coeff", **fields}, each field's letters joined by '", "' in '["' and '"]'
-    rows, close = map(str, coeffs), '"'  # close: the end of the field before
-    for name, words in fields.items():
-        letters = map('", "'.join, map(itemgetter(1), words))
-        rows, close = map(f'{close}, "{name}": ["'.join, zip(rows, letters)), '"]'
-    rows = '{"coeff": "' + '"]}, {"coeff": "'.join(rows) + '"]}' if coeffs else ""
-    text = f'{{"type": "{kind}", "alphabet": "{alphabet.tag}", "terms": [{rows}]}}'
-    return text.replace('[""]', "[]")  # the unit's letters
-
-
-def poly_json(p: Poly) -> str:
-    _, words, coeffs = p.sorted_texts()
-    return _json_value("poly", p.alphabet, coeffs, word=words)
-
-
-def tensor_json(t: hopf.Tensor2) -> str:
-    *_, pairs, coeffs = t.sorted_texts()
-    left, right = (map(itemgetter(i), pairs) for i in (0, 1))
-    return _json_value("tensor", t.alphabet, coeffs, left=left, right=right)
-
-
-def value_json(x: object) -> str:
-    if isinstance(x, Poly):
-        return poly_json(x)
-    from mzv_lab import hopf, qseries
-
-    if isinstance(x, hopf.Tensor2):
-        return tensor_json(x)
-    if isinstance(x, qseries.QPoly):
-        return json.dumps({"type": "qseries", **x.to_json()})
-    if isinstance(x, qseries.FloatResult):
-        return json.dumps({"type": "float", **x.to_json()})
-    return json.dumps(x if isinstance(x, bool) else str(x))
-
-
-def value_text(x: object) -> str:
-    if isinstance(x, Poly):
-        return format_poly(x)
-    from mzv_lab import hopf
-
-    if isinstance(x, hopf.Tensor2):
-        return format_tensor(x)
-    return str(x)
-
-
-# ---------------------------------------------------------------------------
-# suite runner
-# ---------------------------------------------------------------------------
-
-class Failure(NamedTuple):
-    case_id: str
-    inputs: dict
-    lhs: str
-    rhs: str
-
-
-class SuiteReport:
-    __slots__ = ("suite", "cases", "failures", "wall_time")
-
-    def __init__(
-        self, suite: str, cases: int, failures: list[Failure] | None = None, wall_time: float = 0.0
-    ):
-        self.suite = suite
-        self.cases = cases
-        self.failures = [] if failures is None else failures
-        self.wall_time = wall_time
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "cases": self.cases,
-            "failures": [
-                {"case": f.case_id, "inputs": f.inputs, "lhs": f.lhs, "rhs": f.rhs}
-                for f in self.failures
-            ],
-            "wall_time": self.wall_time,
-        }
-
-    def text(self) -> str:
-        status = "ok" if self.passed else "FAILED"
-        out = (
-            f"suite {self.suite}: {self.cases} cases, "
-            f"{len(self.failures)} failures, {self.wall_time:.2f}s [{status}]"
-        )
-        for f in self.failures:
-            out += f"\n  {f.case_id}: inputs={f.inputs}\n    lhs = {f.lhs}\n    rhs = {f.rhs}"
-        return out
-
-
-def _suite_cases(
-    name: str, max_weight: int | None, order: int | None, others: str = ""
-) -> list[suites.Case]:
-    """The cases of the suite registered as name.  A negative bound, then an
-    unknown name, is a usage error; the latter lists the registered suites,
-    then others: the text naming what else the caller accepts."""
-    _check_bounds(max_weight, order)
-    from mzv_lab.suites import SUITES
-
-    if name not in SUITES:
-        raise WordError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}{others}")
-    # max_weight 0 means "enumerate nothing" (header-only exports)
-    if max_weight == 0:
-        return []
-    return list(SUITES[name](max_weight, order))
-
-
-def _check_bounds(max_weight: int | None, order: int | None) -> None:
-    for flag, value in (("--max-weight", max_weight), ("--order", order)):
-        if value is not None and value < 0:
-            raise WordError(f"{flag} must be >= 0, got {value}")
-
-
-def run_suite(name: str, max_weight: int | None = None, order: int | None = None) -> SuiteReport:
-    """Run a named verification suite; bounds default to the values the
-    acceptance criteria prescribe.  "all" runs every suite."""
-    if name == "all":
-        from mzv_lab.suites import SUITES
-
-        start = time.perf_counter()
-        combined = SuiteReport("all", 0)
-        for sub in SUITES:
-            rep = run_suite(sub, max_weight, order)
-            combined.cases += rep.cases
-            for f in rep.failures:
-                combined.failures.append(
-                    Failure(f"{sub}/{f.case_id}", f.inputs, f.lhs, f.rhs)
-                )
-        combined.wall_time = time.perf_counter() - start
-        return combined
-    start = time.perf_counter()
-    cases = _suite_cases(name, max_weight, order, " or 'all'")
-    report = SuiteReport(name, len(cases))
-    for case in cases:
-        try:
-            lhs, rhs = case.run()
-            if lhs == rhs:
-                continue
-            lhs, rhs = value_text(lhs), value_text(rhs)
-        except Exception as exc:  # the case fails alone; the other cases still run
-            lhs, rhs = f"raised {type(exc).__name__}: {exc}", "not evaluated"
-        report.failures.append(Failure(case.case_id, case.inputs, lhs, rhs))
-    report.wall_time = time.perf_counter() - start
-    return report
-
-
-def export_vectors(
-    suite: str,
-    path: str,
-    max_weight: int | None = None,
-    order: int | None = None,
-) -> int:
-    """Write one JSON line per case (inputs plus both computed sides) after a
-    header line; returns the number of cases written."""
-    cases = _suite_cases(suite, max_weight, order)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            json.dumps(
-                {"suite": suite, "max_weight": max_weight, "order": order, "cases": len(cases)}
-            )
-            + "\n"
-        )
-        for case in cases:
-            lhs, rhs = case.run()
-            head = json.dumps({"case": case.case_id, "inputs": case.inputs})[:-1]
-            fh.write(f'{head}, "lhs": {value_json(lhs)}, "rhs": {value_json(rhs)}}}\n')
-    return len(cases)
-
-
-# ---------------------------------------------------------------------------
 # argparse front end
 # ---------------------------------------------------------------------------
 
@@ -764,14 +569,14 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(json.dumps({"type": "qseries", **out.to_json()}) if args.json else str(out))
         return 0
 
-    if args.command == "verify":
-        _check_bounds(args.max_weight, args.order)  # before any suite starts, "all" included
-        report = run_suite(args.suite, args.max_weight, args.order)
-        print(json.dumps(report.to_json()) if args.json else report.text())
-        return 0 if report.passed else 1
+    if args.command in ("verify", "export-vectors"):
+        from mzv_lab import suites
 
-    if args.command == "export-vectors":
-        n = export_vectors(args.suite, args.out, args.max_weight, args.order)
+        if args.command == "verify":
+            report = suites.run_suite(args.suite, args.max_weight, args.order)
+            print(json.dumps(report.to_json()) if args.json else report.text())
+            return 0 if report.passed else 1
+        n = suites.export_vectors(args.suite, args.out, args.max_weight, args.order)
         print(f"wrote {n} cases to {args.out}")
         return 0
 

@@ -15,7 +15,8 @@ chain at m_1 <= N is exact through q^N.  Both exact routes work on plain int
 lists (the expansions are integral).  The chain sum is one pass over the
 summation index with one running series per distinct suffix of the
 compositions evaluated together: O(suffixes N) ints and about N^2/2 updates
-per suffix and unit of |k|.  The Rota-Baxter route keeps a series in t and q
+per suffix and unit of |k| (binomial rows, about N^2 ln N / 2, once |k|
+passes the order).  The Rota-Baxter route keeps a series in t and q
 as (N+1)(N+2)/2 ints, with about N^2/2 additions per operator and unit of
 |k|.  ``QPoly`` keeps the ints until a rational enters; chain sums are cached.
 """
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Union
 
 from mzv_lab.words import (
@@ -190,9 +191,18 @@ def _check_order(order: int) -> None:
 
 def _times_geometric(t: list[int], m: int, k: int) -> None:
     """t <- t (1-q^m)^-k in place, truncated at len(t): k stride-m prefix
-    sums, or -k stride-m differences when k < 0."""
+    sums, or -k stride-m differences when k < 0; when |k| >= len(t), each
+    residue class times the binomial row C(k-1+j, j) of (1-x)^-k instead."""
     size = len(t)
-    if k < 0:
+    if size <= m:  # no q^m term survives the truncation
+        return
+    if abs(k) >= size:
+        rising = range(1, (size - 1) // m + 1)
+        row = list(accumulate(rising, lambda c, j: c * (k + j - 1) // j, initial=1))
+        for r in range(m):
+            col = t[r::m]
+            t[r::m] = [sum(map(mul, row, col[i::-1])) for i in range(len(col))]
+    elif k < 0:
         for _ in range(-k):
             t[m:] = map(sub, t[m:], t[:-m])
     elif k and m * m < size:  # narrow stride: one running sum per residue class

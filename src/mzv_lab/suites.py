@@ -1,4 +1,5 @@
-"""The named verification suites.
+"""The named verification suites: their registry, their runner and report,
+and golden-file export.
 
 ``SUITES`` maps each suite's name, in registry order, to a function
 ``(max_weight, order) -> Iterator[Case]``.  A suite registers once, through
@@ -10,6 +11,11 @@ whose lengths, depths and weights sum within bounds, one case per check).  A
 check is a function of the operands that returns the two sides of its
 identity, lhs and rhs.
 
+``run_suite`` runs a suite (or "all" of them) into a ``SuiteReport``, a case
+that raises counting as a failure; ``export_vectors`` writes each case's
+inputs and both computed sides as JSON lines, through ``value_json``.  Both
+check the bounds, then the name, before any suite starts.
+
 Suites reach the math layers through module attributes (``products.shuffle``,
 ``qseries.eval_word``, ...), never through names imported from them, so a
 wrapper installed on a module attribute before a run sees every call.
@@ -17,9 +23,13 @@ wrapper installed on a module attribute before a run sees every call.
 
 from __future__ import annotations
 
+import json
+import time
+from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
 from math import inf
+from operator import le
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from mzv_lab import hopf, maps, products, qseries
@@ -30,13 +40,18 @@ from mzv_lab.words import (
     Alphabet,
     Poly,
     Word,
+    WordError,
     add_into,
     add_scaled,
+    format_poly,
+    format_tensor,
     format_word,
     iter_words,
     iter_zcomps,
     membership,
+    poly_json,
     poly_membership,
+    tensor_json,
     weight_projection,
     z_decode,
     z_encode,
@@ -95,10 +110,17 @@ def pair_cases(
 ) -> Iterator[Case]:
     """Per pair u <= v (by position in words) whose lengths, depths and
     weights sum to at most these bounds, one case per check: id
-    "<tag>-<u>-<v>", inputs {"u", "v", **extra}."""
+    "<tag>-<u>-<v>", inputs {"u", "v", **extra}.  Where lengths or weights
+    never fall along words, the scan for u's partners ends at the last v
+    within that bound, found by bisection."""
     graded = [(w, format_word(w), len(w), w.depth, w.weight) for w in words]
+    ends = [len(graded)] * len(graded)
+    for col, bound in ((2, max_len), (4, max_weight)):
+        column = [g[col] for g in graded]
+        if bound < inf and all(map(le, column, column[1:])):
+            ends = [min(e, bisect_right(column, bound - g[col])) for e, g in zip(ends, graded)]
     for i, (u, tu, lu, du, wu) in enumerate(graded):
-        for v, tv, lv, dv, wv in graded[i:]:
+        for v, tv, lv, dv, wv in graded[i : ends[i]]:
             if lu + lv <= max_len and du + dv <= max_depth and wu + wv <= max_weight:
                 inputs = {"u": tu, "v": tv, **extra}
                 for tag, check in checks.items():
@@ -630,3 +652,121 @@ def _float(mw: int | None, order: int | None) -> Iterator[Case]:
         {"lhs": [2, 1, 1], "rhs": [4]},
         lambda: (within((2, 1, 1), (4,)), True),
     )
+
+
+# ---------------------------------------------------------------------------
+# running, reporting and export
+# ---------------------------------------------------------------------------
+
+class Failure(NamedTuple):
+    case_id: str
+    inputs: dict
+    lhs: str
+    rhs: str
+
+
+class SuiteReport(NamedTuple):
+    suite: str
+    cases: int
+    failures: list[Failure]
+    wall_time: float
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    def to_json(self) -> dict:
+        failures = [dict(zip(("case", "inputs", "lhs", "rhs"), f)) for f in self.failures]
+        return {**self._asdict(), "failures": failures}
+
+    def text(self) -> str:
+        status = "ok" if self.passed else "FAILED"
+        out = (
+            f"suite {self.suite}: {self.cases} cases, "
+            f"{len(self.failures)} failures, {self.wall_time:.2f}s [{status}]"
+        )
+        for f in self.failures:
+            out += f"\n  {f.case_id}: inputs={f.inputs}\n    lhs = {f.lhs}\n    rhs = {f.rhs}"
+        return out
+
+
+def value_json(x: object) -> str:
+    if isinstance(x, Poly):
+        return poly_json(x)
+    if isinstance(x, hopf.Tensor2):
+        return tensor_json(x)
+    if isinstance(x, qseries.QPoly):
+        return json.dumps({"type": "qseries", **x.to_json()})
+    if isinstance(x, qseries.FloatResult):
+        return json.dumps({"type": "float", **x.to_json()})
+    return json.dumps(x if isinstance(x, bool) else str(x))
+
+
+def value_text(x: object) -> str:
+    if isinstance(x, Poly):
+        return format_poly(x)
+    if isinstance(x, hopf.Tensor2):
+        return format_tensor(x)
+    return str(x)
+
+
+def _suite_cases(
+    name: str, max_weight: int | None, order: int | None, others: str = ""
+) -> list[Case]:
+    """The cases of the suite registered as name.  A negative bound, then an
+    unknown name, is a usage error; the latter lists the registered suites,
+    then others: the text naming what else the caller accepts."""
+    for flag, value in (("--max-weight", max_weight), ("--order", order)):
+        if value is not None and value < 0:
+            raise WordError(f"{flag} must be >= 0, got {value}")
+    if name not in SUITES:
+        raise WordError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}{others}")
+    # max_weight 0 means "enumerate nothing" (header-only exports)
+    if max_weight == 0:
+        return []
+    return list(SUITES[name](max_weight, order))
+
+
+def _failure(case: Case) -> Failure | None:
+    try:
+        lhs, rhs = case.run()
+        if lhs == rhs:
+            return None
+        lhs, rhs = value_text(lhs), value_text(rhs)
+    except Exception as exc:  # the case fails alone; the other cases still run
+        lhs, rhs = f"raised {type(exc).__name__}: {exc}", "not evaluated"
+    return Failure(case.case_id, case.inputs, lhs, rhs)
+
+
+def run_suite(name: str, max_weight: int | None = None, order: int | None = None) -> SuiteReport:
+    """Run a named verification suite; bounds default to the values the
+    acceptance criteria prescribe.  "all" runs every suite, in registry order,
+    and names each failure "<suite>/<case>"."""
+    start = time.perf_counter()
+    if name == "all":
+        reports = [run_suite(sub, max_weight, order) for sub in SUITES]
+        cases = sum(r.cases for r in reports)
+        failures = [
+            f._replace(case_id=f"{r.suite}/{f.case_id}") for r in reports for f in r.failures
+        ]
+    else:
+        run = _suite_cases(name, max_weight, order, " or 'all'")
+        cases = len(run)
+        failures = [f for f in map(_failure, run) if f]
+    return SuiteReport(name, cases, failures, time.perf_counter() - start)
+
+
+def export_vectors(
+    suite: str, path: str, max_weight: int | None = None, order: int | None = None
+) -> int:
+    """Write one JSON line per case (inputs plus both computed sides) after a
+    header line; returns the number of cases written."""
+    cases = _suite_cases(suite, max_weight, order)
+    header = {"suite": suite, "max_weight": max_weight, "order": order, "cases": len(cases)}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(header) + "\n")
+        for case in cases:
+            lhs, rhs = case.run()
+            head = json.dumps({"case": case.case_id, "inputs": case.inputs})[:-1]
+            fh.write(f'{head}, "lhs": {value_json(lhs)}, "rhs": {value_json(rhs)}}}\n')
+    return len(cases)

@@ -31,6 +31,9 @@ coefficients are never stored; an ``int`` turns into a ``Fraction`` only when
 a rational coefficient enters).  It and the other carrier of exact linear
 combinations, ``hopf.Tensor2``, share the arithmetic and the formatter of
 ``LinComb``.
+
+Every Poly and Tensor2 is written here, as text or as the JSON json.dumps
+writes for its dict form, assembled from strings (``poly_json``, ...).
 """
 
 from __future__ import annotations
@@ -39,7 +42,10 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, product
 from operator import ge, gt, itemgetter, le, lt, methodcaller
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Union
+
+if TYPE_CHECKING:
+    from mzv_lab.hopf import Tensor2
 
 Rational = Union[int, Fraction]
 _set = object.__setattr__
@@ -540,6 +546,41 @@ def format_word(w: Word) -> str:
     """Canonical text: z-block form for z-decodable x0/x1 words, letter
     juxtaposition otherwise, and "1" for the unit."""
     return word_texts(["".join(w[1])], w[0])[0]
+
+
+# -- writers of Poly and Tensor2 ----------------------------------------------
+
+def format_poly(p: Poly) -> str:
+    texts, _, coeffs = p.sorted_texts()
+    return signed_sum(word_texts(texts, p.alphabet), coeffs)
+
+
+def format_tensor(t: Tensor2) -> str:
+    left, right, _, coeffs = t.sorted_texts()
+    bodies = map(" (x) ".join, zip(word_texts(left, t.alphabet), word_texts(right, t.alphabet)))
+    return signed_sum(bodies, coeffs)
+
+
+def _json_value(kind: str, alphabet: Alphabet, coeffs: list, **fields: Iterable[Word]) -> str:
+    # a term is {"coeff", **fields}, each field's letters joined by '", "' in '["' and '"]'
+    rows, close = map(str, coeffs), '"'  # close: the end of the field before
+    for name, words in fields.items():
+        letters = map('", "'.join, map(itemgetter(1), words))
+        rows, close = map(f'{close}, "{name}": ["'.join, zip(rows, letters)), '"]'
+    rows = '{"coeff": "' + '"]}, {"coeff": "'.join(rows) + '"]}' if coeffs else ""
+    text = f'{{"type": "{kind}", "alphabet": "{alphabet.tag}", "terms": [{rows}]}}'
+    return text.replace('[""]', "[]")  # the unit's letters
+
+
+def poly_json(p: Poly) -> str:
+    _, words, coeffs = p.sorted_texts()
+    return _json_value("poly", p.alphabet, coeffs, word=words)
+
+
+def tensor_json(t: Tensor2) -> str:
+    *_, pairs, coeffs = t.sorted_texts()
+    left, right = (map(itemgetter(i), pairs) for i in (0, 1))
+    return _json_value("tensor", t.alphabet, coeffs, left=left, right=right)
 
 
 # -- letter-level morphisms --------------------------------------------------

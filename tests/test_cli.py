@@ -581,9 +581,18 @@ def test_main_scalar_division_by_zero_is_one_line_usage_error(capsys):
     assert capsys.readouterr().err == "error: division by zero at position 7\n"
 
 
-@pytest.mark.parametrize("suite, flag", [("rota-baxter", "--order"), ("zhao-duality", "--max-weight")])
+@pytest.mark.parametrize(
+    "suite, flag",
+    [
+        ("rota-baxter", "--order"),
+        ("zhao-duality", "--max-weight"),
+        ("all", "--order"),
+        ("all", "--max-weight"),
+    ],
+)
 def test_main_verify_rejects_a_negative_bound_before_any_case(capsys, monkeypatch, suite, flag):
-    monkeypatch.setattr(cli, "run_suite", lambda *args: pytest.fail("a suite ran"))
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, lambda *args: pytest.fail("a suite ran"))
     assert main(["verify", "--suite", suite, flag, "-1"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == f"error: {flag} must be >= 0, got -1\n"
@@ -934,6 +943,24 @@ def test_run_suite_rejects_a_negative_bound_for_every_suite(capsys, tmp_path):
     # the bounds are checked before the name
     assert main(["verify", "--suite", "nope", "--max-weight", "-1"]) == 2
     assert capsys.readouterr().err == "error: --max-weight must be >= 0, got -1\n"
+
+
+def test_cli_reexports_the_suite_runner():
+    from mzv_lab import suites
+
+    assert cli.run_suite is suites.run_suite
+    assert cli.export_vectors is suites.export_vectors
+    assert cli.value_json is suites.value_json
+    keys = list(run_suite("qseries-spot-values").to_json())
+    assert keys == ["suite", "cases", "failures", "wall_time"]
+
+
+def test_pair_enumeration_at_max_weight_9_is_quick():
+    from mzv_lab import suites
+
+    start = time.perf_counter()
+    cases = suites._suite_cases("ooz-explicit-vs-recursive", 9, None)
+    assert time.perf_counter() - start < 10 and len(cases) == 85120
 
 
 def test_unknown_suite_raises():

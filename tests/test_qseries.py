@@ -193,6 +193,36 @@ def test_rota_baxter_agrees_with_chain_evaluator_at_order_1000(comp):
     assert rota_baxter_eval_OOZ(comp, 1000) == zeta_OOZ(comp, 1000)
 
 
+# -- parts past the order: the binomial rows of the chain sum --------------------
+
+@pytest.mark.parametrize(
+    "comp, order, head",
+    [
+        # q (1-q)^-k + q^2 + q^3 through q^3, k = 200000
+        ("(200000)", "3", "q + 200001q^2 + 20000100001q^3\n"),
+        ("(1,-200000)", "300", "q^2 - 199998q^3 + 19999700004q^4 - 1333293334099996q^5 + "),
+    ],
+    ids=["200000-order-3", "1,-200000-order-300"],
+)
+def test_qeval_of_a_huge_part_answers_within_10_s(comp, order, head):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["-m", "mzv_lab.cli", "qeval", "--model", "OOZ", "--comp", comp, "--order", order]
+    out = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=10)
+    assert out.returncode == 0 and out.stderr == "" and out.stdout.startswith(head)
+
+
+def test_a_huge_negative_part_matches_the_rota_baxter_route():
+    assert zeta_OOZ((1, -200000), 6) == rota_baxter_eval_OOZ((1, -200000), 6)
+
+
+@given(st.integers(1, 30), st.integers(-30, 30), st.integers(0, 25))
+@settings(max_examples=30, deadline=None)
+def test_both_routes_agree_when_parts_pass_the_order(k1, k2, n):
+    qseries.clear_caches()
+    assert zeta_OOZ((k1, k2), n) == rota_baxter_eval_OOZ((k1, k2), n)
+
+
 @pytest.mark.parametrize("n", [0, 1])
 @pytest.mark.parametrize("comp", [(), (1,), (2, -1), (1, 0, -2, 1)])
 def test_both_routes_at_orders_0_and_1(comp, n):
