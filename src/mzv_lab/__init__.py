@@ -10,13 +10,15 @@ classical evaluator with a proven error bound, used as an oracle.
 
 Modules
 -------
-words     alphabets, normalized words, weight and depth, the Poly carrier, codecs
-products  every bilinear product (shuffle, quasi-shuffle, lambda-variants, ...)
+words     alphabets, normalized words, weight and depth, the Poly carrier, codecs,
+          text and JSON writers
+products  every bilinear product (shuffle, quasi-shuffle, lambda-variants, ...),
+          and the one driver that also sums coarsenings for maps and hopf
 hopf      deconcatenation coalgebra, antipode, transferred Hopf structure
 maps      duality involutions, derivations, U/V/S transfer maps
 qseries   truncated q-series arithmetic and the four q-MZV evaluators
-suites    the named verification suites and their default bounds
-cli       expression parser, suite runner and export, command line interface
+suites    the named verification suites, their default bounds, runner and export
+cli       expression parser and command line interface
 """
 
 from mzv_lab.words import Alphabet, Word, Poly, H2, PY, PDY

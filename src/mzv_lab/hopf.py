@@ -19,7 +19,11 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from mzv_lab.products import (
+    _coarsenings,
+    _comps_to_poly,
     _iso_checked,
+    _lam,
+    _linear,
     _rs,
     quasi_shuffle,
     quasi_shuffle_lambda,
@@ -149,36 +153,25 @@ def _stuffle(alphabet: Alphabet, lam: Fraction) -> Callable[[Operand, Operand], 
     raise AlphabetMismatchError("no stuffle bialgebra on p/d/y words")
 
 
-_ANTIPODE_MEMO: dict[tuple, Poly] = {}
-
-
 def antipode(x: Operand, lam: Rational = 1) -> Poly:
     """Antipode of the (deformed) stuffle bialgebra with deconcatenation.
 
-    S(1) = 1 and S(w) = -w - sum over proper cuts w = uv of S(u) * v.
-    Works on p/y words ending in y for any lam, and on x0/x1 words ending
-    in x1 for lam = 1 (the plain stuffle).
+    S(1) = 1 and S(w) = -w - sum over proper cuts w = uv of S(u) * v, whose
+    closed form is S(z_k1 ... z_kn) = (-1)^n times the sum of
+    lam^(n - len J) z_J over the coarsenings J of (kn, ..., k1) (Hoffman,
+    "Quasi-shuffle products", 2000, Thm 3.2).  Works on p/y words ending in y
+    for any lam, and on x0/x1 words ending in x1 for lam = 1 (the plain
+    stuffle).
     """
-    lam = Fraction(lam)
     X = as_poly(x)
-    alphabet = X.alphabet
-    mul = _stuffle(alphabet, lam)
+    _stuffle(X.alphabet, Fraction(lam))  # raises outside the stuffle bialgebras
+    lam = _lam(lam)
 
-    def s_word(w: Word) -> Poly:
-        key = (alphabet.tag, lam, w.letters)
-        hit = _ANTIPODE_MEMO.get(key)
-        if hit is not None:
-            return hit
-        terms: dict[Word, Rational] = {w: -1} if w.letters else {w: 1}
-        for j in _z_cuts(w)[1:-1]:  # the proper cuts
-            u = Word._make(alphabet, w.letters[:j])
-            v = Word._make(alphabet, w.letters[j:])
-            add_scaled(terms, mul(s_word(u), Poly.of(v)).terms, -1)
-        out = Poly._make(alphabet, terms)
-        _ANTIPODE_MEMO[key] = out
-        return out
+    def s_comp(c: tuple[int, ...]) -> dict[tuple[int, ...], Rational]:
+        out = _coarsenings(c[::-1], lam)
+        return {k: -v for k, v in out.items()} if len(c) % 2 else out
 
-    return X.map_words(s_word)
+    return _linear(X, z_decode, s_comp, _comps_to_poly)
 
 
 # ---------------------------------------------------------------------------
@@ -353,5 +346,4 @@ def coideal_witness(
 
 
 def clear_caches() -> None:
-    _ANTIPODE_MEMO.clear()
     _INF_MEMO.clear()

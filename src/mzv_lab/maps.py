@@ -1,17 +1,22 @@
 """Linear and multiplicative maps: dualities, derivations, binomial
 transforms, and the circle-action exponential-style bijection.
 
-All maps act on Word or Poly and return Poly; word-level recursions are
-memoized where they are not already cheap.
+All maps act on Word or Poly and return Poly.  The reverse-swap involutions
+map words one to one; every other map runs through ``products._linear``: each
+term is decoded once into its key (letters or z-parts), the images of its
+tuple kernel are summed in one tuple dict, and the words are built once.
+Ihara's S and its inverse are coarsening sums from the product driver (and its
+memo); no map keeps a table of its own.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product as iterprod
-from math import comb
+from math import comb, prod
 from typing import Callable, NamedTuple, Union
 
-from mzv_lab.products import _comps_to_poly, _rs, ihara_circ
+from mzv_lab.products import _coarsenings, _comps_to_poly, _letters, _letters_to_poly, _linear, _rs
 from mzv_lab.words import (
     H2,
     PY,
@@ -19,10 +24,9 @@ from mzv_lab.words import (
     AlphabetMismatchError,
     NotInSubalgebraError,
     Poly,
-    Rational,
     Word,
     WordError,
-    add_into,
+    add_pairs,
     as_poly,
     z_decode,
 )
@@ -54,15 +58,6 @@ def tau_tilde(x: Operand) -> Poly:
 # derivations
 # ---------------------------------------------------------------------------
 
-def _derivation_letter(n: int) -> dict[str, Poly]:
-    binom = Poly(H2, {Word(H2, ("x0",)): 1, Word(H2, ("x1",)): 1})
-    middle = Poly.unit(H2)
-    for _ in range(n - 1):
-        middle = middle * binom
-    image = Poly.of(Word(H2, ("x0",))) * middle * Poly.of(Word(H2, ("x1",)))
-    return {"x0": image, "x1": -image}
-
-
 def derivation(x: Operand, n: int) -> Poly:
     """The n-th derivation on x0/x1 words: on letters,
     x0 -> x0 (x0+x1)^(n-1) x1 and x1 -> minus that, extended by Leibniz."""
@@ -71,17 +66,17 @@ def derivation(x: Operand, n: int) -> Poly:
     X = as_poly(x)
     if X.alphabet is not H2:
         raise AlphabetMismatchError("derivation acts on x0/x1 words")
-    letter_image = _derivation_letter(n)
+    # the words of x0 (x0+x1)^(n-1) x1, each with coefficient 1
+    images = [("x0", *m, "x1") for m in iterprod(H2.letters, repeat=n - 1)]
 
-    def d_word(w: Word) -> Poly:
-        terms: dict[Word, Rational] = {}
-        for i, a in enumerate(w.letters):
-            prefix, suffix = w.letters[:i], w.letters[i + 1:]
-            for x, c in letter_image[a].terms.items():
-                add_into(terms, Word._make(H2, prefix + x.letters + suffix), c)
-        return Poly._make(H2, terms)
+    def d_word(letters: tuple[str, ...]) -> dict[tuple[str, ...], int]:
+        out: dict[tuple[str, ...], int] = {}
+        for i, a in enumerate(letters):
+            prefix, suffix, sign = letters[:i], letters[i + 1:], 1 if a == "x0" else -1
+            add_pairs(out, ((prefix + m + suffix, sign) for m in images))
+        return out
 
-    return X.map_words(d_word)
+    return _linear(X, _letters, d_word, _letters_to_poly)
 
 
 # ---------------------------------------------------------------------------
@@ -97,38 +92,27 @@ def _binom_transform(
     """sum over r with first_lo <= r1 <= k1, rest_lo <= rj <= kj of
     C(k1-first_lo, r1-first_lo) prod C(kj-rest_lo, rj-rest_lo) z_r,
     with the sign (-1)^(sum k - sum r) when signed."""
-    if not comp:
-        return {(): 1}
-    if comp[0] < first_lo or any(k < rest_lo for k in comp[1:]):
+    lows = (first_lo,) + (rest_lo,) * (len(comp) - 1)
+    if any(k < lo for k, lo in zip(comp, lows)):
         raise NotInSubalgebraError(
             f"composition {comp} outside the transform domain "
             f"(first part >= {first_lo}, later parts >= {rest_lo})"
         )
-    ranges = [range(first_lo, comp[0] + 1)]
-    ranges.extend(range(rest_lo, k + 1) for k in comp[1:])
-    total = sum(comp)
-    out: dict[tuple[int, ...], int] = {}
-    for r in iterprod(*ranges):
-        coeff = comb(comp[0] - first_lo, r[0] - first_lo)
-        for k, rj in zip(comp[1:], r[1:]):
-            coeff *= comb(k - rest_lo, rj - rest_lo)
-        if signed and (total - sum(r)) % 2:
-            coeff = -coeff
-        add_into(out, r, coeff)
+    total, out = sum(comp), {}
+    for r in iterprod(*(range(lo, k + 1) for k, lo in zip(comp, lows))):  # distinct r
+        coeff = prod(comb(k - lo, rj - lo) for k, lo, rj in zip(comp, lows, r))
+        out[r] = -coeff if signed and (total - sum(r)) % 2 else coeff
     return out
 
 
 def _binom_map(alphabet: Alphabet, first_lo: int, rest_lo: int, signed: bool):
+    kernel = partial(_binom_transform, first_lo=first_lo, rest_lo=rest_lo, signed=signed)
+
     def apply(x: Operand) -> Poly:
         X = as_poly(x)
         if X.alphabet is not alphabet:
             raise AlphabetMismatchError(f"map acts on {alphabet} words")
-
-        def on_word(w: Word) -> Poly:
-            images = _binom_transform(z_decode(w), first_lo, rest_lo, signed)
-            return _comps_to_poly(images, alphabet)
-
-        return X.map_words(on_word)
+        return _linear(X, z_decode, kernel, _comps_to_poly)
 
     return apply
 
@@ -156,41 +140,24 @@ def dual_family_2(x: Operand) -> Poly:
 # circle-action bijection
 # ---------------------------------------------------------------------------
 
-_IHARA_MEMO: dict[tuple, Poly] = {}
-
-
-def _ihara_word(w: Word, inverse: bool) -> Poly:
-    key = (w.letters, inverse)
-    hit = _IHARA_MEMO.get(key)
-    if hit is not None:
-        return hit
-    z_decode(w)  # raises unless w ends in y
-    if not w.letters:
-        out = Poly.unit(PY)
-    else:
-        cut = w.letters.index("y") + 1
-        head = Poly.of(Word._make(PY, w.letters[:cut]))
-        tail = _ihara_word(Word._make(PY, w.letters[cut:]), inverse)
-        circ = ihara_circ(head, tail)
-        out = head * tail + (-circ if inverse else circ)
-    _IHARA_MEMO[key] = out
-    return out
+def _ihara(x: Operand, name: str, merge: int) -> Poly:
+    # the sum of merge^(len k - len J) z_J over the coarsenings J of each z-word z_k
+    X = as_poly(x)
+    if X.alphabet is not PY:
+        raise AlphabetMismatchError(f"{name} acts on p/y words")
+    return _linear(X, z_decode, partial(_coarsenings, lam=merge), _comps_to_poly)
 
 
 def ihara_S(x: Operand) -> Poly:
-    """S(z_k w) = z_k S(w) + z_k o S(w) on p/y words ending in y."""
-    X = as_poly(x)
-    if X.alphabet is not PY:
-        raise AlphabetMismatchError("ihara_S acts on p/y words")
-    return X.map_words(lambda w: _ihara_word(w, inverse=False))
+    """S(z_k w) = z_k S(w) + z_k o S(w) on p/y words ending in y: the sum of
+    z_J over the coarsenings J of the z-parts."""
+    return _ihara(x, "ihara_S", 1)
 
 
 def ihara_S_inv(x: Operand) -> Poly:
-    """Inverse bijection: S^-1(z_k w) = z_k S^-1(w) - z_k o S^-1(w)."""
-    X = as_poly(x)
-    if X.alphabet is not PY:
-        raise AlphabetMismatchError("ihara_S_inv acts on p/y words")
-    return X.map_words(lambda w: _ihara_word(w, inverse=True))
+    """Inverse bijection: S^-1(z_k w) = z_k S^-1(w) - z_k o S^-1(w), the
+    coarsening sum with sign (-1)^(len k - len J)."""
+    return _ihara(x, "ihara_S_inv", -1)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +185,8 @@ _REGISTRY: dict[str, LinearMap] = {
 
 
 # the largest derivation index get_map serves: dn:<n> builds the 2^(n-1) words
-# of (x0+x1)^(n-1), which at n = 16 take about 0.7 s and 46 MB
+# of (x0+x1)^(n-1); dn:16 of one letter takes 0.26 s and 45 MB in one process
+# (2 cores, Python 3.11)
 MAX_DERIVATION = 16
 
 
@@ -240,6 +208,3 @@ def get_map(name: str) -> LinearMap:
         known = ", ".join(sorted(_REGISTRY) + ["dn:<n>"])
         raise WordError(f"unknown map {name!r}; known: {known}") from None
 
-
-def clear_caches() -> None:
-    _IHARA_MEMO.clear()

@@ -14,6 +14,14 @@ by ``Word._make``, since prefixing commutes with pd = dp = 1 and the rules
 branch only on (normal) input letters.  The ``*_ordered`` functions take one
 word pair as given and are what the commutativity tests exercise.
 
+A linear map that is not a bijection of words runs through ``_linear``, the
+one-operand twin of ``_pair_sum``: each term is decoded once, the images of
+its tuple kernel are summed in one tuple dict, and the words are built once.
+One more rule, ``_coarsen``, makes the driver sum the coarsenings of a
+composition (its merges of adjacent parts), each weighted lam per merge:
+Ihara's S and S^-1 (``maps``) and the stuffle antipode (``hopf``) are such
+sums, cached in ``_MEMO`` with the products.
+
 Conventions:
 
 * ``shuffle`` / ``quasi_shuffle`` / ``shuffle_star`` / ``shuffle_star_alt``
@@ -113,6 +121,15 @@ def _pair_sum(
     return encode(out, alphabet)
 
 
+def _linear(X: Poly, decode: Callable, kernel: Callable, encode: Callable) -> Poly:
+    # the linear map sum of c * kernel(key w) over the terms c w of X: each word decoded
+    # once, the images summed in one tuple dict, and the words of that sum built once
+    out: CompDict = {}
+    for w, c in X.terms.items():
+        add_scaled(out, kernel(decode(w)), c)
+    return encode(out, X.alphabet)
+
+
 # ---------------------------------------------------------------------------
 # the driver, its memo, and the rules (u and v nonempty)
 # ---------------------------------------------------------------------------
@@ -183,6 +200,19 @@ def _shuffle_lam(u: Comp, v: Comp, lam: Rational):
         yield ("d",), 1, u, vt
         yield (), -1, ut, vt
         yield (), -lam, ut, v
+
+
+def _coarsen(u: Comp, v: Comp, lam: Rational):
+    # u is the open part: close it before the coarsenings of v, or merge v's first
+    # part into it at weight lam
+    yield u, 1, v[:1], v[1:]
+    if lam:
+        yield (), lam, (u[0] + v[0],), v[1:]
+
+
+def _coarsenings(c: Comp, lam: Rational) -> CompDict:
+    # the sum of lam^(len c - len J) J over the coarsenings J of c; callers only read it
+    return _product(_coarsen, c[:1], c[1:], lam)
 
 
 def _ooz_explicit(u: Comp, v: Comp, lam: Rational):
@@ -305,11 +335,10 @@ def _t_comp(comp: Comp) -> CompDict:
 
 def t_op(x: Operand) -> Poly:
     """T(z_m w) = z_m w - z_{m-1} w on p/y words whose first z-part is >= 1."""
-
-    def fn(w: Word) -> Poly:
-        return _comps_to_poly(_t_comp(z_decode(w)), PY)
-
-    return as_poly(x).map_words(fn)
+    X = as_poly(x)
+    if X.alphabet is not PY:
+        raise AlphabetMismatchError("t_op acts on p/y words")
+    return _linear(X, z_decode, _t_comp, _comps_to_poly)
 
 
 def _ooz_comps(c1: Comp, c2: Comp) -> CompDict:

@@ -301,7 +301,17 @@ def eval_word(model: str, x: Union[Word, Poly], order: int) -> QPoly:
 
 def _rb_times_power(rows: list[list[int]], k: int) -> None:
     """h <- h (1-t)^-k in place: k running sums down the rows, or -k
-    differences (last row first) when k < 0."""
+    differences (last row first) when k < 0; when |k| >= len(rows), row i
+    becomes the sum of C(k-1+j, j) row(i-j) over j instead, last row first."""
+    if abs(k) >= len(rows):
+        binom = [1]
+        for j in range(1, len(rows)):
+            binom.append(binom[-1] * (k - 1 + j) // j)
+        for i in range(len(rows) - 1, 0, -1):
+            row = rows[i]
+            for j in range(1, i + 1):
+                row[:] = map(add, row, map(binom[j].__mul__, rows[i - j]))
+        return
     op, sweep = (add, range(1, len(rows))) if k > 0 else (sub, range(len(rows) - 1, 0, -1))
     for _ in range(abs(k)):
         for i in sweep:

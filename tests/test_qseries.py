@@ -31,6 +31,7 @@ from mzv_lab.qseries import (
     zeta_SZ_star,
     zeta_classical_float,
 )
+from mzv_lab.suites import h0_words
 from mzv_lab.words import (
     H2,
     PY,
@@ -214,6 +215,30 @@ def test_qeval_of_a_huge_part_answers_within_10_s(comp, order, head):
 
 def test_a_huge_negative_part_matches_the_rota_baxter_route():
     assert zeta_OOZ((1, -200000), 6) == rota_baxter_eval_OOZ((1, -200000), 6)
+
+
+def test_rota_baxter_route_of_a_huge_part_answers_within_10_s():
+    # the binomial row along t: one pass per part, not |k| sweeps
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["-m", "mzv_lab.cli", "qeval", "--model", "OOZ", "--comp", "(1,-200000)", "--order", "300"]
+    outs = [
+        subprocess.run([sys.executable, *argv, *route], env=env, capture_output=True, text=True, timeout=10)
+        for route in (["--evaluator", "rota-baxter"], [])
+    ]
+    assert [(o.returncode, o.stderr) for o in outs] == [(0, ""), (0, "")]
+    assert outs[0].stdout == outs[1].stdout
+    assert outs[0].stdout.startswith("q^2 - 199998q^3 + 19999700004q^4 - ")
+
+
+def test_ihara_s_turns_sz_values_into_szstar_values():
+    # a >= chain is a > chain with runs of equal indices merged: SZstar = SZ . S,
+    # and SZ = SZstar . S^-1, on the 252 H0 words up to weight 5
+    words = h0_words(PY, 5, 5)
+    assert len(words) == 252
+    for w in words:
+        assert eval_word("SZstar", w, 30) == eval_word("SZ", maps.ihara_S(w), 30)
+        assert eval_word("SZ", w, 30) == eval_word("SZstar", maps.ihara_S_inv(w), 30)
 
 
 @given(st.integers(1, 30), st.integers(-30, 30), st.integers(0, 25))
