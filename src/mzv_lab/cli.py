@@ -22,7 +22,7 @@ The words of one expression build at most ``MAX_LETTERS`` letters in all,
 counted before each word is built (a z-block or composition part counts the
 letters it encodes to); past that the input is a usage error.
 ``map --name dn:<n>`` takes 1 <= n <= ``maps.MAX_DERIVATION``; another index is
-a usage error.
+a usage error, and so is a word of more z-parts than that for ``S`` or ``Sinv``.
 
 Exit codes: 0 success, 1 verification failure or runtime error, 2 usage or
 syntax error.  A suite case that raises is recorded as a failure and the

@@ -249,11 +249,8 @@ def coproduct_square_op(x: Operand) -> Tensor2:
     return Tensor2._make(PY, {(rs(b), rs(a)): c for (a, b), c in terms.items()})
 
 
-_INF_MEMO: dict[tuple, Terms] = {}
-
-
 def _d_terms(w: Word) -> Terms:
-    """D(w) as a term dict, memoized; callers only read it.
+    """D(w) as a term dict.
 
     Split letter by letter, D(w) is the sum of m_j w[:j] (x) w[j:] over the
     cuts 0 <= j <= len(w).  A letter's own D puts a cut after it (a (x) 1)
@@ -263,16 +260,12 @@ def _d_terms(w: Word) -> Terms:
     are normal.
     """
     alphabet, letters = w.alphabet, w.letters
-    key = (alphabet.tag, letters)
-    d = _INF_MEMO.get(key)
-    if d is None:
-        cuts = [(a != "d") + (b == "p") - 1 for a, b in zip(("p", *letters), (*letters, "p"))]
-        d = _INF_MEMO[key] = {
-            (_normal_word((alphabet, letters[:j])), _normal_word((alphabet, letters[j:]))): m
-            for j, m in enumerate(cuts)
-            if m
-        }
-    return d
+    cuts = [(a != "d") + (b == "p") - 1 for a, b in zip(("p", *letters), (*letters, "p"))]
+    return {
+        (_normal_word((alphabet, letters[:j])), _normal_word((alphabet, letters[j:]))): m
+        for j, m in enumerate(cuts)
+        if m
+    }
 
 
 def _split_rule(u: Word, v: Word, du: Terms, dv: Terms) -> Terms:
@@ -343,7 +336,3 @@ def coideal_witness(
             if c and not predicate(pick(a, b)):
                 return (w, pick(a, b))
     return None
-
-
-def clear_caches() -> None:
-    _INF_MEMO.clear()

@@ -145,6 +145,9 @@ def _ihara(x: Operand, name: str, merge: int) -> Poly:
     X = as_poly(x)
     if X.alphabet is not PY:
         raise AlphabetMismatchError(f"{name} acts on p/y words")
+    parts = max((w.depth for w in X.terms), default=0)  # a word's y count, its z-parts
+    if parts > MAX_DERIVATION:
+        raise WordError(f"{name} takes at most {MAX_DERIVATION} z-parts, got {parts}")
     return _linear(X, z_decode, partial(_coarsenings, lam=merge), _comps_to_poly)
 
 
@@ -184,9 +187,10 @@ _REGISTRY: dict[str, LinearMap] = {
 }
 
 
-# the largest derivation index get_map serves: dn:<n> builds the 2^(n-1) words
-# of (x0+x1)^(n-1); dn:16 of one letter takes 0.26 s and 45 MB in one process
-# (2 cores, Python 3.11)
+# the largest derivation index get_map serves, and the most z-parts S and S^-1
+# take: dn:<n> builds the 2^(n-1) words of (x0+x1)^(n-1), and S of n parts sums
+# the 2^(n-1) coarsenings; dn:16 of one letter takes 0.26 s and 45 MB in one
+# process (2 cores, Python 3.11)
 MAX_DERIVATION = 16
 
 

@@ -464,11 +464,7 @@ def square_lambda(u: Operand, v: Operand, lam: Rational = 1) -> Poly:
 
     Coincides with shuffle_lambda at the same lam on its whole domain.
     """
-
-    def base(a: Poly, b: Poly) -> Poly:
-        return quasi_shuffle_lambda(a, b, lam)
-
-    return transferred_product(base, _rs, _rs, u, v)
+    return transferred_product(partial(quasi_shuffle_lambda, lam=lam), _rs, _rs, u, v)
 
 
 def ooz_square(u: Operand, v: Operand) -> Poly:

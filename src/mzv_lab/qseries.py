@@ -80,10 +80,6 @@ class QPoly:
         raise AttributeError("QPoly is immutable")
 
     @classmethod
-    def zero(cls, order: int) -> "QPoly":
-        return cls(order)
-
-    @classmethod
     def one(cls, order: int) -> "QPoly":
         return cls(order, (1,))
 
@@ -287,11 +283,9 @@ def eval_word(model: str, x: Union[Word, Poly], order: int) -> QPoly:
     if x.alphabet is not alphabet:
         raise AlphabetMismatchError(f"{model} reads {alphabet!r} words, got {x.alphabet!r}")
     terms = [(MODELS[model].check(z_decode(w)), c) for w, c in x.terms.items()]
-    _eval_models(model, [comp for comp, _ in terms], order)  # the zetas below are cache hits
-    zeta = _ZETAS[model]
     coeffs = [0] * (order + 1)
-    for comp, c in terms:
-        coeffs = [a + c * b for a, b in zip(coeffs, zeta(comp, order).coeffs)]
+    for (_, c), series in zip(terms, _eval_models(model, [comp for comp, _ in terms], order)):
+        coeffs = [a + c * b for a, b in zip(coeffs, series)]
     return QPoly._make(order, coeffs)
 
 

@@ -43,6 +43,7 @@ from mzv_lab.words import (
     WordError,
     add_into,
     add_scaled,
+    as_poly,
     format_poly,
     format_tensor,
     format_word,
@@ -194,13 +195,9 @@ def words_by_length(alphabet: Alphabet, max_len: int, pred=None) -> list[Word]:
     return out
 
 
-def _zh(comp: Iterable[int]) -> Poly:
-    return Poly.of(z_encode(comp, H2))
-
-
-def _py_view(x: Poly) -> Poly:
-    # re-encode z-decodable x0/x1 combinations as p/y combinations
-    return Poly(PY, {z_encode(z_decode(w), PY): c for w, c in x.terms.items()})
+def _recode(x: Word | Poly, alphabet: Alphabet) -> Poly:
+    # the same z-parts, written in the z-blocks of alphabet
+    return Poly(alphabet, {z_encode(z_decode(w), alphabet): c for w, c in as_poly(x).terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +206,16 @@ def _py_view(x: Poly) -> Poly:
 
 @suite("classical-products", max_weight=4)
 def _classical(mw: int, order: int | None) -> Iterator[Case]:
+    z2 = zp((2,), H2)
     yield Case(
         "stuffle-z2-z2",
         {"u": "z{2}", "v": "z{2}"},
-        lambda: (products.quasi_shuffle(_zh((2,)), _zh((2,))), _zh((2, 2)) + _zh((2, 2)) + _zh((4,))),
+        lambda: (products.quasi_shuffle(z2, z2), 2 * zp((2, 2), H2) + zp((4,), H2)),
     )
-    x0x1 = _zh((2,))
     yield Case(
         "shuffle-x0x1-x0x1",
         {"u": "z{2}", "v": "z{2}"},
-        lambda: (products.shuffle(x0x1, x0x1), 2 * _zh((2, 2)) + 4 * _zh((3, 1))),
+        lambda: (products.shuffle(z2, z2), 2 * zp((2, 2), H2) + 4 * zp((3, 1), H2)),
     )
     words = words_by_length(H2, min(mw, 4), lambda w: membership(w, "h1"))
     yield from pair_cases(words, {
@@ -232,11 +229,11 @@ def _classical(mw: int, order: int | None) -> Iterator[Case]:
 
 @suite("thm-derivation", max_weight=8)
 def _derivation(mw: int, order: int | None) -> Iterator[Case]:
-    z2 = _zh((2,))
+    z2 = zp((2,), H2)
     yield Case(
         "square-example",
         {"u": "z{2}", "v": "z{2}"},
-        lambda: (products.square_classical(z2, z2), 2 * _zh((2, 2)) + _zh((2, 1, 1))),
+        lambda: (products.square_classical(z2, z2), 2 * zp((2, 2), H2) + zp((2, 1, 1), H2)),
     )
     yield from word_cases(h0_words(H2, mw, mw), {
         "derivation2": lambda w: (
@@ -248,7 +245,7 @@ def _derivation(mw: int, order: int | None) -> Iterator[Case]:
 
 @suite("hoffman-ohno", max_weight=8)
 def _hoffman(mw: int, order: int | None) -> Iterator[Case]:
-    z1 = _zh((1,))
+    z1 = zp((1,), H2)
     yield from word_cases(h0_words(H2, mw, mw), {
         "derivation1": lambda w: (
             maps.derivation(w, 1),
@@ -265,7 +262,7 @@ def _hoffman(mw: int, order: int | None) -> Iterator[Case]:
 
 
 def _hoffman_difference(w: Word) -> Poly:
-    return products.quasi_shuffle(_zh((1,)), w) - products.shuffle(Poly.of(Word(H2, ("x1",))), w)
+    return products.quasi_shuffle(zp((1,), H2), w) - products.shuffle(Poly.of(Word(H2, ("x1",))), w)
 
 
 def _hoffman_float_ok(w: Word) -> bool:
@@ -342,7 +339,7 @@ def _ooz_families(mw: int, order: int) -> Iterator[Case]:
     }, {"order": order})
     yield from word_cases(h0_words(H2, mw, mw), {
         "ooz-dual2": lambda w: (
-            q("OOZ", _py_view(maps.dual_family_2(w))), q("OOZ", _py_view(Poly.of(w)))
+            q("OOZ", _recode(maps.dual_family_2(w), PY)), q("OOZ", _recode(w, PY))
         ),
     }, {"order": order})
 
@@ -546,24 +543,17 @@ def _szsdual(mw: int, order: int | None) -> Iterator[Case]:
         "worked-top",
         {"u": "py", "v": "py"},
         lambda: (
-            _block_top(products.ooz_square(py, py), 2),
-            products.shuffle_star(_zh((1,)), _zh((1,))),
+            _recode(weight_projection(products.ooz_square(py, py), 2), H2),
+            products.shuffle_star(zp((1,), H2), zp((1,), H2)),
         ),
     )
     words = [w for w in h0_words(PY, mw, mw) if not w.is_unit and all(k >= 1 for k in z_decode(w))]
     yield from pair_cases(words, {
         "block-top": lambda u, v: (
-            _block_top(products.ooz_square(u, v), u.weight + v.weight),
-            products.shuffle_star(
-                Poly.of(z_encode(z_decode(u), H2)), Poly.of(z_encode(z_decode(v), H2))
-            ),
+            _recode(weight_projection(products.ooz_square(u, v), u.weight + v.weight), H2),
+            products.shuffle_star(_recode(u, H2), _recode(v, H2)),
         ),
     }, max_depth=mw, max_weight=mw)
-
-
-def _block_top(x: Poly, weight: int) -> Poly:
-    top = weight_projection(x, weight)
-    return Poly(H2, {z_encode(z_decode(w), H2): c for w, c in top.terms.items()})
 
 
 @suite("hopf-axioms", max_weight=6)

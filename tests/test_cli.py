@@ -1,7 +1,9 @@
 """Expression grammar, canonical formatting, CLI behavior, suite plumbing."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -495,6 +497,60 @@ def test_main_bad_lambda_is_one_line_usage_error(capsys, lam):
     assert err.startswith("error: --lambda") and len(err.splitlines()) == 1
 
 
+# operand terms per alphabet flag, and a few that fit none or every one
+_ARGV_TERMS = {
+    "h": ("x0", "x1", "x0x1", "x1x0", "z{1}", "z{2}", "(1)", "(2,1)", "(0,1)", "()"),
+    "H": ("p", "y", "py", "yp", "ppy", "z{1}", "(1)", "(2,1)", "(0,1)", "(1,-1)", "()"),
+    "pdy": ("p", "y", "d", "py", "pdy", "dy", "dp"),
+}
+_ARGV_NOISE = ("1", "1/2", "(", "z{", "x0", "p")
+_ARGV_OPS = (" sh ", " sq ", " * ", " + ", " - ")
+_ARGV_LAMBDAS = ([], ["--lambda", "0"], ["--lambda", "1/0"], ["--lambda=-1"], ["--lambda", "1/2"])
+
+
+@st.composite
+def _cli_argv(draw):
+    """argv of product, map, coproduct or qeval from small operands, kinds,
+    alphabets, lambdas and orders, valid and not.  "--" keeps an operand that
+    starts with "-" from reading as an option."""
+    flag = draw(st.sampled_from(sorted(_ARGV_TERMS)))
+    term = st.sampled_from(_ARGV_TERMS[flag] * 3 + _ARGV_NOISE)
+
+    def operand():
+        rest = draw(st.lists(st.tuples(st.sampled_from(_ARGV_OPS), term), max_size=2))
+        return draw(st.sampled_from(("", "-"))) + draw(term) + "".join(op + t for op, t in rest)
+
+    common = draw(st.sampled_from(([], ["--alphabet", flag])))
+    common += draw(st.sampled_from(_ARGV_LAMBDAS))
+    command = draw(st.sampled_from(("product", "map", "coproduct", "qeval")))
+    if command == "product":
+        kind = draw(st.sampled_from([[]] + [["--kind", k] for k in sorted(cli._PRODUCT_KINDS)]))
+        return ["product", *common, *kind, "--", *(operand() for _ in range(1 + bool(kind)))]
+    if command == "map":
+        names = sorted(maps._REGISTRY) + ["dn:1", "dn:3", "dn:0", "dn:17", "dn:x"]
+        name = draw(st.sampled_from(names))
+        return ["map", *common, "--name", name, "--", operand()]
+    if command == "coproduct":
+        kind = draw(st.sampled_from(("deconcat", "square-op", "infinitesimal")))
+        return ["coproduct", *common, "--kind", kind, "--", operand()]
+    model = draw(st.sampled_from(sorted(qseries.MODELS)))
+    source = f"{draw(st.sampled_from(('--comp', '--expr')))}={operand()}"
+    order = f"--order={draw(st.integers(min_value=-1, max_value=12))}"
+    evaluator = draw(st.sampled_from(("chain", "rota-baxter")))
+    return ["qeval", "--model", model, source, order, "--evaluator", evaluator]
+
+
+@given(_cli_argv())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_main_ends_in_an_answer_or_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, code, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+
+
 def test_main_dd_shuffle_at_lambda_0_is_one_line_error(capsys):
     argv = ["product", "--kind", "shuffle", "--alphabet", "pdy", "d", "d", "--lambda", "0"]
     assert main(argv) == 2
@@ -517,6 +573,19 @@ def test_main_derivation_index_has_a_ceiling(capsys):
     assert maps.get_map("dn:16").name == "dn:16"  # the largest index is served
     assert main(["map", "--name", "dn:3", "--alphabet", "h", "x1"]) == 0
     assert capsys.readouterr().out == format_poly(maps.derivation(Word(H2, ("x1",)), 3)) + "\n"
+
+
+def test_main_ihara_parts_share_the_derivation_ceiling(capsys):
+    # S and S^-1 of n z-parts sum 2^(n-1) coarsenings, the 2^15 of dn:16 at n = 16
+    for name in ("S", "Sinv"):
+        assert main(["map", "--alphabet", "H", "--name", name, "(" + ",".join("1" * 17) + ")"]) == 2
+        out = capsys.readouterr()
+        fn = "ihara_S" if name == "S" else "ihara_S_inv"
+        assert out.out == "" and out.err == f"error: {fn} takes at most 16 z-parts, got 17\n"
+    # the largest word served, in a sum with a shorter one: only the longest word counts
+    assert main(["map", "--alphabet", "H", "--name", "S", "py + (" + ",".join("1" * 16) + ")"]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and out.out.count(" + ") + 1 == 1 + 2**15  # py, and each coarsening
 
 
 def test_main_letter_ceiling_is_one_line_usage_error(capsys):
@@ -1131,7 +1200,7 @@ def test_clear_caches_empties_every_module_memo():
 
     run_suite("all", 3, 6)
     filled = memos()
-    named = {"mzv_lab.hopf._INF_MEMO", "mzv_lab.products._MEMO", "mzv_lab.qseries._EVAL_CACHE"}
+    named = {"mzv_lab.products._MEMO", "mzv_lab.qseries._EVAL_CACHE"}
     assert named == set(filled)
     assert all(filled.values()), {k: len(v) for k, v in filled.items()}
     for m in modules:

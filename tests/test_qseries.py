@@ -356,6 +356,25 @@ def test_eval_word_shares_one_pass_and_caches_every_term():
     assert got == zeta_SZ((2, 1, 1), 40) + zeta_SZ((1, 1), 40).scale(3) - zeta_SZ((1,), 40)
 
 
+@pytest.mark.parametrize("model, alphabet", [("OOZ", PY), ("BZ", H2)])
+def test_eval_word_makes_one_chain_sum_pass(monkeypatch, model, alphabet):
+    comps = [(2, 1), (3,), (2, 2, 1)] if model == "BZ" else [(2, 1), (1, 0, 1), (3,)]
+    coeffs = dict(zip(comps, (2, Fraction(-1, 3), 5)))
+    x = Poly(alphabet, {z_encode(c, alphabet): k for c, k in coeffs.items()})
+    evaluate, calls = qseries._eval_models, []
+    monkeypatch.setattr(qseries, "_eval_models", lambda *args: calls.append(args) or evaluate(*args))
+    qseries.clear_caches()
+    got = eval_word(model, x, 25)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    qseries.clear_caches()
+    zeta = {"OOZ": zeta_OOZ, "BZ": zeta_BZ}[model]
+    want = QPoly(25)
+    for c, k in coeffs.items():
+        want = want + zeta(c, 25).scale(k)
+    assert got == want
+
+
 # -- QPoly ------------------------------------------------------------------------
 
 def test_qpoly_arithmetic_truncates():
