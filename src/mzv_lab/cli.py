@@ -23,6 +23,11 @@ counted before each word is built (a z-block or composition part counts the
 letters it encodes to); past that the input is a usage error.
 ``map --name dn:<n>`` takes 1 <= n <= ``maps.MAX_DERIVATION``; another index is
 a usage error, and so is a word of more z-parts than that for ``S`` or ``Sinv``.
+A binomial map (``U``, ``Uinv``, ``V``, ``Vinv``, ``dual1``, ``dual2``) that
+would build more than ``maps.MAX_BINOMIAL_TERMS`` terms is a usage error,
+counted before any is built.  ``--order`` is at most ``qseries.MAX_ORDER``
+(4 000, where both evaluators answer a depth-4 composition within 10 s) for
+``qeval``, ``verify`` and ``export-vectors``; a larger order is a usage error.
 
 Exit codes: 0 success, 1 verification failure or runtime error, 2 usage or
 syntax error.  A suite case that raises is recorded as a failure and the

@@ -11,14 +11,22 @@ starred model relaxes to >=) with per-index factors:
              z-parts k1 >= 1, inner kj any integer
 
 In every model the outermost factor has q-order >= m_1, so truncating the
-chain at m_1 <= N is exact through q^N.  Both exact routes work on plain int
-lists (the expansions are integral).  The chain sum is one pass over the
+chain at m_1 <= N is exact through q^N.  The chain sum is one pass over the
 summation index with one running series per distinct suffix of the
-compositions evaluated together: O(suffixes N) ints and about N^2/2 updates
-per suffix and unit of |k| (binomial rows, about N^2 ln N / 2, once |k|
-passes the order).  The Rota-Baxter route keeps a series in t and q
-as (N+1)(N+2)/2 ints, with about N^2/2 additions per operator and unit of
-|k|.  ``QPoly`` keeps the ints until a rational enters; chain sums are cached.
+compositions evaluated together.  Each series is one packed int, coefficient
+i in slot i of W bits (Kronecker substitution), with W one sign bit more than
+a proven bound on every coefficient of the pass (``_eval_models``), rounded up
+to whole bytes.  Per suffix and m, cutting to the kept slots is one mask,
+(1-q^m)^-k is ceil(log2(N/m)) shift-adds per unit of k > 0, -k shift-subtracts
+for k < 0, or one shifted multiple per binomial-row term once that is fewer,
+and the update of the running sum is one shift and one add.  Each step is
+big-int work on at most about N W bits, with no Python loop over
+coefficients; a suffix takes about 1.44 N steps per unit of k > 0 (the sum of
+log2(N/m) over m), at most N per unit of -k, and three more per m.  Orders
+run up to ``MAX_ORDER``.  The Rota-Baxter route keeps a series in t and q as
+(N+1)(N+2)/2 plain ints, with about N^2/2 additions per operator and unit of
+|k|, and shares no code with the chain sum.  ``QPoly`` keeps the ints until a
+rational enters; chain sums are cached as int lists.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Iterable, NamedTuple, Union
 
 from mzv_lab.words import (
@@ -179,38 +187,84 @@ MODELS: dict[str, Model] = {
 
 _EVAL_CACHE: dict[tuple, list[int]] = {}
 
+# the largest q-order either route evaluates: the largest at which both answer
+# the depth-4 (2,1,-1,1) within 10 s under a 1 GB address-space cap.  As whole
+# processes at 4 000 the chain sum takes about 3 s and the Rota-Baxter route
+# 6 s; at 5 000 the latter takes 10 s (2 cores, Python 3.11).
+MAX_ORDER = 4_000
+
 
 def _check_order(order: int) -> None:
     if order < 0:
         raise WordError(f"order must be >= 0, got {order}")
+    if order > MAX_ORDER:
+        raise WordError(f"order must be <= {MAX_ORDER}, got {order}")
 
 
-def _times_geometric(t: list[int], m: int, k: int) -> None:
-    """t <- t (1-q^m)^-k in place, truncated at len(t): k stride-m prefix
-    sums, or -k stride-m differences when k < 0; when |k| >= len(t), each
-    residue class times the binomial row C(k-1+j, j) of (1-x)^-k instead."""
-    size = len(t)
-    if size <= m:  # no q^m term survives the truncation
-        return
-    if abs(k) >= size:
-        rising = range(1, (size - 1) // m + 1)
-        row = list(accumulate(rising, lambda c, j: c * (k + j - 1) // j, initial=1))
-        for r in range(m):
-            col = t[r::m]
-            t[r::m] = [sum(map(mul, row, col[i::-1])) for i in range(len(col))]
-    elif k < 0:
-        for _ in range(-k):
-            t[m:] = map(sub, t[m:], t[:-m])
-    elif k and m * m < size:  # narrow stride: one running sum per residue class
-        for r in range(m):
-            col = t[r::m]
-            for _ in range(k):
-                col = accumulate(col)
-            t[r::m] = col
-    else:  # wide stride: fewer than m blocks of m entries
+# ---------------------------------------------------------------------------
+# packed series: coefficient i in slot i of width bits of one int
+# ---------------------------------------------------------------------------
+
+def _truncate(t: int, size: int, width: int) -> int:
+    """t with the same low size slots and nothing from slot size + 1 up:
+    t mod 2^(size width), which leaves one unit in slot size when the low
+    slots read as a negative number."""
+    if t.bit_length() < size * width:  # then nothing is at or above slot size
+        return t
+    return t & (1 << size * width) - 1
+
+
+def _pack(coeffs: list[int], stride: int, width: int) -> int:
+    """sum c_j 2^(j stride width), for |c_j| < 2^width, built as bytes."""
+    nbytes = width // 8
+    gap, zero = bytes((stride - 1) * nbytes), bytes(nbytes)
+    plus = gap.join(c.to_bytes(nbytes, "little") if c > 0 else zero for c in coeffs)
+    minus = gap.join((-c).to_bytes(nbytes, "little") if c < 0 else zero for c in coeffs)
+    return int.from_bytes(plus, "little") - int.from_bytes(minus, "little")
+
+
+def _unpack(t: int, size: int, width: int) -> list[int]:
+    """The low size slots of t, each read in [-2^(width-1), 2^(width-1)):
+    biased by 2^(width-1) they are the bytes of t + bias mod 2^(size width)."""
+    nbytes, half = width // 8, 1 << width - 1
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
+    raw = ((t + bias) & (1 << size * width) - 1).to_bytes(size * nbytes, "little")
+    return [int.from_bytes(raw[i : i + nbytes], "little") - half for i in range(0, len(raw), nbytes)]
+
+
+def _row(k: int, top: int) -> tuple[list[int], list[int]]:
+    """The coefficients C(k-1+j, j) of (1-x)^-k for j = 0..top (for k < 0 these
+    are (-1)^j C(|k|, j), zero past |k|), and the prefix sums of their sizes."""
+    row = list(accumulate(range(1, top + 1), lambda c, j: c * (k + j - 1) // j, initial=1))
+    return row, list(accumulate(map(abs, row)))
+
+
+def _times_row(t: int, m: int, k: int, size: int, width: int, row: list[int]) -> int:
+    """t (1-q^m)^-k in its low size slots, for a packed t; row is ``_row(k)``,
+    and what lands above those slots is the caller's to cut.  The fewest
+    big-int steps: per unit of k > 0, ceil(log2(size/m)) doublings
+    t += t << 2^r m slots; for k < 0, -k differences t -= t << m slots; once
+    that count passes the top = (size-1)//m row terms that reach a kept slot,
+    one shifted multiple of t per term (one product with the packed row when
+    t is a constant).  Needs k != 0 and m < size."""
+    top = (size - 1) // m  # the highest power of q^m that reaches a kept slot
+    if k > 0 and k * top.bit_length() <= top:
         for _ in range(k):
-            for b in range(m, size, m):
-                t[b : b + m] = map(add, t[b : b + m], t[b - m : b])
+            for r in range(top.bit_length()):
+                shift = m << r  # slots; only the low size - shift of t reach a kept slot
+                t += _truncate(t, size - shift, width) << shift * width
+        return t
+    if 0 < -k <= top:
+        for _ in range(-k):
+            t -= t << m * width
+        return t
+    if t.bit_length() < width:  # a constant: one pass over the packed row
+        return t * _pack(row[: top + 1], m, width)
+    out = t
+    for j in range(1, top + 1):
+        if row[j]:
+            out += row[j] * t << j * m * width
+    return out
 
 
 def _eval_models(tag: str, comps: Iterable[Comp], n: int) -> list[list[int]]:
@@ -220,32 +274,67 @@ def _eval_models(tag: str, comps: Iterable[Comp], n: int) -> list[list[int]]:
     with top index <= m.  Strict chains update longer suffixes first, so a
     child still stops below m; non-strict ones shorter first, so it includes
     m.  The outermost factor has q-order >= m_1 >= m + j on a strict chain (m
-    otherwise), so a node is kept through the cap of its smallest j (n at 0)."""
+    otherwise), so a node is kept through the cap of its smallest j (n at 0),
+    and no one reads a node's slots above its cap again.
+
+    Each running series is one int, sum c_i 2^(i width) with signed c_i
+    (Kronecker substitution).  Sums, shifts by whole slots and multiples act
+    on the coefficient lists exactly, and carries run only upward, so the low
+    L slots of a result depend only on the low L slots of its operands; they
+    read back (``_truncate``, ``_unpack``) while each c_i lies in
+    [-2^(width-1), 2^(width-1)).  Whatever lands above the kept slots stays
+    above the cap and is never read.
+
+    The width comes from a bound.  At step m a node adds q^(sm) (1-q^m)^-k
+    times its child's series, whose kept slots meet the factor through
+    q^(mJ), J = (cap - sm) // m.  The coefficients of (1-x)^-k through x^J
+    have absolute sum norms[J] (``_row``), so with B(leaf) = 1,
+    B(node) = B(child) * sum over m of norms[J] bounds every kept slot of the
+    node's series.  It also bounds every step in between: a partial product
+    applies fewer units of |k|, fewer doublings or fewer row terms, whose
+    absolute sums are no larger.  width is the bits of the largest B of the
+    pass plus a sign bit, rounded up to whole bytes for ``_unpack``."""
     model = MODELS[tag]
     comps = [model.check(comp) for comp in comps]
     _check_order(n)
     todo = list(dict.fromkeys(c for c in comps if (tag, c, n) not in _EVAL_CACHE))
-    leaf = [1] + [0] * n
     depth: dict[tuple[Comp, int], int] = {}  # node -> smallest j it is used at
     for comp in todo:
         for j, k in enumerate(comp):
             node = (comp[j:], model.shift(j, k))
             depth[node] = min(depth.get(node, j), j)
-    series = {node: [0] * (n + 1) for node in depth}
-    plan = []
-    for suffix, s in sorted(depth, key=lambda node: len(node[0]), reverse=model.strict):
-        below = series[(suffix[1:], model.shift(1, suffix[1]))] if suffix[1:] else leaf
-        j = depth[(suffix, s)]
-        plan.append((series[(suffix, s)], below, suffix[0], s, j, j * model.strict))
+    child = {
+        node: (node[0][1:], model.shift(1, node[0][1])) if node[0][1:] else () for node in depth
+    }
+    rows = {k: _row(k, n) for k in {node[0][0] for node in depth}}
+    bound, slot = {(): 1}, {(): len(depth)}  # the leaf, the empty suffix: 1 in the last slot
+    for node in sorted(depth, key=lambda node: len(node[0])):
+        (suffix, s), j = node, depth[node]
+        # J = (cap - sm) // m = top // m - c: cap is n at j = 0, else n - m - j (strict);
+        # c >= 1, since a first part has shift >= 1
+        top, c = (n, s) if not j else (n - j * model.strict, s + 1)
+        norms = rows[suffix[0]][1]
+        bound[node] = bound[child[node]] * sum(norms[top // m - c] for m in range(1, top // c + 1))
+        slot[node] = len(slot) - 1
+    width = -(-(max(bound.values()).bit_length() + 1) // 8) * 8
+    plan = [
+        (slot[node], slot[child[node]], node[0][0], node[1], depth[node], depth[node] * model.strict,
+         rows[node[0][0]][0])
+        for node in sorted(depth, key=lambda node: len(node[0]), reverse=model.strict)
+    ]
+    series = [0] * len(depth) + [1]
     for m in range(1, n + 1):
-        for acc, below, k, s, j, cut in plan:
+        for at, below, k, s, j, cut, row in plan:
             lo, cap = m * s, n - m - cut if j else n
             if lo <= cap:
-                t = below[: cap + 1 - lo]
-                _times_geometric(t, m, k)
-                acc[lo : cap + 1] = map(add, acc[lo : cap + 1], t)
+                size = cap + 1 - lo
+                t = _truncate(series[below], size, width)
+                if k and m < size:
+                    t = _truncate(_times_row(t, m, k, size, width, row), size, width)
+                series[at] += t << lo * width
     for comp in todo:
-        _EVAL_CACHE[(tag, comp, n)] = series[(comp, model.shift(0, comp[0]))] if comp else leaf
+        at = slot[(comp, model.shift(0, comp[0]))] if comp else len(depth)
+        _EVAL_CACHE[(tag, comp, n)] = _unpack(series[at], n + 1, width)
     return [_EVAL_CACHE[(tag, comp, n)] for comp in comps]
 
 
@@ -315,7 +404,8 @@ def _rb_times_power(rows: list[list[int]], k: int) -> None:
 def _rb_summation(rows: list[list[int]], strict: bool) -> None:
     """f(t) -> sum over m >= 1 (strict) or m >= 0 of f(t q^m) in place: row i
     is shifted by i (strict only), then gets one stride-i prefix sum along q.
-    Row 0 stays 0.  Apart from ``_times_geometric``, so the routes share no code."""
+    Row 0 stays 0.  Apart from the chain sum's packed kernel, so the routes
+    share no code."""
     for i in range(1, len(rows)):
         row, size = rows[i], len(rows[i])
         if strict:

@@ -703,12 +703,15 @@ def value_text(x: object) -> str:
 def _suite_cases(
     name: str, max_weight: int | None, order: int | None, others: str = ""
 ) -> list[Case]:
-    """The cases of the suite registered as name.  A negative bound, then an
-    unknown name, is a usage error; the latter lists the registered suites,
-    then others: the text naming what else the caller accepts."""
+    """The cases of the suite registered as name.  A negative bound or an
+    order above ``qseries.MAX_ORDER``, then an unknown name, is a usage
+    error; the latter lists the registered suites, then others: the text
+    naming what else the caller accepts."""
     for flag, value in (("--max-weight", max_weight), ("--order", order)):
         if value is not None and value < 0:
             raise WordError(f"{flag} must be >= 0, got {value}")
+    if order is not None and order > qseries.MAX_ORDER:
+        raise WordError(f"--order must be <= {qseries.MAX_ORDER}, got {order}")
     if name not in SUITES:
         raise WordError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}{others}")
     # max_weight 0 means "enumerate nothing" (header-only exports)

@@ -588,6 +588,50 @@ def test_main_ihara_parts_share_the_derivation_ceiling(capsys):
     assert out.err == "" and out.out.count(" + ") + 1 == 1 + 2**15  # py, and each coarsening
 
 
+def test_main_binomial_maps_have_an_output_ceiling(capsys, monkeypatch):
+    # V of (40,40,40,40,40) would build 40*41^4 terms: refused before any is built
+    assert maps.MAX_BINOMIAL_TERMS == 2**17
+    start = time.perf_counter()
+    assert main(["map", "--alphabet", "H", "--name", "V", "(40,40,40,40,40)"]) == 2
+    assert time.perf_counter() - start < 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: V builds at most 131072 terms, got 113030440\n"
+    # both sides of the ceiling, summed over the terms of the operand, for every map of the kernel
+    monkeypatch.setattr(maps, "MAX_BINOMIAL_TERMS", 12)
+    for name, alphabet, served, refused, count in [
+        ("V", "H", "(3,3)", "(3,4)", 15),  # 3 * 4, then 3 * 5 terms
+        ("Vinv", "H", "(1,1) + (3,2)", "(1,1) + (3,3)", 14),
+        ("U", "h", "(4,4)", "(4,5)", 15),  # (4-1) * 4, then (4-1) * 5
+        ("Uinv", "h", "(4,4)", "(4,5)", 15),
+        # Vinv . tau~ . V and Uinv . tau . U: the outer transform builds the most
+        ("dual1", "H", "(2,2)", "(3,2)", 18),
+        ("dual2", "h", "(3,3)", "(3,4)", 16),
+    ]:
+        assert main(["map", "--alphabet", alphabet, "--name", name, served]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["map", "--alphabet", alphabet, "--name", name, refused]) == 2
+        out = capsys.readouterr()
+        fn = {"dual1": "Vinv", "dual2": "Uinv"}.get(name, name)
+        assert out.out == "" and out.err == f"error: {fn} builds at most 12 terms, got {count}\n"
+
+
+def test_main_order_has_a_ceiling(capsys, tmp_path):
+    assert qseries.MAX_ORDER == 4000
+    for evaluator in ("chain", "rota-baxter"):
+        argv = ["qeval", "--model", "OOZ", "--comp", "(2,1)", "--order", "100000000", "--evaluator", evaluator]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: order must be <= 4000, got 100000000\n"
+    never = tmp_path / "never.jsonl"
+    for argv in (["verify", "--suite", "all"], ["export-vectors", "--suite", "zhao-duality", "--out", str(never)]):
+        assert main([*argv, "--order", "4001"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: --order must be <= 4000, got 4001\n"
+    assert not never.exists()
+    assert main(["qeval", "--model", "SZ", "--comp", "(2,1)", "--order", "4000"]) == 0
+    assert capsys.readouterr().out.startswith("q^5 + q^6 + 4q^7 + ")
+
+
 def test_main_letter_ceiling_is_one_line_usage_error(capsys):
     assert cli.MAX_LETTERS == 1_000_000
     err = "error: expression builds more than 1000000 letters\n"

@@ -231,6 +231,41 @@ def test_rota_baxter_route_of_a_huge_part_answers_within_10_s():
     assert outs[0].stdout.startswith("q^2 - 199998q^3 + 19999700004q^4 - ")
 
 
+# -- the packed chain sum: wide slots, mixed signs, the slot width ---------------
+
+def test_packed_chain_sum_of_a_negative_part_past_64_bits():
+    # (1-q^m)^60 inside: coefficients of both signs, wider than a machine word
+    comp = (2, -60, 2)
+    assert list(zeta_OOZ(comp, 16).coeffs) == brute_model("OOZ", comp, 16)
+    got = zeta_OOZ(comp, 200)
+    assert max(map(abs, got.coeffs)).bit_length() > 64 and min(got.coeffs) < 0
+    assert got == rota_baxter_eval_OOZ(comp, 200)
+
+
+def test_packed_chain_sum_of_a_high_weight_sz_value():
+    # SZ(10, 10) through q^200 has 77-bit coefficients; OOZ = SZ . V sums it
+    # with the 109 other compositions of V(z_(10,10)), against the other route
+    assert list(zeta_SZ((10, 10), 40).coeffs) == brute_model("SZ", (10, 10), 40)
+    assert max(map(abs, zeta_SZ((10, 10), 200).coeffs)).bit_length() > 64
+    w = z_encode((10, 10), PY)
+    assert eval_word("SZ", maps.map_V(w), 200) == rota_baxter_eval_OOZ((10, 10), 200)
+
+
+@pytest.mark.parametrize(
+    "comp, n",
+    # (200000) through q^3: the bound is within a bit of the largest coefficient
+    [((1,), 1), ((200000,), 3), ((3,), 60), ((2, -60, 2), 200), ((1, -200000), 300), ((3, 1, -1, 2), 250)],
+)
+def test_slot_width_covers_the_largest_coefficient_and_a_sign(monkeypatch, comp, n):
+    unpack, widths = qseries._unpack, []
+    monkeypatch.setattr(qseries, "_unpack", lambda t, size, width: widths.append(width) or unpack(t, size, width))
+    qseries.clear_caches()
+    zeta_OOZ(comp, n)
+    want = rota_baxter_eval_OOZ(comp, n).coeffs  # the other route: no slots
+    assert len(widths) == 1 and widths[0] % 8 == 0
+    assert max(map(abs, want)).bit_length() + 1 <= widths[0]
+
+
 def test_ihara_s_turns_sz_values_into_szstar_values():
     # a >= chain is a > chain with runs of equal indices merged: SZstar = SZ . S,
     # and SZ = SZstar . S^-1, on the 252 H0 words up to weight 5
@@ -262,7 +297,7 @@ def test_rota_baxter_route_shares_no_code_with_the_chain_sum(monkeypatch):
     def chain_sum(*args, **kwargs):
         raise AssertionError("the Rota-Baxter route entered the chain sum")
 
-    for name in ("_eval_model", "_eval_models", "_times_geometric"):
+    for name in ("_eval_model", "_eval_models", "_times_row", "_truncate", "_pack", "_unpack", "_row"):
         monkeypatch.setattr(qseries, name, chain_sum)
     monkeypatch.setattr(qseries.Model, "shift", chain_sum)
     assert rota_baxter_eval_OOZ(comp, 40) == want
