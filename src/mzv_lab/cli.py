@@ -28,6 +28,9 @@ would build more than ``maps.MAX_BINOMIAL_TERMS`` terms is a usage error,
 counted before any is built.  ``--order`` is at most ``qseries.MAX_ORDER``
 (4 000, where both evaluators answer a depth-4 composition within 10 s) for
 ``qeval``, ``verify`` and ``export-vectors``; a larger order is a usage error.
+So, on either evaluator, is a composition whose answer may have coefficients
+past the digits str() writes, or whose estimated work passes
+``qseries.MAX_WORK`` (the size ceiling, ``qseries._check_size``).
 
 Exit codes: 0 success, 1 verification failure or runtime error, 2 usage or
 syntax error.  A suite case that raises is recorded as a failure and the
@@ -130,14 +133,15 @@ MAX_NESTING = 100
 MAX_LETTERS = 1_000_000
 
 
-def _closed(text: str, start: int) -> bool:
-    """Whether a ')' closes the '(' at start."""
-    depth = 0
-    for m in _PARENS.finditer(text, start):
-        depth += 1 if m[0] == "(" else -1
-        if not depth:
-            return True
-    return False
+def _first_unclosed(text: str) -> int:
+    """The position of the first '(' that no ')' closes, or -1: one stack pass."""
+    opened: list[int] = []
+    for m in _PARENS.finditer(text):
+        if m[0] == "(":
+            opened.append(m.start())
+        elif opened:
+            opened.pop()
+    return opened[0] if opened else -1
 
 
 def _digits(text: str, pos: int) -> int:
@@ -163,6 +167,7 @@ def _number(lexeme: str, pos: int) -> Rational:
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     end = depth = 0
+    unclosed = _first_unclosed(text)
     while True:
         m = _TOKEN.match(text, end)
         kind = m.lastgroup
@@ -178,7 +183,7 @@ def tokenize(text: str) -> list[Token]:
         elif kind == "BAD":
             raise ParseError(f"unexpected character {lexeme!r}", pos)
         if kind == "LPAREN":
-            if not _closed(text, pos):
+            if pos == unclosed:
                 raise ParseError("unbalanced parenthesis", pos)
             depth += 1
             if depth > MAX_NESTING:
@@ -428,13 +433,14 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--json", action="store_true")
 
 
-def _parse_operand(text: str, alphabet: str | None, lam: Fraction) -> Poly:
+def _parse_operand(text: str, alphabet: Alphabet | str | None, lam: Fraction) -> Poly:
+    alphabet = _ALPHABET_FLAGS.get(alphabet, alphabet)  # parse_expr names an unknown flag
     out = parse_expr(text, alphabet, lam)
     if isinstance(out, tuple):
         if alphabet is None:
             raise WordError("a bare composition needs --alphabet")
-        _check_letters(_z_letters(out, _ALPHABET_FLAGS[alphabet]))
-        return Poly.of(z_encode(out, _ALPHABET_FLAGS[alphabet]))
+        _check_letters(_z_letters(out, alphabet))
+        return Poly.of(z_encode(out, alphabet))
     return out
 
 
@@ -530,10 +536,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "map":
         lm = maps.get_map(args.name)
-        alphabet = args.alphabet
-        if alphabet is None:
-            alphabet = {H2: "h", PY: "H"}[lm.alphabet]
-        x = _parse_operand(args.expr, alphabet, _parse_lambda(args.lam))
+        x = _parse_operand(args.expr, args.alphabet or lm.alphabet, _parse_lambda(args.lam))
         _emit_poly(lm.apply(x), args.json)
         return 0
 
@@ -566,8 +569,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             else:
                 out = qseries._ZETAS[args.model](comp, args.order)
         else:
-            flag = "h" if args.model == "BZ" else "H"
-            x = _parse_operand(args.expr, flag, Fraction(1))
+            x = _parse_operand(args.expr, qseries.MODELS[args.model].alphabet, Fraction(1))
             if args.evaluator == "rota-baxter":
                 raise WordError("the rota-baxter evaluator takes --comp")
             out = qseries.eval_word(args.model, x, args.order)

@@ -119,13 +119,14 @@ def _binom_map(name: str, alphabet: Alphabet, first_lo: int, rest_lo: int, signe
         X = as_poly(x)
         if X.alphabet is not alphabet:
             raise AlphabetMismatchError(f"map acts on {alphabet} words")
+        keys = {w: z_decode(w) for w in X.terms}  # one decode per word, for the count and the sum
         terms = sum(
             prod(k - rest_lo + 1 for k in c[1:]) * (c[0] - first_lo + 1) if c else 1
-            for c in map(z_decode, X.terms)
+            for c in keys.values()
         )
         if terms > MAX_BINOMIAL_TERMS:
             raise WordError(f"{name} builds at most {MAX_BINOMIAL_TERMS} terms, got {terms}")
-        return _linear(X, z_decode, kernel, _comps_to_poly)
+        return _linear(X, keys.__getitem__, kernel, _comps_to_poly)
 
     return apply
 

@@ -55,13 +55,11 @@ from mzv_lab.words import (
     _SWAP,
     _ZCODECS,
     _normal_word,
-    add_into,
     add_pairs,
     add_scaled,
     as_poly,
     reverse_swap,
     z_decode,
-    z_encode,
 )
 
 Operand = Union[Word, Poly]
@@ -407,19 +405,16 @@ def ihara_circ(u: Operand, v: Operand) -> Poly:
     U, V = as_poly(u), as_poly(v)
     if U.alphabet is not V.alphabet:
         raise AlphabetMismatchError("ihara_circ needs a common alphabet")
-    alphabet = U.alphabet
-    terms: dict[Word, Rational] = {}
+    right = None  # V's z-parts, decoded once after the first left factor is checked
+    out: CompDict = {}
     for wu, cu in U.terms.items():
-        cu_comp = z_decode(wu)
-        if len(cu_comp) != 1:
+        k = z_decode(wu)
+        if len(k) != 1:
             raise WordError(f"left factor of ihara_circ must be a single z-letter, got {wu!r}")
-        k = cu_comp[0]
-        for wv, cv in V.terms.items():
-            cv_comp = z_decode(wv)
-            if not cv_comp:
-                continue
-            add_into(terms, z_encode((k + cv_comp[0],) + cv_comp[1:], alphabet), cu * cv)
-    return Poly._make(alphabet, terms)
+        if right is None:
+            right = [(z_decode(wv), cv) for wv, cv in V.terms.items()]
+        add_pairs(out, (((k[0] + c[0],) + c[1:], cu * cv) for c, cv in right if c))
+    return _comps_to_poly(out, U.alphabet) if out else Poly._make(U.alphabet, {})
 
 
 class IsoConsistencyError(WordError):

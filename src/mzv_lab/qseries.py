@@ -23,23 +23,27 @@ and the update of the running sum is one shift and one add.  Each step is
 big-int work on at most about N W bits, with no Python loop over
 coefficients; a suffix takes about 1.44 N steps per unit of k > 0 (the sum of
 log2(N/m) over m), at most N per unit of -k, and three more per m.  Orders
-run up to ``MAX_ORDER``.  The Rota-Baxter route keeps a series in t and q as
-(N+1)(N+2)/2 plain ints, with about N^2/2 additions per operator and unit of
-|k|, and shares no code with the chain sum.  ``QPoly`` keeps the ints until a
-rational enters; chain sums are cached as int lists.
+run up to ``MAX_ORDER``, and ``_check_size`` bounds the digits of a
+composition's coefficients and the work of either route.  The Rota-Baxter
+route keeps a series in t and q as (N+1)(N+2)/2 plain ints, with about N^2/2
+additions per operator and unit of |k|, and shares no code with the chain
+sum.  ``QPoly`` keeps the ints until a rational enters; chain sums are cached
+as int lists.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, sub
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from mzv_lab.words import (
     H2,
     PY,
+    Alphabet,
     AlphabetMismatchError,
     NotInSubalgebraError,
     Poly,
@@ -157,6 +161,7 @@ class Model(NamedTuple):
     strict: bool
     first_min: int
     rest_min: int | None  # None: any integer allowed
+    alphabet: Alphabet  # the words eval_word reads
 
     def shift(self, position: int, k: int) -> int:
         """s such that the factor at summation index m is q^(sm) (1-q^m)^-k.
@@ -179,10 +184,10 @@ class Model(NamedTuple):
 
 
 MODELS: dict[str, Model] = {
-    "SZ": Model("SZ", strict=True, first_min=1, rest_min=0),
-    "SZstar": Model("SZstar", strict=False, first_min=1, rest_min=0),
-    "BZ": Model("BZ", strict=True, first_min=2, rest_min=1),
-    "OOZ": Model("OOZ", strict=True, first_min=1, rest_min=None),
+    "SZ": Model("SZ", strict=True, first_min=1, rest_min=0, alphabet=PY),
+    "SZstar": Model("SZstar", strict=False, first_min=1, rest_min=0, alphabet=PY),
+    "BZ": Model("BZ", strict=True, first_min=2, rest_min=1, alphabet=H2),
+    "OOZ": Model("OOZ", strict=True, first_min=1, rest_min=None, alphabet=PY),
 }
 
 _EVAL_CACHE: dict[tuple, list[int]] = {}
@@ -199,6 +204,64 @@ def _check_order(order: int) -> None:
         raise WordError(f"order must be >= 0, got {order}")
     if order > MAX_ORDER:
         raise WordError(f"order must be <= {MAX_ORDER}, got {order}")
+
+
+# the most work either route may spend on one composition, in the units of
+# _check_size's estimate (about bytes of int data touched).  Measured like
+# MAX_ORDER, as whole processes under a 1 GB address-space cap (2 cores,
+# Python 3.11): the 24 of 28 inputs on both routes that took over 1 s spent
+# 1.1e-10 to 2.8e-10 s per unit, so this much takes at most about 10 s.  The
+# largest estimate that must answer is the Rota-Baxter route's (2,1,-1,1) at
+# order 4 000, 1.5e10 in 3.8 s; (6000) at 4 000 on the chain sum is 3.0e11.
+MAX_WORK = 35 * 10**9
+
+_LOG2_E = math.log2(math.e)
+
+
+def _check_size(comp: Comp, n: int, shifts: Iterable[int], rota_baxter: bool = False) -> None:
+    """Refuse comp at order n, before any series is built, when the answer's
+    coefficients may have more digits than ``sys.get_int_max_str_digits()``
+    lets str() write, or when the route's estimated work passes ``MAX_WORK``.
+
+    The digit bound.  The factor of part k at index m is q^(sm) (1-q^m)^-k,
+    with s >= 0 the part's shift (``Model.shift``; the Rota-Baxter route's t
+    in h = t (1-t)^-k1 is OOZ's), and a chain reaches q^i only when m_1 <= i,
+    so through q^n at most (n+1)^d chains count.  In each chain the factor of
+    k_j reaches q^n only through its x^i, i <= J_j = n - s_j, of (1-x)^-k_j
+    (no chain reaches q^n when some J_j < 0: the answer is 0).  Those
+    coefficients have absolute sum C(|k|+J, J) for k >= 0, and
+    sum_{i<=J} C(|k|, i) <= C(|k|+J, J) for k < 0 (Vandermonde).  A
+    coefficient of a product is at most the product of its factors' absolute
+    sums, so every coefficient of the answer is at most
+    (n+1)^d prod_j C(|k_j|+J_j, J_j), and C(a+J, J) <= (e (a+J)/t)^t with
+    t = min(a, J), since t! >= (t/e)^t.  The float sum of these logarithms errs
+    far less than the sqrt(2 pi t) that Stirling leaves in each part.
+
+    The work estimate.  A coefficient takes about W = bits/8 bytes.  The chain
+    sum passes over about n (J_j + 1) slots per part, 1 + min(|k_j|, log2(n+1))
+    times (the doublings, differences or row terms of ``_times_row``), each
+    slot W + 64 bytes with the per-step overhead; the Rota-Baxter route makes
+    n^2/2 int additions per operator and per unit of |k_j| (a binomial row
+    costs about n/3 units), each W + 128 bytes with the per-int overhead."""
+    bits = steps = 0.0
+    for k, s in zip(comp, shifts):
+        if s > n:
+            return
+        a, top = abs(k), n - s
+        t = min(a, top)
+        bits += math.log2(n + 1) + (t and t * (math.log2(a + top) - math.log2(t) + _LOG2_E))
+        if rota_baxter:
+            steps += n / 2 * (2 + min(a, n / 3))
+        else:
+            steps += (top + 1) * (1 + min(a, math.log2(n + 1)))
+    limit, digits = sys.get_int_max_str_digits(), math.ceil(bits * math.log10(2))
+    if limit and digits > limit:
+        raise WordError(
+            f"coefficients may reach {digits} digits at order {n}, past str()'s limit of {limit}"
+        )
+    work = n * steps * (bits / 8 + (128 if rota_baxter else 64))
+    if work > MAX_WORK:
+        raise WordError(f"estimated work {work:.1e} at order {n} passes the limit of {MAX_WORK:.1e}")
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +330,7 @@ def _times_row(t: int, m: int, k: int, size: int, width: int, row: list[int]) ->
     return out
 
 
-def _eval_models(tag: str, comps: Iterable[Comp], n: int) -> list[list[int]]:
+def _eval_models(tag: str, comps: Sequence[Comp], n: int) -> list[list[int]]:
     """The chain sums of several compositions, in one pass over m = 1..n.
     A level node is a distinct suffix comp[j:] with the shift of its head
     factor (OOZ's outermost one differs): the sum over chains of the suffix
@@ -293,35 +356,34 @@ def _eval_models(tag: str, comps: Iterable[Comp], n: int) -> list[list[int]]:
     node's series.  It also bounds every step in between: a partial product
     applies fewer units of |k|, fewer doublings or fewer row terms, whose
     absolute sums are no larger.  width is the bits of the largest B of the
-    pass plus a sign bit, rounded up to whole bytes for ``_unpack``."""
+    pass plus a sign bit, rounded up to whole bytes for ``_unpack``.  Trusted:
+    the callers (``_eval_model``, ``eval_word``) check the model's domain."""
     model = MODELS[tag]
-    comps = [model.check(comp) for comp in comps]
     _check_order(n)
     todo = list(dict.fromkeys(c for c in comps if (tag, c, n) not in _EVAL_CACHE))
-    depth: dict[tuple[Comp, int], int] = {}  # node -> smallest j it is used at
+    depth: dict[tuple[Comp, int], int] = {}  # node -> smallest j it is used at, children first
     for comp in todo:
-        for j, k in enumerate(comp):
-            node = (comp[j:], model.shift(j, k))
+        shifts = [model.shift(j, k) for j, k in enumerate(comp)]
+        _check_size(comp, n, shifts)
+        for j in reversed(range(len(comp))):
+            node = (comp[j:], shifts[j])
             depth[node] = min(depth.get(node, j), j)
-    child = {
-        node: (node[0][1:], model.shift(1, node[0][1])) if node[0][1:] else () for node in depth
-    }
-    rows = {k: _row(k, n) for k in {node[0][0] for node in depth}}
+    rows, plan = {}, []
     bound, slot = {(): 1}, {(): len(depth)}  # the leaf, the empty suffix: 1 in the last slot
-    for node in sorted(depth, key=lambda node: len(node[0])):
-        (suffix, s), j = node, depth[node]
+    for node, j in depth.items():
+        (suffix, s), k = node, node[0][0]
+        child = (suffix[1:], model.shift(1, suffix[1])) if suffix[1:] else ()
+        # only x^J, J <= n - s, of (1-x)^-k reach a kept slot: a part past the order builds no row
+        row, norms = rows.get((k, s)) or rows.setdefault((k, s), _row(k, n - s))
         # J = (cap - sm) // m = top // m - c: cap is n at j = 0, else n - m - j (strict);
         # c >= 1, since a first part has shift >= 1
         top, c = (n, s) if not j else (n - j * model.strict, s + 1)
-        norms = rows[suffix[0]][1]
-        bound[node] = bound[child[node]] * sum(norms[top // m - c] for m in range(1, top // c + 1))
-        slot[node] = len(slot) - 1
+        bound[node] = bound[child] * sum(norms[top // m - c] for m in range(1, top // c + 1))
+        slot[node] = len(plan)
+        plan.append((len(plan), slot[child], k, s, j, j * model.strict, row))
+    if model.strict:  # longer suffixes first, so a child still stops below m
+        plan.reverse()
     width = -(-(max(bound.values()).bit_length() + 1) // 8) * 8
-    plan = [
-        (slot[node], slot[child[node]], node[0][0], node[1], depth[node], depth[node] * model.strict,
-         rows[node[0][0]][0])
-        for node in sorted(depth, key=lambda node: len(node[0]), reverse=model.strict)
-    ]
     series = [0] * len(depth) + [1]
     for m in range(1, n + 1):
         for at, below, k, s, j, cut, row in plan:
@@ -329,7 +391,7 @@ def _eval_models(tag: str, comps: Iterable[Comp], n: int) -> list[list[int]]:
             if lo <= cap:
                 size = cap + 1 - lo
                 t = _truncate(series[below], size, width)
-                if k and m < size:
+                if t and k and m < size:  # t = 0 has a bound of 0: its row need not fit
                     t = _truncate(_times_row(t, m, k, size, width, row), size, width)
                 series[at] += t << lo * width
     for comp in todo:
@@ -339,7 +401,7 @@ def _eval_models(tag: str, comps: Iterable[Comp], n: int) -> list[list[int]]:
 
 
 def _eval_model(tag: str, comp: Comp, n: int) -> list[int]:
-    return _eval_models(tag, (comp,), n)[0]
+    return _eval_models(tag, (MODELS[tag].check(comp),), n)[0]
 
 
 def zeta_SZ(comp: Iterable[int], order: int) -> QPoly:
@@ -365,13 +427,12 @@ def eval_word(model: str, x: Union[Word, Poly], order: int) -> QPoly:
     """Evaluate a z-decodable word (or combination) in the named model, the
     uncached terms in one shared pass.  BZ reads x0/x1 words, the other models
     p/y words; a word on the other alphabet raises ``AlphabetMismatchError``."""
-    if model not in _ZETAS:
-        raise WordError(f"unknown model {model!r}; expected one of {sorted(_ZETAS)}")
-    x = as_poly(x)
-    alphabet = H2 if model == "BZ" else PY
-    if x.alphabet is not alphabet:
-        raise AlphabetMismatchError(f"{model} reads {alphabet!r} words, got {x.alphabet!r}")
-    terms = [(MODELS[model].check(z_decode(w)), c) for w, c in x.terms.items()]
+    if model not in MODELS:
+        raise WordError(f"unknown model {model!r}; expected one of {sorted(MODELS)}")
+    x, m = as_poly(x), MODELS[model]
+    if x.alphabet is not m.alphabet:
+        raise AlphabetMismatchError(f"{model} reads {m.alphabet!r} words, got {x.alphabet!r}")
+    terms = [(m.check(z_decode(w)), c) for w, c in x.terms.items()]
     coeffs = [0] * (order + 1)
     for (_, c), series in zip(terms, _eval_models(model, [comp for comp, _ in terms], order)):
         coeffs = [a + c * b for a, b in zip(coeffs, series)]
@@ -430,6 +491,7 @@ def rota_baxter_eval_OOZ(comp: Iterable[int], order: int) -> QPoly:
     comp, n = tuple(comp), order
     MODELS["OOZ"].check(comp)
     _check_order(n)
+    _check_size(comp, n, (1,) + (0,) * (len(comp) - 1), rota_baxter=True)  # h = t (1-t)^-k1
     if not comp:
         return QPoly.one(n)
     rows = [[0] * (n + 1 - i) for i in range(n + 1)]

@@ -252,6 +252,30 @@ def test_nesting_past_the_limit_is_one_line_usage_error(capsys):
     assert parse_expr("- " * 3001 + "x1", "h") == -zh(1)
 
 
+def test_deep_nesting_is_refused_in_one_pass_over_the_parentheses():
+    nested = "(" * 65_000 + "x1" + ")" * 65_000
+    err = f"syntax error at position {cli.MAX_NESTING}: parentheses nested deeper than {cli.MAX_NESTING}"
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse_expr(nested, "h")
+    assert time.perf_counter() - start < 0.5
+    assert str(exc.value) == err
+
+
+@given(st.text(alphabet="()(1,)x1 ", max_size=24))
+def test_first_unclosed_parenthesis_is_the_first_no_rescan_closes(text):
+    def closed(start):  # whether a ')' after start brings the depth back to 0
+        depth = 0
+        for c in text[start:]:
+            depth += {"(": 1, ")": -1}.get(c, 0)
+            if not depth:
+                return True
+        return False
+
+    unclosed = [i for i, c in enumerate(text) if c == "(" and not closed(i)]
+    assert cli._first_unclosed(text) == (unclosed[0] if unclosed else -1)
+
+
 def test_number_past_the_digit_limit_is_one_line_usage_error(capsys):
     limit = sys.get_int_max_str_digits()
     if not 0 < limit < 5000:
@@ -511,8 +535,8 @@ _ARGV_LAMBDAS = ([], ["--lambda", "0"], ["--lambda", "1/0"], ["--lambda=-1"], ["
 @st.composite
 def _cli_argv(draw):
     """argv of product, map, coproduct or qeval from small operands, kinds,
-    alphabets, lambdas and orders, valid and not.  "--" keeps an operand that
-    starts with "-" from reading as an option."""
+    alphabets, lambdas and orders, valid and not, and of qeval of a huge part.
+    "--" keeps an operand that starts with "-" from reading as an option."""
     flag = draw(st.sampled_from(sorted(_ARGV_TERMS)))
     term = st.sampled_from(_ARGV_TERMS[flag] * 3 + _ARGV_NOISE)
 
@@ -522,7 +546,7 @@ def _cli_argv(draw):
 
     common = draw(st.sampled_from(([], ["--alphabet", flag])))
     common += draw(st.sampled_from(_ARGV_LAMBDAS))
-    command = draw(st.sampled_from(("product", "map", "coproduct", "qeval")))
+    command = draw(st.sampled_from(("product", "map", "coproduct", "qeval", "qeval-huge")))
     if command == "product":
         kind = draw(st.sampled_from([[]] + [["--kind", k] for k in sorted(cli._PRODUCT_KINDS)]))
         return ["product", *common, *kind, "--", *(operand() for _ in range(1 + bool(kind)))]
@@ -536,6 +560,10 @@ def _cli_argv(draw):
     model = draw(st.sampled_from(sorted(qseries.MODELS)))
     source = f"{draw(st.sampled_from(('--comp', '--expr')))}={operand()}"
     order = f"--order={draw(st.integers(min_value=-1, max_value=12))}"
+    if command == "qeval-huge":  # a part of 151 or 401 digits: coefficients may pass str()'s limit
+        huge = f"{draw(st.sampled_from(('', '-')))}1{'0' * draw(st.sampled_from((150, 400)))}"
+        source = f"--comp=({draw(st.sampled_from((huge, f'1,{huge}', f'{huge},2')))})"
+        order = f"--order={draw(st.sampled_from((3, 12, 30)))}"
     evaluator = draw(st.sampled_from(("chain", "rota-baxter")))
     return ["qeval", "--model", model, source, order, "--evaluator", evaluator]
 
@@ -656,6 +684,7 @@ def test_letter_ceiling_counts_every_word_of_the_expression(monkeypatch):
         with pytest.raises(words.WordError, match=r"^expression builds more than 10 letters$"):
             parse_expr(text + " + x1" if flag == "h" else text + " + y", flag)
     assert cli._parse_operand("(4,4)", "H", Fraction(1)) == zp(4, 4)
+    assert cli._parse_operand("(4,4)", PY, Fraction(1)) == zp(4, 4)  # a flag or an Alphabet
     with pytest.raises(words.WordError, match=r"^expression builds more than 10 letters$"):
         cli._parse_operand("(4,5)", "H", Fraction(1))
 

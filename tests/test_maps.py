@@ -183,3 +183,20 @@ def test_get_map_errors():
         maps.get_map("dn:0")
     with pytest.raises(WordError):
         maps.get_map("dn:x")
+
+
+@pytest.mark.parametrize(
+    "name, alphabet, comps",
+    [("U", H2, [(2,), (3, 1), (4, 2, 1)]), ("Uinv", H2, [(2,), (3, 1), (4, 2, 1)]),
+     ("V", PY, [(1,), (2, 0), (3, 1, 2)]), ("Vinv", PY, [(1,), (2, 0), (3, 1, 2)])],
+)
+def test_binomial_maps_decode_each_word_once(monkeypatch, name, alphabet, comps):
+    # one decode serves both the term count and the sum
+    decode, calls = maps.z_decode, []
+    monkeypatch.setattr(maps, "z_decode", lambda w: calls.append(w) or decode(w))
+    x = Poly._make(alphabet, {z_encode(c, alphabet): i + 1 for i, c in enumerate(comps)})
+    out = maps.get_map(name).apply(x)
+    assert sorted(calls) == sorted(x.terms)
+    monkeypatch.setattr(maps, "z_decode", decode)
+    assert out == sum((maps.get_map(name).apply(Poly._make(alphabet, {w: c})) for w, c in x.terms.items()),
+                      Poly.zero(alphabet))

@@ -121,6 +121,27 @@ def test_ihara_circ():
         ihara_circ(zp((2, 1)), zp((3,)))  # left slot takes a single z letter
 
 
+def test_ihara_circ_decodes_each_word_once(monkeypatch):
+    decode, calls = products.z_decode, []
+    monkeypatch.setattr(products, "z_decode", lambda w: calls.append(w) or decode(w))
+    left = {(k,): k for k in range(1, 5)}
+    right = {(j, j % 3): j - 25 or 1 for j in range(50)} | {(): 7}  # z_k o 1 = 0
+    u = Poly._make(PY, {z_encode(c, PY): x for c, x in left.items()})
+    v = Poly._make(PY, {z_encode(c, PY): x for c, x in right.items()})
+    want: dict = {}
+    for (k,), cu in left.items():
+        for c, cv in list(right.items())[:-1]:
+            key = z_encode((k + c[0],) + c[1:], PY)
+            want[key] = want.get(key, 0) + cu * cv
+    assert ihara_circ(u, v) == Poly._make(PY, {w: c for w, c in want.items() if c})
+    assert len(calls) == len(set(calls)) == 4 + 51  # 4 + 4 * 51 when decoded per pair
+    # the first left factor is checked before the right words are decoded, as before
+    with pytest.raises(NotInSubalgebraError, match=r"^Word\(PY:p\) does not end in y"):
+        ihara_circ(zp((2,)) + zp((1, 1)), Word(PY, ("p",)))
+    with pytest.raises(WordError, match=r"^left factor of ihara_circ must be a single z-letter"):
+        ihara_circ(zp((1, 1)) + zp((2,)), Word(PY, ("p",)))
+
+
 # -- algebra laws ------------------------------------------------------------
 
 @given(small_h2, small_h2)

@@ -231,6 +231,116 @@ def test_rota_baxter_route_of_a_huge_part_answers_within_10_s():
     assert outs[0].stdout.startswith("q^2 - 199998q^3 + 19999700004q^4 - ")
 
 
+# -- the size ceiling: coefficient digits and estimated work ----------------------
+
+_ZETA = {"SZ": zeta_SZ, "SZstar": zeta_SZ_star, "BZ": zeta_BZ, "OOZ": zeta_OOZ}
+
+
+@given(
+    st.sampled_from(sorted(_ZETA)),
+    st.lists(st.integers(min_value=-40, max_value=60), min_size=1, max_size=3),
+    st.integers(min_value=0, max_value=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_digit_bound_is_never_below_the_answers_digits(tag, comp, n):
+    model = qseries.MODELS[tag]
+    comp = (max(comp[0], model.first_min),) + tuple(
+        k if model.rest_min is None else max(k, model.rest_min) for k in comp[1:]
+    )
+    qseries.clear_caches()
+    got = _ZETA[tag](comp, n)
+    digits = max(len(str(abs(c))) for c in got.coeffs)
+    routes = [_ZETA[tag]] + [rota_baxter_eval_OOZ] * (tag == "OOZ")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "get_int_max_str_digits", lambda: digits - 1)  # each route must refuse
+        for route in routes if digits > 1 else ():
+            qseries.clear_caches()
+            with pytest.raises(WordError, match=rf"^coefficients may reach \d+ digits at order {n}, past str\(\)'s limit of {digits - 1}$"):
+                route(comp, n)
+        mp.setattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no digit limit
+        for route in routes:
+            qseries.clear_caches()
+            assert route(comp, n) == got
+
+
+def test_both_routes_share_the_work_ceiling(monkeypatch):
+    for route in (zeta_OOZ, rota_baxter_eval_OOZ):
+        monkeypatch.setattr(qseries, "MAX_WORK", 0)
+        qseries.clear_caches()
+        with pytest.raises(WordError, match=r"^estimated work \S+ at order 50 passes the limit of 0\.0e\+00$") as exc:
+            route((2, 1, -1), 50)
+        work = float(str(exc.value).split()[2])
+        monkeypatch.setattr(qseries, "MAX_WORK", work * 0.9)
+        with pytest.raises(WordError, match=r"^estimated work "):
+            route((2, 1, -1), 50)
+        monkeypatch.setattr(qseries, "MAX_WORK", work * 1.1)
+        assert list(route((2, 1, -1), 50).coeffs) == brute_model("OOZ", (2, 1, -1), 50)
+
+
+_TEN_149, _TEN_150, _TEN_400 = (f"(1{'0' * e})" for e in (149, 150, 400))
+
+
+def _qeval(*args):
+    # a whole process under a 1 GB address-space cap, killed after 10 s
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "mzv_lab.cli", "qeval", *args]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=10, preexec_fn=_cap_memory)
+
+
+def _cap_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1_000_000 * 1024, 1_000_000 * 1024))
+
+
+def _short_id(value):
+    # 10^e for a huge part, and the outcome for an error text
+    if str(value).startswith("(10000"):
+        return f"10^{value.count('0')}"
+    return "refused" if str(value).startswith(("coefficients", "estimated")) else value or "answered"
+
+
+@pytest.mark.parametrize("model, comp", [("SZ", _TEN_400), ("BZ", _TEN_400), ("SZ", "(1,6000)")], ids=_short_id)
+def test_qeval_of_a_part_past_the_order_answers_0_within_10_s(model, comp):
+    # a factor q^(sm) (1-q^m)^-k whose shift s passes the order reaches no q^i,
+    # i <= n: the answer is 0 however large k is, neither ceiling applies, and
+    # no binomial row of k is built
+    out = _qeval("--model", model, "--comp", comp, "--order", "4000")
+    assert (out.returncode, out.stdout, out.stderr) == (0, "0\n", "")
+
+
+@pytest.mark.parametrize(
+    "evaluator, comp, order, err",
+    [
+        (evaluator, comp, order, err)
+        for evaluator in ("chain", "rota-baxter")
+        for comp, order, err in [
+            (_TEN_149, "30", ""),
+            (_TEN_150, "30", "coefficients may reach 4322 digits at order 30, past str()'s limit of 4300"),
+            (_TEN_400, "30", "coefficients may reach 11572 digits at order 30, past str()'s limit of 4300"),
+        ]
+    ]
+    + [
+        ("chain", "(400)", "2000", ""),
+        ("chain", "(6000)", "4000", "estimated work 3.0e+11 at order 4000 passes the limit of 3.5e+10"),
+        ("chain", "(20000)", "4000", "coefficients may reach 4853 digits at order 4000, past str()'s limit of 4300"),
+        ("chain", "(200000)", "4000", "coefficients may reach 8570 digits at order 4000, past str()'s limit of 4300"),
+        ("rota-baxter", "(50)", "1000", ""),
+        ("rota-baxter", "(400)", "2000", "estimated work 2.7e+11 at order 2000 passes the limit of 3.5e+10"),
+    ],
+    ids=_short_id,
+)
+def test_qeval_answers_or_refuses_a_huge_part_within_10_s(evaluator, comp, order, err):
+    if sys.get_int_max_str_digits() != 4300:
+        pytest.skip("the messages name str()'s default limit of 4300 digits")
+    out = _qeval("--model", "OOZ", "--comp", comp, "--order", order, "--evaluator", evaluator)
+    if err:
+        assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {err}\n")
+    else:
+        assert (out.returncode, out.stderr) == (0, "") and out.stdout.startswith("q + ")
+
+
 # -- the packed chain sum: wide slots, mixed signs, the slot width ---------------
 
 def test_packed_chain_sum_of_a_negative_part_past_64_bits():
@@ -240,6 +350,14 @@ def test_packed_chain_sum_of_a_negative_part_past_64_bits():
     got = zeta_OOZ(comp, 200)
     assert max(map(abs, got.coeffs)).bit_length() > 64 and min(got.coeffs) < 0
     assert got == rota_baxter_eval_OOZ(comp, 200)
+
+
+@pytest.mark.parametrize("tag, comp, n", [("BZ", (5, 11), 11), ("SZ", (1, 9, 3), 12), ("BZ", (2, 30), 31)])
+def test_packed_chain_sum_of_a_child_that_stays_zero(tag, comp, n):
+    # the inner suffix starts past the order, so its series stays 0 and the
+    # slots are narrow: the outer node packs no row of its wide binomials
+    qseries.clear_caches()
+    assert list(_ZETA[tag](comp, n).coeffs) == brute_model(tag, comp, n)
 
 
 def test_packed_chain_sum_of_a_high_weight_sz_value():
@@ -408,6 +526,38 @@ def test_eval_word_makes_one_chain_sum_pass(monkeypatch, model, alphabet):
     for c, k in coeffs.items():
         want = want + zeta(c, 25).scale(k)
     assert got == want
+
+
+def test_each_composition_is_domain_checked_once(monkeypatch):
+    check, calls = qseries.Model.check, []
+    monkeypatch.setattr(qseries.Model, "check", lambda self, comp: calls.append(comp) or check(self, comp))
+    comps = [(2, 1), (1, 0, 1), (3,)]
+    qseries.clear_caches()
+    eval_word("SZ", Poly(PY, {z_encode(c, PY): i + 1 for i, c in enumerate(comps)}), 12)
+    assert sorted(calls) == sorted(comps)  # by eval_word; the chain sum trusts it
+    calls.clear()
+    zeta_OOZ((2, -1), 12)
+    rota_baxter_eval_OOZ((2, -1), 12)
+    assert calls == [(2, -1), (2, -1)]
+
+
+@pytest.mark.parametrize(
+    "tag, comps",
+    [("SZ", [(2, 1, 0, 1), (1, 0, 1), (3,)]), ("SZstar", [(1, 0, 1), (2, 1, 1), (1, 1)]),
+     ("BZ", [(3, 1, 2), (2, 2), (2,)]), ("OOZ", [(2, 1, -1, 1), (1, -1, 1), (3, 1), (1,)])],
+)
+def test_chain_sum_plans_its_nodes_in_one_pass_without_sorting(monkeypatch, tag, comps):
+    # nodes enter children first; strict models reverse that plan
+    calls = []
+    monkeypatch.setattr(qseries, "sorted", lambda *a, **k: calls.append(a) or sorted(*a, **k), raising=False)
+    qseries.clear_caches()
+    got = qseries._eval_models(tag, comps, 14)
+    assert calls == []
+    assert got == [brute_model(tag, c, 14) for c in comps]
+
+
+def test_each_model_carries_the_alphabet_eval_word_reads():
+    assert {tag: m.alphabet for tag, m in qseries.MODELS.items()} == {"SZ": PY, "SZstar": PY, "BZ": H2, "OOZ": PY}
 
 
 # -- QPoly ------------------------------------------------------------------------
