@@ -64,6 +64,8 @@ from mzv_lab.words import (
     Rational,
     Word,
     WordError,
+    _ZCODECS,
+    _z_blocks,
     format_poly,
     format_tensor,
     format_word,
@@ -242,11 +244,11 @@ def _infer_alphabet(tokens: Sequence[Token]) -> Alphabet | None:
 
 def _z_letters(parts: Sequence[int], alphabet: Alphabet) -> int:
     # the letters z_encode builds, z_k being x0^(k-1) x1 or p^k y; it refuses
-    # a part below that, or any part on p/d/y, before building, so those count 0
-    least = {H2: 1, PY: 0}.get(alphabet)
-    if least is None or min(parts, default=least) < least:
+    # a part below the least, or any part on p/d/y, before building, so those count 0
+    codec = _ZCODECS.get(alphabet.tag)
+    if codec is None or min(parts, default=codec[1]) < codec[1]:
         return 0
-    return sum(parts) + len(parts) * (1 - least)
+    return sum(parts) + len(parts) * (1 - codec[1])
 
 
 def _check_letters(count: int) -> int:
@@ -275,7 +277,7 @@ class _Parser:
                     raise ParseError("z-blocks are not defined on the p/d/y alphabet", pos)
                 _check_letters(self.letters + len(letters) + _z_letters((v,), alphabet))
                 try:
-                    letters.extend(z_encode((v,), alphabet).letters)
+                    letters.extend(_z_blocks((v,), alphabet)(v))
                 except WordError as exc:
                     raise ParseError(str(exc), pos) from None
             else:
@@ -403,10 +405,7 @@ def parse_expr(
     alphabet may be an Alphabet, one of "h"/"H"/"pdy" (as on the command
     line), or None to infer it from the letters present.
     """
-    if isinstance(alphabet, str):
-        alphabet = _ALPHABET_FLAGS.get(alphabet)
-        if alphabet is None:
-            raise WordError(f"unknown alphabet flag; expected one of {sorted(_ALPHABET_FLAGS)}")
+    alphabet = _alphabet(alphabet)
     tokens = tokenize(text)
     if len(tokens) == 2 and tokens[0].kind == "COMP":
         return tokens[0].value  # type: ignore[return-value]
@@ -423,6 +422,13 @@ def parse_expr(
 _ALPHABET_FLAGS = {"h": H2, "H": PY, "pdy": PDY}
 
 
+def _alphabet(flag: Alphabet | str | None) -> Alphabet | None:
+    # a command-line flag "h", "H" or "pdy" as its alphabet; an Alphabet or None as it is
+    if isinstance(flag, str) and flag not in _ALPHABET_FLAGS:
+        raise WordError(f"unknown alphabet flag; expected one of {sorted(_ALPHABET_FLAGS)}")
+    return _ALPHABET_FLAGS.get(flag, flag)
+
+
 # ---------------------------------------------------------------------------
 # argparse front end
 # ---------------------------------------------------------------------------
@@ -434,7 +440,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 
 
 def _parse_operand(text: str, alphabet: Alphabet | str | None, lam: Fraction) -> Poly:
-    alphabet = _ALPHABET_FLAGS.get(alphabet, alphabet)  # parse_expr names an unknown flag
+    alphabet = _alphabet(alphabet)  # once: parse_expr takes the Alphabet as it is
     out = parse_expr(text, alphabet, lam)
     if isinstance(out, tuple):
         if alphabet is None:

@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
+from mzv_lab.maps import _check_z_parts
 from mzv_lab.products import (
     _coarsenings,
     _comps_to_poly,
@@ -41,12 +42,14 @@ from mzv_lab.words import (
     Rational,
     Word,
     WordError,
+    _ZCODECS,
     _normal_word,
     add_into,
     add_pairs,
     add_scaled,
     as_poly,
     display_sorted,
+    poly_on,
     reverse_swap,
     z_decode,
 )
@@ -60,8 +63,7 @@ Coproduct = Callable[[Operand], "Tensor2"]
 
 def _outer_into(terms: dict, left: Poly, right: Poly, c: Rational, alphabet: Alphabet) -> None:
     """terms += c * (left (x) right) in place."""
-    if left.alphabet is not alphabet or right.alphabet is not alphabet:
-        raise AlphabetMismatchError("tensor factors must share the alphabet")
+    Tensor2._check_key((left, right), alphabet)  # on the two factors' alphabets
     rights = right.terms.items()
     add_pairs(terms, (((a, b), ca * cb) for a, ca in left.terms.items() for b, cb in rights), c)
 
@@ -121,7 +123,7 @@ class Tensor2(LinComb):
 def _z_cuts(w: Word) -> list[int]:
     """Letter positions of the z-letter boundaries of a z-decodable word w."""
     z_decode(w)  # raises unless w is z-decodable
-    terminal = "x1" if w.alphabet is H2 else "y"
+    terminal = _ZCODECS[w.alphabet.tag][0]
     return [0] + [j + 1 for j, a in enumerate(w.letters) if a == terminal]
 
 
@@ -161,11 +163,11 @@ def antipode(x: Operand, lam: Rational = 1) -> Poly:
     lam^(n - len J) z_J over the coarsenings J of (kn, ..., k1) (Hoffman,
     "Quasi-shuffle products", 2000, Thm 3.2).  Works on p/y words ending in y
     for any lam, and on x0/x1 words ending in x1 for lam = 1 (the plain
-    stuffle).
+    stuffle).  Like Ihara's S, it takes at most ``maps.MAX_DERIVATION`` z-parts.
     """
     X = as_poly(x)
     _stuffle(X.alphabet, Fraction(lam))  # raises outside the stuffle bialgebras
-    lam = _lam(lam)
+    X, lam = _check_z_parts(X, "antipode"), _lam(lam)
 
     def s_comp(c: tuple[int, ...]) -> dict[tuple[int, ...], Rational]:
         out = _coarsenings(c[::-1], lam)
@@ -237,9 +239,7 @@ def coproduct_square_op(x: Operand) -> Tensor2:
     flip . (rs x rs) . deconcat . rs.  Its domain is spanned by the unit and
     the p/y words that start with p (whose reverse-swaps end in y); on H0
     words, which also end in y, it equals the infinitesimal coproduct."""
-    X = as_poly(x)
-    if X.alphabet is not PY:
-        raise AlphabetMismatchError("coproduct_square_op lives on p/y words")
+    X = poly_on(x, "coproduct_square_op lives on p/y words", PY)
     for w in X.terms:
         if w.letters[:1] == ("y",):
             msg = f"{w!r} does not start with p; not in the domain of coproduct_square_op"
@@ -286,14 +286,11 @@ def infinitesimal_coproduct(x: Operand) -> Tensor2:
     infinitesimal_coproduct_at), so each word's D is read off its letters in
     one pass over its cuts (``_d_terms``), with no recursion.
     """
-    X = as_poly(x)
-    alphabet = X.alphabet
-    if alphabet not in (PY, PDY):
-        raise AlphabetMismatchError("infinitesimal_coproduct lives on p/y or p/d/y words")
+    X = poly_on(x, "infinitesimal_coproduct lives on p/y or p/d/y words", PY, PDY)
     terms: Terms = {}
     for w, c in X.terms.items():
         add_scaled(terms, _d_terms(w), c)
-    return Tensor2._make(alphabet, terms)
+    return Tensor2._make(X.alphabet, terms)
 
 
 def infinitesimal_coproduct_at(w: Word, i: int) -> Tensor2:

@@ -21,13 +21,12 @@ from mzv_lab.words import (
     H2,
     PY,
     Alphabet,
-    AlphabetMismatchError,
     NotInSubalgebraError,
     Poly,
     Word,
     WordError,
     add_pairs,
-    as_poly,
+    poly_on,
     z_decode,
 )
 
@@ -36,10 +35,7 @@ Operand = Union[Word, Poly]
 
 def tau(x: Operand) -> Poly:
     """Reverse-and-swap involution on x0/x1 words (x0 <-> x1)."""
-    X = as_poly(x)
-    if X.alphabet is not H2:
-        raise AlphabetMismatchError("tau acts on x0/x1 words")
-    return _rs(X)
+    return _rs(poly_on(x, "tau acts on x0/x1 words", H2))
 
 
 def tau_tilde(x: Operand) -> Poly:
@@ -48,10 +44,7 @@ def tau_tilde(x: Operand) -> Poly:
     Unlike tau it does not preserve the weight grading: weight goes to
     depth-count complement, only the letter length survives.
     """
-    X = as_poly(x)
-    if X.alphabet is not PY:
-        raise AlphabetMismatchError("tau_tilde acts on p/y words")
-    return _rs(X)
+    return _rs(poly_on(x, "tau_tilde acts on p/y words", PY))
 
 
 # ---------------------------------------------------------------------------
@@ -63,9 +56,7 @@ def derivation(x: Operand, n: int) -> Poly:
     x0 -> x0 (x0+x1)^(n-1) x1 and x1 -> minus that, extended by Leibniz."""
     if n < 1:
         raise WordError(f"derivation index must be >= 1, got {n}")
-    X = as_poly(x)
-    if X.alphabet is not H2:
-        raise AlphabetMismatchError("derivation acts on x0/x1 words")
+    X = poly_on(x, "derivation acts on x0/x1 words", H2)
     # the words of x0 (x0+x1)^(n-1) x1, each with coefficient 1
     images = [("x0", *m, "x1") for m in iterprod(H2.letters, repeat=n - 1)]
 
@@ -116,9 +107,7 @@ def _binom_map(name: str, alphabet: Alphabet, first_lo: int, rest_lo: int, signe
     kernel = partial(_binom_transform, first_lo=first_lo, rest_lo=rest_lo, signed=signed)
 
     def apply(x: Operand) -> Poly:
-        X = as_poly(x)
-        if X.alphabet is not alphabet:
-            raise AlphabetMismatchError(f"map acts on {alphabet} words")
+        X = poly_on(x, f"map acts on {alphabet} words", alphabet)
         keys = {w: z_decode(w) for w in X.terms}  # one decode per word, for the count and the sum
         terms = sum(
             prod(k - rest_lo + 1 for k in c[1:]) * (c[0] - first_lo + 1) if c else 1
@@ -156,12 +145,7 @@ def dual_family_2(x: Operand) -> Poly:
 
 def _ihara(x: Operand, name: str, merge: int) -> Poly:
     # the sum of merge^(len k - len J) z_J over the coarsenings J of each z-word z_k
-    X = as_poly(x)
-    if X.alphabet is not PY:
-        raise AlphabetMismatchError(f"{name} acts on p/y words")
-    parts = max((w.depth for w in X.terms), default=0)  # a word's y count, its z-parts
-    if parts > MAX_DERIVATION:
-        raise WordError(f"{name} takes at most {MAX_DERIVATION} z-parts, got {parts}")
+    X = _check_z_parts(poly_on(x, f"{name} acts on p/y words", PY), name)
     return _linear(X, z_decode, partial(_coarsenings, lam=merge), _comps_to_poly)
 
 
@@ -201,11 +185,18 @@ _REGISTRY: dict[str, LinearMap] = {
 }
 
 
-# the largest derivation index get_map serves, and the most z-parts S and S^-1
-# take: dn:<n> builds the 2^(n-1) words of (x0+x1)^(n-1), and S of n parts sums
-# the 2^(n-1) coarsenings; dn:16 of one letter takes 0.26 s and 45 MB in one
-# process (2 cores, Python 3.11)
+# the largest derivation index get_map serves, and the most z-parts S, S^-1 and
+# the antipode take: dn:<n> builds the 2^(n-1) words of (x0+x1)^(n-1), and each
+# coarsening sum of n parts the 2^(n-1) coarsenings; dn:16 of one letter takes
+# 0.26 s and 45 MB in one process (2 cores, Python 3.11)
 MAX_DERIVATION = 16
+
+
+def _check_z_parts(X: Poly, name: str) -> Poly:
+    """X, once no word of it has more than MAX_DERIVATION z-parts (its y or x1 letters)."""
+    if (parts := max((w.depth for w in X.terms), default=0)) > MAX_DERIVATION:
+        raise WordError(f"{name} takes at most {MAX_DERIVATION} z-parts, got {parts}")
+    return X
 
 
 def get_map(name: str) -> LinearMap:

@@ -46,7 +46,6 @@ from mzv_lab.words import (
     PDY,
     PY,
     Alphabet,
-    AlphabetMismatchError,
     NotInSubalgebraError,
     Poly,
     Rational,
@@ -58,6 +57,7 @@ from mzv_lab.words import (
     add_pairs,
     add_scaled,
     as_poly,
+    poly_on,
     reverse_swap,
     z_decode,
 )
@@ -104,9 +104,7 @@ def _pair_sum(
 ) -> Poly:
     # the sum of cu*cv * kernel(key a, key b) over term pairs ordered as words a <= b (the
     # products commute); each word is decoded once, on first use, and the sum encoded once
-    U, V = as_poly(u), as_poly(v)
-    if U.alphabet is not alphabet or V.alphabet is not alphabet:
-        raise AlphabetMismatchError(f"operands must be {alphabet} polynomials")
+    U, V = (poly_on(x, f"operands must be {alphabet} polynomials", alphabet) for x in (u, v))
     keys: dict[Word, Comp] = {}
     out: CompDict = {}
     for wu, cu in U.terms.items():
@@ -274,10 +272,8 @@ def shuffle_lambda(u: Operand, v: Operand, lam: Rational = 1) -> Poly:
     lam-weighted overlap; the d-cases are forced by pd = dp = 1.
     """
     kernel = partial(_product, _shuffle_lam, lam=_lam(lam))
-    alphabet = as_poly(u).alphabet
-    if alphabet not in (PY, PDY):
-        raise AlphabetMismatchError("shuffle_lambda lives on p/y and p/d/y words")
-    return _pair_sum(u, v, alphabet, _letters, kernel, _letters_to_poly)
+    U = poly_on(u, "shuffle_lambda lives on p/y and p/d/y words", PY, PDY)
+    return _pair_sum(U, v, U.alphabet, _letters, kernel, _letters_to_poly)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +329,7 @@ def _t_comp(comp: Comp) -> CompDict:
 
 def t_op(x: Operand) -> Poly:
     """T(z_m w) = z_m w - z_{m-1} w on p/y words whose first z-part is >= 1."""
-    X = as_poly(x)
-    if X.alphabet is not PY:
-        raise AlphabetMismatchError("t_op acts on p/y words")
-    return _linear(X, z_decode, _t_comp, _comps_to_poly)
+    return _linear(poly_on(x, "t_op acts on p/y words", PY), z_decode, _t_comp, _comps_to_poly)
 
 
 def _ooz_comps(c1: Comp, c2: Comp) -> CompDict:
@@ -402,9 +395,8 @@ def ooz_explicit(u: Operand, v: Operand) -> Poly:
 def ihara_circ(u: Operand, v: Operand) -> Poly:
     """z_k o (z_j w) = z_{k+j} w and z_k o 1 = 0, left factor a single z-letter
     (extended bilinearly in both slots)."""
-    U, V = as_poly(u), as_poly(v)
-    if U.alphabet is not V.alphabet:
-        raise AlphabetMismatchError("ihara_circ needs a common alphabet")
+    U = as_poly(u)
+    V = poly_on(v, "ihara_circ needs a common alphabet", U.alphabet)
     right = None  # V's z-parts, decoded once after the first left factor is checked
     out: CompDict = {}
     for wu, cu in U.terms.items():
@@ -445,13 +437,14 @@ def transferred_product(
 
 
 def _rs(x: Poly) -> Poly:
-    # reverse_swap is a bijection on words: the terms map one to one
+    # reverse_swap is a bijection on words that undoes itself: the terms map one to one, and
+    # the squares conjugate by it with no check of the transfer (transferred_product's)
     return Poly._make(x.alphabet, {reverse_swap(w): c for w, c in x.terms.items()})
 
 
 def square_classical(u: Operand, v: Operand) -> Poly:
     """tau-transfer of the stuffle to x0/x1 words starting with x0."""
-    return transferred_product(quasi_shuffle, _rs, _rs, u, v)
+    return _rs(quasi_shuffle(_rs(as_poly(u)), _rs(as_poly(v))))
 
 
 def square_lambda(u: Operand, v: Operand, lam: Rational = 1) -> Poly:
@@ -459,13 +452,13 @@ def square_lambda(u: Operand, v: Operand, lam: Rational = 1) -> Poly:
 
     Coincides with shuffle_lambda at the same lam on its whole domain.
     """
-    return transferred_product(partial(quasi_shuffle_lambda, lam=lam), _rs, _rs, u, v)
+    return _rs(quasi_shuffle_lambda(_rs(as_poly(u)), _rs(as_poly(v)), lam))
 
 
 def ooz_square(u: Operand, v: Operand) -> Poly:
     """tau~-transfer of the once-out-of-zeta stuffle; domain: p/y words that
     start with p and end in y (so that both the word and its reversal decode)."""
-    return transferred_product(ooz_quasi_shuffle, _rs, _rs, u, v)
+    return _rs(ooz_quasi_shuffle(_rs(as_poly(u)), _rs(as_poly(v))))
 
 
 def clear_caches() -> None:

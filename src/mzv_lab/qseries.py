@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from functools import partial, partialmethod
 from itertools import accumulate
 from operator import add, sub
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -95,13 +96,11 @@ class QPoly:
     def one(cls, order: int) -> "QPoly":
         return cls(order, (1,))
 
-    def __add__(self, other: "QPoly") -> "QPoly":
-        n = min(self.order, other.order)
-        return QPoly._make(n, [a + b for a, b in zip(self.coeffs, other.coeffs)][: n + 1])
+    def _plus(self, op, other: "QPoly") -> "QPoly":
+        # op coefficientwise through the smaller order, where zip stops
+        return QPoly._make(min(self.order, other.order), list(map(op, self.coeffs, other.coeffs)))
 
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        n = min(self.order, other.order)
-        return QPoly._make(n, [a - b for a, b in zip(self.coeffs, other.coeffs)][: n + 1])
+    __add__, __sub__ = partialmethod(_plus, add), partialmethod(_plus, sub)
 
     def __neg__(self) -> "QPoly":
         return self.scale(-1)
@@ -109,11 +108,6 @@ class QPoly:
     def scale(self, coeff: Rational) -> "QPoly":
         coeff = exact(coeff)
         return QPoly._make(self.order, [c * coeff for c in self.coeffs])
-
-    def __rmul__(self, coeff):
-        if isinstance(coeff, (int, Fraction)):
-            return self.scale(coeff)
-        return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -126,6 +120,8 @@ class QPoly:
             if a:
                 out[i:] = [c + a * b for c, b in zip(out[i:], other.coeffs)]
         return QPoly._make(n, out)
+
+    __rmul__ = __mul__  # a scalar times a series: the scalar branch above
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QPoly):
@@ -404,23 +400,14 @@ def _eval_model(tag: str, comp: Comp, n: int) -> list[int]:
     return _eval_models(tag, (MODELS[tag].check(comp),), n)[0]
 
 
-def zeta_SZ(comp: Iterable[int], order: int) -> QPoly:
-    return QPoly._make(order, _eval_model("SZ", tuple(comp), order))
+def _zeta(tag: str, comp: Iterable[int], order: int) -> QPoly:
+    """The chain sum of comp in the model tag, through q^order."""
+    return QPoly._make(order, _eval_model(tag, tuple(comp), order))
 
 
-def zeta_SZ_star(comp: Iterable[int], order: int) -> QPoly:
-    return QPoly._make(order, _eval_model("SZstar", tuple(comp), order))
-
-
-def zeta_BZ(comp: Iterable[int], order: int) -> QPoly:
-    return QPoly._make(order, _eval_model("BZ", tuple(comp), order))
-
-
-def zeta_OOZ(comp: Iterable[int], order: int) -> QPoly:
-    return QPoly._make(order, _eval_model("OOZ", tuple(comp), order))
-
-
-_ZETAS = {"SZ": zeta_SZ, "SZstar": zeta_SZ_star, "BZ": zeta_BZ, "OOZ": zeta_OOZ}
+# one function per model, each also a module attribute by its own name
+_ZETAS = {tag: partial(_zeta, tag) for tag in MODELS}
+zeta_SZ, zeta_SZ_star, zeta_BZ, zeta_OOZ = _ZETAS.values()
 
 
 def eval_word(model: str, x: Union[Word, Poly], order: int) -> QPoly:

@@ -41,6 +41,7 @@ from mzv_lab.words import (
     Poly,
     Word,
     WordError,
+    _ZCODECS,
     add_into,
     add_scaled,
     as_poly,
@@ -177,7 +178,7 @@ def h0_words(alphabet: Alphabet, max_weight: int, max_depth: int) -> list[Word]:
     """The words of h0 (x0/x1 words starting x0 and ending x1) or of H0 (p/y
     words starting p and ending y), plus the unit, weight ascending; depth is
     capped because trailing zero parts of p/y words are weightless."""
-    least = 1 if alphabet is H2 else 0  # the least z-part
+    least = _ZCODECS[alphabet.tag][1]  # the least z-part
     out = [Word(alphabet)]
     for w in range(1, max_weight + 1):
         for depth in range(1, max_depth + 1):
@@ -514,22 +515,12 @@ def _ooz_explicit(mw: int, order: int | None) -> Iterator[Case]:
 def _star(mw: int, order: int | None) -> Iterator[Case]:
     x0 = Word(H2, ("x0",))
     x1 = Word(H2, ("x1",))
-    yield Case(
-        "star-x1-x1",
-        {"u": "x1", "v": "x1"},
-        lambda: (
-            products.shuffle_star(Poly.of(x1), Poly.of(x1)),
-            2 * Poly.of(x1 * x1) - 2 * Poly.of(x0 * x1),
-        ),
-    )
-    yield Case(
-        "star-x1-x0",
-        {"u": "x1", "v": "x0"},
-        lambda: (
-            products.shuffle_star(Poly.of(x1), Poly.of(x0)),
-            Poly.of(x1 * x0) + Poly.of(x0 * x1) - Poly.of(x0 * x0) - Poly.of(x1 * x1),
-        ),
-    )
+    for v, expected in (
+        (x1, 2 * Poly.of(x1 * x1) - 2 * Poly.of(x0 * x1)),
+        (x0, Poly.of(x1 * x0) + Poly.of(x0 * x1) - Poly.of(x0 * x0) - Poly.of(x1 * x1)),
+    ):
+        check = partial(_equals, expected, products.shuffle_star, Poly.of(x1), Poly.of(v))
+        yield Case(f"star-x1-{v}", {"u": "x1", "v": str(v)}, check)
     words = [w for w in words_by_length(H2, mw - 1) if not w.is_unit]
     yield from pair_cases(words, {
         "alt": lambda u, v: (products.shuffle_star_alt(u, v), products.shuffle_star(u, v)),
@@ -627,21 +618,14 @@ def _float(mw: int | None, order: int | None) -> Iterator[Case]:
         lambda: (abs(qseries.zeta_classical_float((2,), 1_000_000).value - 1.644934) < 1e-5, True),
     )
 
-    def within(c1: Composition, c2: Composition) -> bool:
+    def within(c1: Composition, c2: Composition) -> tuple[bool, bool]:
         r1 = qseries.zeta_classical_float(c1, 1_000_000)
         r2 = qseries.zeta_classical_float(c2, 1_000_000)
-        return abs(r1.value - r2.value) <= r1.tail_bound + r2.tail_bound
+        return abs(r1.value - r2.value) <= r1.tail_bound + r2.tail_bound, True
 
-    yield Case(
-        "zeta-21-vs-3",
-        {"lhs": [2, 1], "rhs": [3]},
-        lambda: (within((2, 1), (3,)), True),
-    )
-    yield Case(
-        "zeta-211-vs-4",
-        {"lhs": [2, 1, 1], "rhs": [4]},
-        lambda: (within((2, 1, 1), (4,)), True),
-    )
+    for lhs, rhs in (((2, 1), (3,)), ((2, 1, 1), (4,))):
+        case_id = f"zeta-{''.join(map(str, lhs))}-vs-{''.join(map(str, rhs))}"
+        yield Case(case_id, {"lhs": list(lhs), "rhs": list(rhs)}, partial(within, lhs, rhs))
 
 
 # ---------------------------------------------------------------------------

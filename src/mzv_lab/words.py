@@ -433,6 +433,14 @@ def as_poly(x: Word | Poly) -> Poly:
     return Poly.of(x) if isinstance(x, Word) else x
 
 
+def poly_on(x: Word | Poly, message: str, *alphabets: Alphabet) -> Poly:
+    """x as a Poly, once it lies over one of alphabets; else AlphabetMismatchError(message)."""
+    X = as_poly(x)
+    if X.alphabet not in alphabets:
+        raise AlphabetMismatchError(message)
+    return X
+
+
 # -- subalgebra membership --------------------------------------------------
 
 _SPACES = {
@@ -495,20 +503,25 @@ def _zcodec(count: str, terminal: str, least: int) -> tuple:
 _ZCODECS = {"PY": _zcodec("p", "y", 0), "H2": _zcodec("x0", "x1", 1)}
 
 
+def _z_blocks(comp: tuple[int, ...], alphabet: Alphabet) -> Callable[[int], tuple[str, ...]]:
+    """alphabet's z-block table, part -> its letters, once every part of comp has one."""
+    if alphabet.tag not in _ZCODECS:
+        raise EncodingError(f"no z-block codec on alphabet {alphabet.tag}")
+    _, least, block, _ = _ZCODECS[alphabet.tag]
+    if comp and min(comp) < least:  # name the first offending part
+        bad = next(k for k in comp if k < least)
+        raise EncodingError(f"{alphabet.tag} z-block needs k >= {least}, got {bad}")
+    return block
+
+
 def z_encode(comp: Iterable[int], alphabet: Alphabet) -> Word:
     """Encode a composition as a word of z-blocks.
 
     PY:  z_k = p^k y   (k >= 0);   H2:  z_k = x0^(k-1) x1   (k >= 1).
     The empty composition encodes to the unit word.
     """
-    if alphabet.tag not in _ZCODECS:
-        raise EncodingError(f"no z-block codec on alphabet {alphabet.tag}")
-    _, least, block, _ = _ZCODECS[alphabet.tag]
     comp = tuple(comp)
-    if comp and min(comp) < least:  # name the first offending part
-        bad = next(k for k in comp if k < least)
-        raise EncodingError(f"{alphabet.tag} z-block needs k >= {least}, got {bad}")
-    return _normal_word((alphabet, tuple(chain.from_iterable(map(block, comp)))))
+    return _normal_word((alphabet, tuple(chain.from_iterable(map(_z_blocks(comp, alphabet), comp)))))
 
 
 def z_decode(word: Word) -> tuple[int, ...]:

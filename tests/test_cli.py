@@ -521,13 +521,19 @@ def test_main_bad_lambda_is_one_line_usage_error(capsys, lam):
     assert err.startswith("error: --lambda") and len(err.splitlines()) == 1
 
 
-# operand terms per alphabet flag, and a few that fit none or every one
+# operand terms per alphabet flag, then noise that fits none: the flags share no term,
+# so an operand shows the flag it was drawn for even where argv does not name it
 _ARGV_TERMS = {
-    "h": ("x0", "x1", "x0x1", "x1x0", "z{1}", "z{2}", "(1)", "(2,1)", "(0,1)", "()"),
-    "H": ("p", "y", "py", "yp", "ppy", "z{1}", "(1)", "(2,1)", "(0,1)", "(1,-1)", "()"),
-    "pdy": ("p", "y", "d", "py", "pdy", "dy", "dp"),
+    "h": (
+        "x0", "x1", "x0x1", "x1x0", "x0x0x1", "z{1}", "z{2}", "z{3}x1", "(1)", "(2,1)", "(0,1)",
+        "(3,1,2)", "()", "1", "(", "z{", "pd",
+    ),
+    "H": (
+        "p", "y", "py", "yp", "ppy", "pypy", "z{0}py", "z{2}y", "(2)", "(1,0)", "(1,-1)",
+        "(2,0,1)", "( )", "1/2", "(((", "z{x}", "x0",
+    ),
+    "pdy": ("d", "pdy", "dy", "dp", "ppdy", "dyp", "ydd", "dpy", "3", ")", "z{1}", "x1"),
 }
-_ARGV_NOISE = ("1", "1/2", "(", "z{", "x0", "p")
 _ARGV_OPS = (" sh ", " sq ", " * ", " + ", " - ")
 _ARGV_LAMBDAS = ([], ["--lambda", "0"], ["--lambda", "1/0"], ["--lambda=-1"], ["--lambda", "1/2"])
 
@@ -536,17 +542,29 @@ _ARGV_LAMBDAS = ([], ["--lambda", "0"], ["--lambda", "1/0"], ["--lambda=-1"], ["
 def _cli_argv(draw):
     """argv of product, map, coproduct or qeval from small operands, kinds,
     alphabets, lambdas and orders, valid and not, and of qeval of a huge part.
-    "--" keeps an operand that starts with "-" from reading as an option."""
+    Each kind draws only what its argv shows, from pools wide enough that the
+    examples of a kind are distinct.  "--" keeps an operand that starts with
+    "-" from reading as an option."""
+    command = draw(st.sampled_from(("product", "map", "coproduct", "qeval", "qeval-huge")))
+    if command.startswith("qeval"):
+        model = ["--model", draw(st.sampled_from(sorted(qseries.MODELS)))]
+        evaluator = ["--evaluator", draw(st.sampled_from(("chain", "rota-baxter")))]
+    if command == "qeval-huge":  # a part of 151 or 401 digits: coefficients may pass str()'s limit
+        huge = f"{draw(st.sampled_from(('', '-')))}1{'0' * draw(st.sampled_from((150, 400)))}"
+        source = f"--comp=({draw(st.sampled_from((huge, f'1,{huge}', f'{huge},2')))})"
+        return ["qeval", *model, source, f"--order={draw(st.integers(3, 40))}", *evaluator]
     flag = draw(st.sampled_from(sorted(_ARGV_TERMS)))
-    term = st.sampled_from(_ARGV_TERMS[flag] * 3 + _ARGV_NOISE)
+    term = st.sampled_from(_ARGV_TERMS[flag])
 
     def operand():
-        rest = draw(st.lists(st.tuples(st.sampled_from(_ARGV_OPS), term), max_size=2))
+        rest = draw(st.lists(st.tuples(st.sampled_from(_ARGV_OPS), term), max_size=3))
         return draw(st.sampled_from(("", "-"))) + draw(term) + "".join(op + t for op, t in rest)
 
+    if command == "qeval":
+        source = f"{draw(st.sampled_from(('--comp', '--expr')))}={operand()}"
+        return ["qeval", *model, source, f"--order={draw(st.integers(-1, 80))}", *evaluator]
     common = draw(st.sampled_from(([], ["--alphabet", flag])))
     common += draw(st.sampled_from(_ARGV_LAMBDAS))
-    command = draw(st.sampled_from(("product", "map", "coproduct", "qeval", "qeval-huge")))
     if command == "product":
         kind = draw(st.sampled_from([[]] + [["--kind", k] for k in sorted(cli._PRODUCT_KINDS)]))
         return ["product", *common, *kind, "--", *(operand() for _ in range(1 + bool(kind)))]
@@ -554,18 +572,8 @@ def _cli_argv(draw):
         names = sorted(maps._REGISTRY) + ["dn:1", "dn:3", "dn:0", "dn:17", "dn:x"]
         name = draw(st.sampled_from(names))
         return ["map", *common, "--name", name, "--", operand()]
-    if command == "coproduct":
-        kind = draw(st.sampled_from(("deconcat", "square-op", "infinitesimal")))
-        return ["coproduct", *common, "--kind", kind, "--", operand()]
-    model = draw(st.sampled_from(sorted(qseries.MODELS)))
-    source = f"{draw(st.sampled_from(('--comp', '--expr')))}={operand()}"
-    order = f"--order={draw(st.integers(min_value=-1, max_value=12))}"
-    if command == "qeval-huge":  # a part of 151 or 401 digits: coefficients may pass str()'s limit
-        huge = f"{draw(st.sampled_from(('', '-')))}1{'0' * draw(st.sampled_from((150, 400)))}"
-        source = f"--comp=({draw(st.sampled_from((huge, f'1,{huge}', f'{huge},2')))})"
-        order = f"--order={draw(st.sampled_from((3, 12, 30)))}"
-    evaluator = draw(st.sampled_from(("chain", "rota-baxter")))
-    return ["qeval", "--model", model, source, order, "--evaluator", evaluator]
+    kind = draw(st.sampled_from(("deconcat", "square-op", "infinitesimal")))
+    return ["coproduct", *common, "--kind", kind, "--", operand()]
 
 
 @given(_cli_argv())

@@ -140,6 +140,21 @@ def test_antipode_h2_limits():
         antipode(zh(2), -1)  # deformed stuffle lives on the p/y side
 
 
+def test_antipode_shares_the_coarsening_ceiling():
+    # S of n z-parts sums 2^(n-1) coarsenings, like Ihara's S: 16 parts answer, 17 are refused
+    assert maps.MAX_DERIVATION == 16
+    ones = z_encode((1,) * 16, PY)
+    S = antipode(ones)
+    assert len(S.terms) == 2**15 and S.coeff(ones) == 1  # (-1)^16 times the finest coarsening
+    for lam in (1, -1):
+        with pytest.raises(WordError) as err:
+            antipode(Poly.of(z_encode((1,) * 17, PY)) + Poly.of(ones), lam)
+        assert str(err.value) == "antipode takes at most 16 z-parts, got 17"
+    with pytest.raises(WordError) as err:
+        antipode(z_encode((2,) * 17, H2))
+    assert str(err.value) == "antipode takes at most 16 z-parts, got 17"
+
+
 # -- transfer ------------------------------------------------------------------
 
 def test_transfer_matches_direct_square():

@@ -420,6 +420,18 @@ def test_transferred_product_consistency_guard():
         transferred_product(quasi_shuffle, maps.tau, lambda x: x.scale(2), zh(2), zh(2))
 
 
+def test_squares_conjugate_by_reverse_swap_without_the_transfer_check(monkeypatch):
+    # reverse-swap undoes itself on every word, so no square checks its transfer
+    def checked(*args):
+        raise AssertionError("a square checked its transfer")
+
+    monkeypatch.setattr(products, "_iso_checked", checked)
+    assert square_classical(zh(2), zh(2)) == 2 * zh(2, 2) + zh(2, 1, 1)
+    for lam in (1, -1, 2):
+        assert square_lambda(zp((1,)), zp((2, 0)), lam) == shuffle_lambda(zp((1,)), zp((2, 0)), lam)
+    assert ooz_square(zp((1,)), zp((1,))) == 2 * zp((1, 1)) + zp((1, 0)) - 2 * zp((2,)) - zp((1,))
+
+
 def test_alphabet_mismatch_rejected():
     with pytest.raises(WordError):
         shuffle(zh(2), zp((1,)))

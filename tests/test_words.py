@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mzv_lab import hopf, maps, products, qseries
 from mzv_lab.words import (
     H2,
     PDY,
@@ -416,3 +417,33 @@ def test_poly_display_order_is_the_sort_key_order(case):
     x = Poly(alphabet, terms)
     want = sorted(x.terms.items(), key=lambda t: t[0].sort_key())
     assert x.sorted_terms() == want and list(x) == want
+
+
+# every public refusal of an operand on the wrong alphabet, by its exact message
+_X0, _P = Word(H2, ("x0",)), Word(PY, ("p",))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: maps.tau(_P), "tau acts on x0/x1 words"),
+    (lambda: maps.tau_tilde(_X0), "tau_tilde acts on p/y words"),
+    (lambda: maps.derivation(_P, 2), "derivation acts on x0/x1 words"),
+    (lambda: maps.map_U(_P), "map acts on H2 words"),
+    (lambda: maps.map_U_inv(_P), "map acts on H2 words"),
+    (lambda: maps.map_V(_X0), "map acts on PY words"),
+    (lambda: maps.map_V_inv(_X0), "map acts on PY words"),
+    (lambda: maps.dual_family_1(_X0), "map acts on PY words"),
+    (lambda: maps.dual_family_2(_P), "map acts on H2 words"),
+    (lambda: maps.ihara_S(_X0), "ihara_S acts on p/y words"),
+    (lambda: maps.ihara_S_inv(_X0), "ihara_S_inv acts on p/y words"),
+    (lambda: products.t_op(_X0), "t_op acts on p/y words"),
+    (lambda: products.shuffle_lambda(_X0, _X0), "shuffle_lambda lives on p/y and p/d/y words"),
+    (lambda: products.quasi_shuffle(_P, _P), "operands must be H2 polynomials"),
+    (lambda: hopf.coproduct_square_op(_X0), "coproduct_square_op lives on p/y words"),
+    (lambda: hopf.infinitesimal_coproduct(_X0), "infinitesimal_coproduct lives on p/y or p/d/y words"),
+    (lambda: qseries.eval_word("BZ", _P, 3), "BZ reads H2 words, got PY"),
+    (lambda: qseries.eval_word("SZ", _X0, 3), "SZ reads PY words, got H2"),
+])
+def test_alphabet_mismatch_messages(call, message):
+    with pytest.raises(AlphabetMismatchError) as err:
+        call()
+    assert str(err.value) == message
