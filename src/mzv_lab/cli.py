@@ -52,6 +52,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple, Sequence, Union
 
 from mzv_lab import maps, products
@@ -60,6 +61,7 @@ from mzv_lab.words import (
     PDY,
     PY,
     Alphabet,
+    EncodingError,
     Poly,
     Rational,
     Word,
@@ -71,7 +73,6 @@ from mzv_lab.words import (
     format_word,
     poly_json,
     tensor_json,
-    z_encode,
 )
 
 Composition = tuple[int, ...]
@@ -225,36 +226,29 @@ def _chunk_items(chunk: str, pos: int) -> list[tuple[str, object]]:
 
 
 def _infer_alphabet(tokens: Sequence[Token]) -> Alphabet | None:
-    letters: set[str] = set()
-    for t in tokens:
-        if t.kind == "WORD":
-            for kind, v in _chunk_items(str(t.value), t.pos):
-                if kind == "letter":
-                    letters.add(str(v))
-    if letters & {"x0", "x1"}:
-        if letters & {"p", "d", "y"}:
-            raise ParseError("mixed x0/x1 and p/d/y letters", 0)
-        return H2
-    if "d" in letters:
-        return PDY
-    if letters & {"p", "y"}:
-        return PY
-    return None
-
-
-def _z_letters(parts: Sequence[int], alphabet: Alphabet) -> int:
-    # the letters z_encode builds, z_k being x0^(k-1) x1 or p^k y; it refuses
-    # a part below the least, or any part on p/d/y, before building, so those count 0
-    codec = _ZCODECS.get(alphabet.tag)
-    if codec is None or min(parts, default=codec[1]) < codec[1]:
-        return 0
-    return sum(parts) + len(parts) * (1 - codec[1])
+    letters = {
+        str(v) for t in tokens if t.kind == "WORD"
+        for kind, v in _chunk_items(str(t.value), t.pos) if kind == "letter"
+    }
+    if not letters:
+        return None
+    for alphabet in (H2, PY, PDY):  # the first that has them all
+        if letters.issubset(alphabet.letters):
+            return alphabet
+    raise ParseError("mixed x0/x1 and p/d/y letters", 0)
 
 
 def _check_letters(count: int) -> int:
     if count > MAX_LETTERS:
         raise WordError(f"expression builds more than {MAX_LETTERS} letters")
     return count
+
+
+def _encode(comp: tuple[int, ...], alphabet: Alphabet, built: int = 0) -> tuple[str, ...]:
+    # comp's z-block letters, once _z_blocks takes every part and built + their count <= MAX_LETTERS
+    block, least = _z_blocks(comp, alphabet), _ZCODECS[alphabet.tag][1]
+    _check_letters(built + sum(comp) + len(comp) * (1 - least))  # z_k has k - least + 1 letters
+    return tuple(chain.from_iterable(map(block, comp)))
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +269,9 @@ class _Parser:
             if kind == "z":
                 if alphabet is PDY:
                     raise ParseError("z-blocks are not defined on the p/d/y alphabet", pos)
-                _check_letters(self.letters + len(letters) + _z_letters((v,), alphabet))
                 try:
-                    letters.extend(_z_blocks((v,), alphabet)(v))
-                except WordError as exc:
+                    letters.extend(_encode((v,), alphabet, self.letters + len(letters)))
+                except EncodingError as exc:
                     raise ParseError(str(exc), pos) from None
             else:
                 if v not in alphabet.letters:
@@ -329,11 +322,12 @@ class _Parser:
         if t.kind == "WORD":
             return Poly.of(self._word_from_chunk(str(t.value), t.pos))
         if t.kind == "COMP":
-            self.letters = _check_letters(self.letters + _z_letters(t.value, self.alphabet))
             try:
-                return Poly.of(z_encode(t.value, self.alphabet))  # type: ignore[arg-type]
-            except WordError as exc:
+                letters = _encode(t.value, self.alphabet, self.letters)  # type: ignore[arg-type]
+            except EncodingError as exc:
                 raise ParseError(str(exc), t.pos) from None
+            self.letters += len(letters)
+            return Poly.of(Word._make(self.alphabet, letters))
         if t.kind == "NUM":
             return Poly.unit(self.alphabet).scale(t.value)  # type: ignore[arg-type]
         if t.kind == "LPAREN":
@@ -445,8 +439,7 @@ def _parse_operand(text: str, alphabet: Alphabet | str | None, lam: Fraction) ->
     if isinstance(out, tuple):
         if alphabet is None:
             raise WordError("a bare composition needs --alphabet")
-        _check_letters(_z_letters(out, alphabet))
-        return Poly.of(z_encode(out, alphabet))
+        return Poly.of(Word._make(alphabet, _encode(out, alphabet)))
     return out
 
 

@@ -42,7 +42,6 @@ from mzv_lab.words import (
     Rational,
     Word,
     WordError,
-    _ZCODECS,
     _normal_word,
     add_into,
     add_pairs,
@@ -123,7 +122,7 @@ class Tensor2(LinComb):
 def _z_cuts(w: Word) -> list[int]:
     """Letter positions of the z-letter boundaries of a z-decodable word w."""
     z_decode(w)  # raises unless w is z-decodable
-    terminal = _ZCODECS[w.alphabet.tag][0]
+    terminal = w.alphabet.letters[-1]
     return [0] + [j + 1 for j, a in enumerate(w.letters) if a == terminal]
 
 
@@ -183,7 +182,6 @@ def antipode(x: Operand, lam: Rational = 1) -> Poly:
 class HopfStructure(NamedTuple):
     """A product/coproduct/counit/antipode bundle over one alphabet."""
 
-    name: str
     alphabet: Alphabet
     product: Callable[[Operand, Operand], Poly]
     coproduct: Coproduct
@@ -196,15 +194,12 @@ def base_hopf(alphabet: Alphabet, lam: Rational = 1) -> HopfStructure:
     """The (deformed) stuffle bialgebra on z-decodable words with deconcatenation."""
     lam = Fraction(lam)
     product = _stuffle(alphabet, lam)
-    name = "stuffle/deconcat on x0/x1" if alphabet is H2 else f"stuffle(lam={lam})/deconcat on p/y"
     return HopfStructure(
-        name, alphabet, product, deconcat, counit, partial(antipode, lam=lam), Poly.unit(alphabet)
+        alphabet, product, deconcat, counit, partial(antipode, lam=lam), Poly.unit(alphabet)
     )
 
 
-def transfer_hopf(
-    base: HopfStructure, iso: Linear, iso_inv: Linear, name: str = ""
-) -> HopfStructure:
+def transfer_hopf(base: HopfStructure, iso: Linear, iso_inv: Linear) -> HopfStructure:
     """Pull the whole bundle back through a linear isomorphism.
 
     product  -> iso_inv . m . (iso x iso)   (products.transferred_product)
@@ -220,7 +215,6 @@ def transfer_hopf(
         return base.coproduct(iso(checked(x))).map_factors(iso_inv, iso_inv)
 
     return HopfStructure(
-        name or f"transfer of [{base.name}]",
         base.alphabet,
         partial(transferred_product, base.product, iso, iso_inv),
         coproduct,

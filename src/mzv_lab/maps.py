@@ -54,8 +54,7 @@ def tau_tilde(x: Operand) -> Poly:
 def derivation(x: Operand, n: int) -> Poly:
     """The n-th derivation on x0/x1 words: on letters,
     x0 -> x0 (x0+x1)^(n-1) x1 and x1 -> minus that, extended by Leibniz."""
-    if n < 1:
-        raise WordError(f"derivation index must be >= 1, got {n}")
+    _check_derivation_index(n)
     X = poly_on(x, "derivation acts on x0/x1 words", H2)
     # the words of x0 (x0+x1)^(n-1) x1, each with coefficient 1
     images = [("x0", *m, "x1") for m in iterprod(H2.letters, repeat=n - 1)]
@@ -199,6 +198,12 @@ def _check_z_parts(X: Poly, name: str) -> Poly:
     return X
 
 
+def _check_derivation_index(n: int) -> None:
+    if not 1 <= n <= MAX_DERIVATION:
+        bound = ">= 1" if n < 1 else f"<= {MAX_DERIVATION}"
+        raise WordError(f"derivation index must be {bound}, got {n}")
+
+
 def get_map(name: str) -> LinearMap:
     """Look up a named map; dn:<n> selects the n-th derivation, 1 <= n <= MAX_DERIVATION."""
     if name.startswith("dn:"):
@@ -206,10 +211,7 @@ def get_map(name: str) -> LinearMap:
             n = int(name[3:])
         except ValueError:
             raise WordError(f"bad derivation index in {name!r}") from None
-        if n < 1:
-            raise WordError(f"derivation index must be >= 1, got {n}")
-        if n > MAX_DERIVATION:
-            raise WordError(f"derivation index must be <= {MAX_DERIVATION}, got {n}")
+        _check_derivation_index(n)  # before the operand is parsed
         return LinearMap(name, H2, lambda x, _n=n: derivation(x, _n))
     try:
         return _REGISTRY[name]

@@ -554,11 +554,10 @@ def _hopf(mw: int, order: int | None) -> Iterator[Case]:
     h2m1_words = words_by_length(H2, mw, lambda w: membership(w, "hm1"))
     structures: list[tuple[str, hopf.HopfStructure, list[Word]]] = []
     for lam in (1, -1):
-        name = f"tau~-transfer lam={lam}"
-        tilde = hopf.transfer_hopf(hopf.base_hopf(PY, lam), maps.tau_tilde, maps.tau_tilde, name=name)
+        tilde = hopf.transfer_hopf(hopf.base_hopf(PY, lam), maps.tau_tilde, maps.tau_tilde)
         structures.append((f"base-lam{lam}", hopf.base_hopf(PY, lam), py_words))
         structures.append((f"tau~-transfer-lam{lam}", tilde, pm1_words))
-    tau = hopf.transfer_hopf(hopf.base_hopf(H2, 1), maps.tau, maps.tau, name="tau-transfer")
+    tau = hopf.transfer_hopf(hopf.base_hopf(H2, 1), maps.tau, maps.tau)
     structures.append(("tau-transfer", tau, h2m1_words))
     laws = {
         "counit": lambda H, w: (_counit_laws(H, w), True),

@@ -72,7 +72,8 @@ class EncodingError(WordError):
 
 
 class Alphabet:
-    """One of the three singleton alphabets: immutable, equal only to itself."""
+    """One of the three singleton alphabets: immutable, equal only to itself.  Its first
+    letter counts in a z-block and its last ends one: x0 and x1, or p and y."""
 
     __slots__ = ("tag", "letters", "rank")
 
@@ -206,7 +207,7 @@ class Word(tuple):
 
     @property
     def depth(self) -> int:
-        return self[1].count("x1" if self[0] is H2 else "y")
+        return self[1].count(self[0].letters[-1])  # the terminal letter: x1 or y
 
 
 # trusted constructor, one C call, of a word from letters already in normal form
@@ -493,14 +494,15 @@ class _Table(dict):
         return value
 
 
-def _zcodec(count: str, terminal: str, least: int) -> tuple:
+def _zcodec(alphabet: Alphabet, least: int) -> tuple:
     # (terminal, least part, part -> its letters, its run of counting letters, joined -> part)
+    count, terminal = alphabet.letters[0], alphabet.letters[-1]
     block = _Table(lambda k: (count,) * (k - least) + (terminal,), least + 256)
     part = _Table(lambda run: len(run) // len(count) + least, count * 256)
     return terminal, least, block.__getitem__, part.__getitem__
 
 
-_ZCODECS = {"PY": _zcodec("p", "y", 0), "H2": _zcodec("x0", "x1", 1)}
+_ZCODECS = {"PY": _zcodec(PY, 0), "H2": _zcodec(H2, 1)}
 
 
 def _z_blocks(comp: tuple[int, ...], alphabet: Alphabet) -> Callable[[int], tuple[str, ...]]:

@@ -679,9 +679,19 @@ def test_main_letter_ceiling_is_one_line_usage_error(capsys):
     assert main(["product", "--alphabet", "h", "z{1000000000000}"]) == 2
     assert time.perf_counter() - start < 0.5
     assert capsys.readouterr().err == err
-    # a part that z_encode refuses is still named first: nothing is built for it
-    assert main(["product", "--alphabet", "h", "(0,1000000000)"]) == 2
-    assert capsys.readouterr().err == "error: H2 z-block needs k >= 1, got 0\n"
+    # a part or an alphabet that the codec refuses is still named first, on every composition
+    # path (a bare operand, a COMP atom, a z-block): nothing is counted or built for it
+    syntax = "error: syntax error at position {}: {}\n"
+    for flag, text, want in (
+        ("h", "(0,1000000000)", "error: H2 z-block needs k >= 1, got 0\n"),
+        ("h", "z{2} + (0,1000000000)", syntax.format(7, "H2 z-block needs k >= 1, got 0")),
+        ("h", "z{0}z{1000000000}", syntax.format(0, "H2 z-block needs k >= 1, got 0")),
+        ("pdy", "(1)", "error: no z-block codec on alphabet PDY\n"),
+        ("pdy", "d + (1)", syntax.format(4, "no z-block codec on alphabet PDY")),
+        ("pdy", "dz{1}", syntax.format(0, "z-blocks are not defined on the p/d/y alphabet")),
+    ):
+        assert main(["product", "--alphabet", flag, text]) == 2
+        assert capsys.readouterr().err == want
 
 
 def test_letter_ceiling_counts_every_word_of_the_expression(monkeypatch):

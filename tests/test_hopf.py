@@ -158,13 +158,13 @@ def test_antipode_shares_the_coarsening_ceiling():
 # -- transfer ------------------------------------------------------------------
 
 def test_transfer_matches_direct_square():
-    Ht = transfer_hopf(base_hopf(H2, 1), maps.tau, maps.tau, name="tau")
+    Ht = transfer_hopf(base_hopf(H2, 1), maps.tau, maps.tau)
     assert Ht.product(zh(2), zh(2)) == square_classical(zh(2), zh(2))
     assert Ht.counit(Poly.unit(H2)) == 1
 
 
 def test_transfer_consistency_guard():
-    Ht = transfer_hopf(base_hopf(H2, 1), maps.tau, lambda x: x.scale(3), name="broken")
+    Ht = transfer_hopf(base_hopf(H2, 1), maps.tau, lambda x: x.scale(3))
     with pytest.raises(IsoConsistencyError):
         Ht.product(zh(2), zh(2))
 

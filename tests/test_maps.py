@@ -1,10 +1,13 @@
 """Linear maps: dualities, derivations, binomial transfers, the S pair."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mzv_lab import maps, products
+from mzv_lab.cli import main
 from mzv_lab.words import (
     H2,
     PY,
@@ -183,6 +186,21 @@ def test_get_map_errors():
         maps.get_map("dn:0")
     with pytest.raises(WordError):
         maps.get_map("dn:x")
+
+
+def test_derivation_refuses_the_indices_get_map_refuses(capsys):
+    x = zh(2)
+    for n, message in ((17, "derivation index must be <= 16, got 17"),
+                       (0, "derivation index must be >= 1, got 0")):
+        with pytest.raises(WordError, match=f"^{message}$"):
+            maps.get_map(f"dn:{n}")
+        start = time.perf_counter()
+        with pytest.raises(WordError, match=f"^{message}$"):  # before any image is built
+            maps.derivation(x, n)
+        assert time.perf_counter() - start < 0.1
+    # the command line checks the index before it parses the operand
+    assert main(["map", "--name", "dn:17", "--alphabet", "h", "x9"]) == 2
+    assert capsys.readouterr().err == "error: derivation index must be <= 16, got 17\n"
 
 
 @pytest.mark.parametrize(

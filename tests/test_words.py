@@ -401,6 +401,21 @@ def test_codecs_roundtrip_from_words(case):
 
 
 @given(
+    st.sampled_from([H2, PY]).flatmap(
+        lambda a: st.tuples(st.just(a), st.lists(st.sampled_from(a.letters), max_size=12))
+    ),
+    st.lists(st.sampled_from(PDY.letters), max_size=12),
+)
+def test_depth_counts_the_z_parts_the_codec_decodes(case, pdy_letters):
+    # Word.depth reads the terminal letter from the alphabet, the codec from its table
+    alphabet, letters = case
+    w = Word(alphabet, letters + [alphabet.letters[-1]])
+    assert w.depth == len(z_decode(w))
+    v = Word(PDY, pdy_letters)  # no codec: depth counts y, which pd = dp = 1 never cancels
+    assert v.depth == pdy_letters.count("y")
+
+
+@given(
     st.sampled_from([H2, PY, PDY]).flatmap(
         lambda a: st.tuples(
             st.just(a),
