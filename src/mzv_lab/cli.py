@@ -267,8 +267,6 @@ class _Parser:
         alphabet, letters = self.alphabet, []
         for kind, v in _chunk_items(chunk, pos):
             if kind == "z":
-                if alphabet is PDY:
-                    raise ParseError("z-blocks are not defined on the p/d/y alphabet", pos)
                 try:
                     letters.extend(_encode((v,), alphabet, self.letters + len(letters)))
                 except EncodingError as exc:

@@ -46,6 +46,7 @@ from mzv_lab.words import (
     PDY,
     PY,
     Alphabet,
+    Memo,
     NotInSubalgebraError,
     Poly,
     Rational,
@@ -57,6 +58,7 @@ from mzv_lab.words import (
     add_pairs,
     add_scaled,
     as_poly,
+    clear_caches,  # re-exported: it empties every Memo, _MEMO among them
     poly_on,
     reverse_swap,
     z_decode,
@@ -130,7 +132,9 @@ def _linear(X: Poly, decode: Callable, kernel: Callable, encode: Callable) -> Po
 # the driver, its memo, and the rules (u and v nonempty)
 # ---------------------------------------------------------------------------
 
-_MEMO: dict[tuple, CompDict] = {}
+# 4 096 cells: verify's table reaches 23 314 unbounded.  A product whose frontier of
+# live cells (about |u| + |v|) fits in half the bound recomputes nothing after an eviction
+_MEMO: Memo = Memo(4096)
 
 
 def _product(rule: Callable, u: Comp, v: Comp, lam: Rational = 1) -> CompDict:
@@ -459,7 +463,3 @@ def ooz_square(u: Operand, v: Operand) -> Poly:
     """tau~-transfer of the once-out-of-zeta stuffle; domain: p/y words that
     start with p and end in y (so that both the word and its reversal decode)."""
     return _rs(ooz_quasi_shuffle(_rs(as_poly(u)), _rs(as_poly(v))))
-
-
-def clear_caches() -> None:
-    _MEMO.clear()

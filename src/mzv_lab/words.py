@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import chain, product
+from itertools import chain, islice, product
 from operator import ge, gt, itemgetter, le, lt, methodcaller
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Union
 
@@ -473,6 +473,41 @@ def membership(word: Word, space: str) -> bool:
 
 def poly_membership(poly: Poly, space: str) -> bool:
     return all(membership(w, space) for w in poly.terms)
+
+
+# -- bounded memos -----------------------------------------------------------
+
+class Memo(dict):
+    """A module-level cache: a dict whose store, once maxsize entries are held, first
+    drops the oldest half by insertion order.  A hit stays a plain ``dict.get``; stores
+    and evicted entries are counted.  Every Memo registers itself in ``MEMOS``."""
+
+    __slots__ = ("maxsize", "stores", "evictions")
+
+    def __init__(self, maxsize: int):
+        self.maxsize, self.stores, self.evictions = maxsize, 0, 0
+        MEMOS.append(self)
+
+    def __setitem__(self, key, value) -> None:
+        if len(self) >= self.maxsize:
+            old = list(islice(self, (len(self) + 1) // 2))
+            self.evictions += len(old)
+            for k in old:
+                del self[k]
+        self.stores += 1
+        dict.__setitem__(self, key, value)
+
+    def cache_info(self) -> dict[str, int]:
+        return dict(size=len(self), maxsize=self.maxsize, stores=self.stores, evictions=self.evictions)
+
+
+MEMOS: list[Memo] = []
+
+
+def clear_caches() -> None:
+    """Empty every Memo; its counts run on."""
+    for memo in MEMOS:
+        memo.clear()
 
 
 # -- z-block codecs ----------------------------------------------------------

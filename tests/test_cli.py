@@ -197,7 +197,7 @@ def test_parse_results_are_pinned():
         for flag in (None, "h", "H", "pdy")
     ]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "217df2594934d294b4baeea81f87ccc1f25c6e94b78984afc20bea408d765db4"
+    assert digest == "87d273aef0b66b8d581b1c512f9d4161d468b3231a990e3e0d320c473ecdbc40"
 
 
 @pytest.mark.parametrize(
@@ -668,6 +668,20 @@ def test_main_order_has_a_ceiling(capsys, tmp_path):
     assert capsys.readouterr().out.startswith("q^5 + q^6 + 4q^7 + ")
 
 
+def test_main_max_weight_has_a_ceiling_checked_before_any_case(capsys, monkeypatch, tmp_path):
+    from mzv_lab import suites
+
+    assert suites.MAX_WEIGHT == 9
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, lambda *args: pytest.fail("a suite ran"))
+    never = tmp_path / "never.jsonl"
+    for argv in (["verify", "--suite", "all"], ["export-vectors", "--suite", "ihara-s", "--out", str(never)]):
+        assert main([*argv, "--max-weight", "10"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: --max-weight must be <= 9, got 10\n"
+    assert not never.exists()
+
+
 def test_main_letter_ceiling_is_one_line_usage_error(capsys):
     assert cli.MAX_LETTERS == 1_000_000
     err = "error: expression builds more than 1000000 letters\n"
@@ -688,7 +702,7 @@ def test_main_letter_ceiling_is_one_line_usage_error(capsys):
         ("h", "z{0}z{1000000000}", syntax.format(0, "H2 z-block needs k >= 1, got 0")),
         ("pdy", "(1)", "error: no z-block codec on alphabet PDY\n"),
         ("pdy", "d + (1)", syntax.format(4, "no z-block codec on alphabet PDY")),
-        ("pdy", "dz{1}", syntax.format(0, "z-blocks are not defined on the p/d/y alphabet")),
+        ("pdy", "dz{1}", syntax.format(0, "no z-block codec on alphabet PDY")),
     ):
         assert main(["product", "--alphabet", flag, text]) == 2
         assert capsys.readouterr().err == want
@@ -1279,22 +1293,21 @@ def test_run_suite_all_aggregates():
 
 
 def test_clear_caches_empties_every_module_memo():
-    modules = (cli, hopf, maps, products, qseries, words)
+    # every module-level cache is a registered, bounded Memo; one call empties them all
+    from mzv_lab import suites
 
-    def memos():
-        return {
-            f"{m.__name__}.{name}": v
-            for m in modules
-            for name, v in vars(m).items()
-            if name.endswith(("_MEMO", "_CACHE")) and isinstance(v, dict)
-        }
-
+    modules = (cli, hopf, maps, products, qseries, suites, words)
+    found = {
+        f"{m.__name__}.{name}": v
+        for m in modules
+        for name, v in vars(m).items()
+        if name.endswith(("_MEMO", "_CACHE")) and isinstance(v, dict)
+    }
+    assert set(found) == {"mzv_lab.products._MEMO", "mzv_lab.qseries._EVAL_CACHE"}
+    assert sorted(map(id, found.values())) == sorted(map(id, words.MEMOS))
+    words.clear_caches()
     run_suite("all", 3, 6)
-    filled = memos()
-    named = {"mzv_lab.products._MEMO", "mzv_lab.qseries._EVAL_CACHE"}
-    assert named == set(filled)
-    assert all(filled.values()), {k: len(v) for k, v in filled.items()}
-    for m in modules:
-        if hasattr(m, "clear_caches"):
-            m.clear_caches()
-    assert not any(memos().values()), {k: len(v) for k, v in memos().items()}
+    infos = [memo.cache_info() for memo in words.MEMOS]
+    assert all(0 < i["size"] <= i["maxsize"] for i in infos), infos
+    words.clear_caches()
+    assert not any(words.MEMOS), infos

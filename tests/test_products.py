@@ -458,3 +458,19 @@ def test_cold_stuffle_spends_one_frame_per_part():
 def test_clear_caches_runs():
     products.clear_caches()
     assert quasi_shuffle(zh(2), zh(2)) == 2 * zh(2, 2) + zh(4)
+
+
+def test_a_bounded_memo_recomputes_no_cell_of_a_product_whose_frontier_fits(monkeypatch):
+    # the shuffle of two 40-letter words stores each of its 40 * 40 + 2 * 40 suffix pairs
+    # once, unbounded or under a bound far below that, whose evictions keep its frontier
+    u, memo = zh(40), products._MEMO
+    products.clear_caches()
+    stores, evictions = memo.stores, memo.evictions
+    want = shuffle(u, u)
+    assert (len(memo), memo.stores - stores, memo.evictions - evictions) == (1680, 1680, 0)
+    monkeypatch.setattr(memo, "maxsize", 256)
+    products.clear_caches()
+    stores, evictions = memo.stores, memo.evictions
+    assert shuffle(u, u) == want
+    assert memo.stores - stores == 1680 and memo.evictions > evictions and len(memo) <= 256
+    products.clear_caches()

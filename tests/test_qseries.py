@@ -509,6 +509,21 @@ def test_eval_word_shares_one_pass_and_caches_every_term():
     assert got == zeta_SZ((2, 1, 1), 40) + zeta_SZ((1, 1), 40).scale(3) - zeta_SZ((1,), 40)
 
 
+def test_eval_word_returns_its_own_pass_when_its_stores_evict_it(monkeypatch):
+    # 5 terms under a bound of 2: the pass's later stores evict its earlier ones
+    comps = [(2, 1, 1), (1, 1), (1,), (3,), (2, 0, 1)]
+    x = Poly(PY, {z_encode(c, PY): i + 1 for i, c in enumerate(comps)})
+    qseries.clear_caches()
+    want = eval_word("SZ", x, 20)
+    monkeypatch.setattr(qseries._EVAL_CACHE, "maxsize", 2)
+    qseries.clear_caches()
+    evictions = qseries._EVAL_CACHE.evictions
+    assert eval_word("SZ", x, 20) == want
+    assert qseries._EVAL_CACHE.evictions > evictions
+    assert eval_word("SZ", x + x, 20) == want.scale(2)  # some terms cached at entry, the rest not
+    qseries.clear_caches()
+
+
 @pytest.mark.parametrize("model, alphabet", [("OOZ", PY), ("BZ", H2)])
 def test_eval_word_makes_one_chain_sum_pass(monkeypatch, model, alphabet):
     comps = [(2, 1), (3,), (2, 2, 1)] if model == "BZ" else [(2, 1), (1, 0, 1), (3,)]

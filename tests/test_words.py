@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzv_lab import hopf, maps, products, qseries
+from mzv_lab import hopf, maps, products, qseries, words
 from mzv_lab.words import (
     H2,
     PDY,
@@ -462,3 +462,17 @@ def test_alphabet_mismatch_messages(call, message):
     with pytest.raises(AlphabetMismatchError) as err:
         call()
     assert str(err.value) == message
+
+
+def test_memo_drops_its_oldest_half_when_full_and_clears_with_every_memo():
+    memo = words.Memo(4)
+    try:
+        for k in range(5):
+            memo[k] = -k
+        assert list(memo.items()) == [(2, -2), (3, -3), (4, -4)]
+        assert memo.cache_info() == {"size": 3, "maxsize": 4, "stores": 5, "evictions": 2}
+        assert products.clear_caches is qseries.clear_caches is words.clear_caches
+        products.clear_caches()
+        assert memo.cache_info() == {"size": 0, "maxsize": 4, "stores": 5, "evictions": 2}
+    finally:  # by identity: an empty Memo equals every other empty one
+        words.MEMOS[:] = [m for m in words.MEMOS if m is not memo]
