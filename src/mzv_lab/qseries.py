@@ -11,24 +11,18 @@ starred model relaxes to >=) with per-index factors:
              z-parts k1 >= 1, inner kj any integer
 
 In every model the outermost factor has q-order >= m_1, so truncating the
-chain at m_1 <= N is exact through q^N.  The chain sum is one pass over the
-summation index with one running series per distinct suffix of the
-compositions evaluated together.  Each series is one packed int, coefficient
-i in slot i of W bits (Kronecker substitution), with W one sign bit more than
-a proven bound on every coefficient of the pass (``_eval_models``), rounded up
-to whole bytes.  Per suffix and m, cutting to the kept slots is one mask,
-(1-q^m)^-k is ceil(log2(N/m)) shift-adds per unit of k > 0, -k shift-subtracts
-for k < 0, or one shifted multiple per binomial-row term once that is fewer,
-and the update of the running sum is one shift and one add.  Each step is
-big-int work on at most about N W bits, with no Python loop over
-coefficients; a suffix takes about 1.44 N steps per unit of k > 0 (the sum of
-log2(N/m) over m), at most N per unit of -k, and three more per m.  Orders
-run up to ``MAX_ORDER``, and ``_check_size`` bounds the digits of a
-composition's coefficients and the work of either route.  The Rota-Baxter
-route keeps a series in t and q as (N+1)(N+2)/2 plain ints, with about N^2/2
-additions per operator and unit of |k|, and shares no code with the chain
-sum.  ``QPoly`` keeps the ints until a rational enters; chain sums are cached
-as int lists, in a bounded ``words.Memo``.
+chain at m_1 <= N is exact through q^N.  Every q-series value is one packed
+int, coefficient i in slot i of W bits (Kronecker substitution), W a sign bit
+more than a bound on its coefficients, in whole bytes: each running
+series of the chain sum (``_eval_models``), each cached chain sum and each
+``QPoly``.  The chain sum is one pass over the summation index with one
+running series per distinct suffix of the compositions evaluated together;
+each step is a few big-int operations (``_times_row``) on at most about N W
+bits, with no Python loop over coefficients.  Orders run up to
+``MAX_ORDER``, and ``_check_size`` bounds the digits of a composition's
+coefficients and the work of either route.  The Rota-Baxter route keeps a
+series in t and q as (N+1)(N+2)/2 plain ints, with about N^2/2 additions per
+operator and unit of |k|, and shares no kernel with the chain sum.
 """
 
 from __future__ import annotations
@@ -67,28 +61,37 @@ Comp = tuple[int, ...]
 class QPoly:
     """Truncated q-expansion with exact ``int | Fraction`` coefficients.
 
-    coeffs[k] is the coefficient of q^k, k = 0..order.  Binary operations
-    truncate to the smaller order; equality compares through the common order
-    (a shorter expansion cannot contradict a longer one).
+    The coefficient of q^k, k = 0..order, is c_k / den, den > 0, with c_k in
+    slot k of width bits of num, reduced mod 2^((order+1) width), and each
+    |c_k| < 2^(width-1).  So a result's width (``_width``) needs a bound on its
+    coefficients only.  A combination sum k_j s_j at a common den (``+``,
+    ``-``, ``scale``, ``eval_word``: ``_combine``) has them at most
+    sum |k_j| (2^(w_j-1) - 1); a product's, through q^n, at most
+    (n+1) (2^(w_a-1) - 1) (2^(w_b-1) - 1), which takes at most
+    w_a + w_b + bits(n+1) - 1 bits with the sign.  ``coeffs`` unpacks at each
+    access.  Binary operations truncate to the smaller order; equality
+    compares through the common order (a shorter expansion cannot contradict
+    a longer one).
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "width", "den")
 
-    def __init__(self, order: int, coeffs: Iterable[Rational] = ()):
+    def __new__(cls, order: int, coeffs: Iterable[Rational] = ()) -> "QPoly":
         _check_order(order)
         cs = [exact(c) for c in coeffs]
         if len(cs) > order + 1:
             raise WordError(f"{len(cs)} coefficients exceed order {order}")
-        cs.extend([0] * (order + 1 - len(cs)))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        width = _width(max(map(abs, nums), default=0))
+        return cls._make(order, _repack(_pack(nums, 1, width), order + 1, width, width), width, den)
 
     @classmethod
-    def _make(cls, order: int, coeffs: Iterable[Rational]) -> "QPoly":
-        """Trusted: exactly order + 1 ``int | Fraction`` coefficients."""
+    def _make(cls, order: int, num: int, width: int, den: int = 1) -> "QPoly":
+        """Trusted: num is reduced mod 2^((order+1) width)."""
         self = object.__new__(cls)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        for name, value in zip(cls.__slots__, (order, num, width, den)):
+            object.__setattr__(self, name, value)
         return self
 
     def __setattr__(self, name, value):
@@ -98,18 +101,25 @@ class QPoly:
     def one(cls, order: int) -> "QPoly":
         return cls(order, (1,))
 
-    def _plus(self, op, other: "QPoly") -> "QPoly":
-        # op coefficientwise through the smaller order, where zip stops
-        return QPoly._make(min(self.order, other.order), list(map(op, self.coeffs, other.coeffs)))
+    @property
+    def coeffs(self) -> tuple[Rational, ...]:
+        """The coefficients of q^0..q^order: ints, and Fractions where not integral."""
+        cs, den = _unpack(self.num, self.order + 1, self.width), self.den
+        return tuple(c // den if c % den == 0 else Fraction(c, den) for c in cs)
 
-    __add__, __sub__ = partialmethod(_plus, add), partialmethod(_plus, sub)
+    def _plus(self, sign: int, other: "QPoly") -> "QPoly":
+        return _combine(min(self.order, other.order), [self._term(1), other._term(sign)])
+
+    __add__, __sub__ = partialmethod(_plus, 1), partialmethod(_plus, -1)
 
     def __neg__(self) -> "QPoly":
         return self.scale(-1)
 
     def scale(self, coeff: Rational) -> "QPoly":
-        coeff = exact(coeff)
-        return QPoly._make(self.order, [c * coeff for c in self.coeffs])
+        return _combine(self.order, [self._term(exact(coeff))])
+
+    def _term(self, coeff: Rational) -> tuple[int, int, int, Rational]:
+        return self.num, self.width, self.den, coeff
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -117,31 +127,28 @@ class QPoly:
         if not isinstance(other, QPoly):
             return NotImplemented
         n = min(self.order, other.order)
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a:
-                out[i:] = [c + a * b for c, b in zip(out[i:], other.coeffs)]
-        return QPoly._make(n, out)
+        width = _width((n + 1) * ((1 << self.width - 1) - 1) * ((1 << other.width - 1) - 1))
+        num = _repack(self.num, n + 1, self.width, width) * _repack(other.num, n + 1, other.width, width)
+        return QPoly._make(n, _repack(num, n + 1, width, width), width, self.den * other.den)
 
     __rmul__ = __mul__  # a scalar times a series: the scalar branch above
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QPoly):
             return NotImplemented
-        n = min(self.order, other.order)
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
+        return (self - other).is_zero()
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.num
 
     def __str__(self) -> str:
-        bodies = []  # the text of |c| q^k for each nonzero c, whose sign goes to signed_sum
-        for k, c in enumerate(self.coeffs):
+        bodies, cs = [], self.coeffs  # the text of |c| q^k for each nonzero c; signed_sum adds signs
+        for k, c in enumerate(cs):
             if c:
                 a, mono = abs(c), "q" if k == 1 else f"q^{k}"
                 star = "" if a.denominator == 1 else "*"
                 bodies.append(str(a) if not k else mono if a == 1 else f"{a}{star}{mono}")
-        return signed_sum(bodies, (1 if c > 0 else -1 for c in self.coeffs if c))
+        return signed_sum(bodies, (1 if c > 0 else -1 for c in cs if c))
 
     def __repr__(self) -> str:
         return f"QPoly[{self.order}]({self})"
@@ -189,7 +196,9 @@ MODELS: dict[str, Model] = {
 }
 
 # 8 192 series: all 21 suites at their default bounds keep 951, and characters alone keeps
-# 3 848 at --max-weight 8 and 5 992 at 9, the ceiling; at 2 048 it ran 3.5 times slower
+# 3 848 at --max-weight 8 and 5 992 at 9, the ceiling; at 2 048 it ran 3.5 times slower.
+# An entry's value, (num, w) through q^n, takes about 84 + (n+1) w / 7.5 bytes (30-bit
+# digits in 4 bytes): 158 at order 30 and 1 412 at 300 in characters (mean w 18 and 33)
 _EVAL_CACHE: Memo = Memo(8192)
 
 # the largest q-order either route evaluates: the largest at which both answer
@@ -265,34 +274,84 @@ def _check_size(comp: Comp, n: int, shifts: Iterable[int], rota_baxter: bool = F
 
 
 # ---------------------------------------------------------------------------
-# packed series: coefficient i in slot i of width bits of one int
+# packed series: coefficient c_i in slot i of width bits of one int, sum c_i
+# 2^(i width).  Sums, shifts by whole slots and multiples act on the c_i
+# exactly, and carries run only upward, so the low L slots of a result depend
+# only on the low L slots of its operands; they read back while each c_i lies
+# in [-2^(width-1), 2^(width-1)).
 # ---------------------------------------------------------------------------
 
-def _truncate(t: int, size: int, width: int) -> int:
+def _truncate(t: int, size: int, width: int, masks: dict[int, int]) -> int:
     """t with the same low size slots and nothing from slot size + 1 up:
     t mod 2^(size width), which leaves one unit in slot size when the low
-    slots read as a negative number."""
-    if t.bit_length() < size * width:  # then nothing is at or above slot size
+    slots read as a negative number.  masks keeps each mask built, by bits."""
+    bits = size * width
+    if t.bit_length() < bits:  # then nothing is at or above slot size
         return t
-    return t & (1 << size * width) - 1
+    return t & (masks.get(bits) or masks.setdefault(bits, (1 << bits) - 1))
+
+
+def _width(bound: int) -> int:
+    """The bits of a bound on |coefficients| and a sign bit, in whole bytes."""
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def _bias(size: int, nbytes: int, slot: int) -> int:
+    """2^(8 nbytes - 1) in each of size slots of slot bytes."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80" + bytes(slot - nbytes)) * size, "little")
+
+
+def _biased(t: int, size: int, width: int, nbytes: int) -> bytes:
+    """The bytes of the low size slots of t at width, each plus 2^(8 nbytes - 1)."""
+    slot = width // 8
+    return ((t + _bias(size, nbytes, slot)) & (1 << size * width) - 1).to_bytes(size * slot, "little")
 
 
 def _pack(coeffs: list[int], stride: int, width: int) -> int:
-    """sum c_j 2^(j stride width), for |c_j| < 2^width, built as bytes."""
-    nbytes = width // 8
-    gap, zero = bytes((stride - 1) * nbytes), bytes(nbytes)
-    plus = gap.join(c.to_bytes(nbytes, "little") if c > 0 else zero for c in coeffs)
-    minus = gap.join((-c).to_bytes(nbytes, "little") if c < 0 else zero for c in coeffs)
-    return int.from_bytes(plus, "little") - int.from_bytes(minus, "little")
+    """sum c_j 2^(j stride width), for |c_j| < 2^(width-1), built as bytes."""
+    nbytes, half = width // 8, 1 << width - 1
+    raw = bytes((stride - 1) * nbytes).join((c + half).to_bytes(nbytes, "little") for c in coeffs)
+    return int.from_bytes(raw, "little") - _bias(len(coeffs), nbytes, stride * nbytes)
 
 
 def _unpack(t: int, size: int, width: int) -> list[int]:
-    """The low size slots of t, each read in [-2^(width-1), 2^(width-1)):
-    biased by 2^(width-1) they are the bytes of t + bias mod 2^(size width)."""
+    """The low size slots of t, each read in [-2^(width-1), 2^(width-1))."""
     nbytes, half = width // 8, 1 << width - 1
-    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
-    raw = ((t + bias) & (1 << size * width) - 1).to_bytes(size * nbytes, "little")
+    raw = _biased(t, size, width, nbytes)
     return [int.from_bytes(raw[i : i + nbytes], "little") - half for i in range(0, len(raw), nbytes)]
+
+
+def _fits(t: int, size: int, width: int, nbytes: int) -> bool:
+    """Whether each low slot of t at width lies in [-2^(8 nbytes - 1), 2^(8 nbytes - 1)):
+    biased by 2^(8 nbytes - 1), a slot that does shows zeros above its low nbytes bytes,
+    and the lowest one that does not shows a nonzero byte there, borrow or not."""
+    raw, slot = _biased(t, size, width, nbytes), width // 8
+    return not any(raw[j::slot].strip(b"\0") for j in range(nbytes, slot))
+
+
+def _repack(t: int, size: int, width: int, new: int) -> int:
+    """The low size slots of t at width in slots of new bits, reduced mod
+    2^(size new), each slot fitting both: biased into [0, 2^min(width, new)),
+    the slots move by one strided copy per byte."""
+    if new == width:
+        return t & (1 << size * width) - 1
+    keep, slot, stride = min(width, new) // 8, width // 8, new // 8
+    raw, out = _biased(t, size, width, keep), bytearray(size * stride)
+    for j in range(keep):
+        out[j::stride] = raw[j::slot]
+    return int.from_bytes(out, "little") - _bias(size, keep, stride) & (1 << size * new) - 1
+
+
+def _combine(order: int, terms: Sequence[tuple[int, int, int, Rational]]) -> QPoly:
+    """sum c num / den over the terms (num, width, den, c) of packed series,
+    through q^order, at one den and width."""
+    den = math.lcm(*(d * c.denominator for _, _, d, c in terms))
+    ks = [c.numerator * (den // (d * c.denominator)) for _, _, d, c in terms]
+    common = math.gcd(den, *ks)
+    ks = [k // common for k in ks]
+    width = _width(sum(abs(k) * ((1 << w - 1) - 1) for k, (_, w, _, _) in zip(ks, terms)))
+    num = sum(k * _repack(t, order + 1, w, width) for k, (t, w, _, _) in zip(ks, terms) if k)
+    return QPoly._make(order, _repack(num, order + 1, width, width), width, den // common)
 
 
 def _row(k: int, top: int) -> tuple[list[int], list[int]]:
@@ -302,7 +361,7 @@ def _row(k: int, top: int) -> tuple[list[int], list[int]]:
     return row, list(accumulate(map(abs, row)))
 
 
-def _times_row(t: int, m: int, k: int, size: int, width: int, row: list[int]) -> int:
+def _times_row(t: int, m: int, k: int, size: int, width: int, row: list[int], masks: dict) -> int:
     """t (1-q^m)^-k in its low size slots, for a packed t; row is ``_row(k)``,
     and what lands above those slots is the caller's to cut.  The fewest
     big-int steps: per unit of k > 0, ceil(log2(size/m)) doublings
@@ -315,7 +374,7 @@ def _times_row(t: int, m: int, k: int, size: int, width: int, row: list[int]) ->
         for _ in range(k):
             for r in range(top.bit_length()):
                 shift = m << r  # slots; only the low size - shift of t reach a kept slot
-                t += _truncate(t, size - shift, width) << shift * width
+                t += _truncate(t, size - shift, width, masks) << shift * width
         return t
     if 0 < -k <= top:
         for _ in range(-k):
@@ -330,7 +389,7 @@ def _times_row(t: int, m: int, k: int, size: int, width: int, row: list[int]) ->
     return out
 
 
-def _eval_models(tag: str, comps: Sequence[Comp], n: int) -> list[list[int]]:
+def _eval_models(tag: str, comps: Sequence[Comp], n: int) -> list[tuple[int, int]]:
     """The chain sums of several compositions, in one pass over m = 1..n.
     A level node is a distinct suffix comp[j:] with the shift of its head
     factor (OOZ's outermost one differs): the sum over chains of the suffix
@@ -338,15 +397,8 @@ def _eval_models(tag: str, comps: Sequence[Comp], n: int) -> list[list[int]]:
     child still stops below m; non-strict ones shorter first, so it includes
     m.  The outermost factor has q-order >= m_1 >= m + j on a strict chain (m
     otherwise), so a node is kept through the cap of its smallest j (n at 0),
-    and no one reads a node's slots above its cap again.
-
-    Each running series is one int, sum c_i 2^(i width) with signed c_i
-    (Kronecker substitution).  Sums, shifts by whole slots and multiples act
-    on the coefficient lists exactly, and carries run only upward, so the low
-    L slots of a result depend only on the low L slots of its operands; they
-    read back (``_truncate``, ``_unpack``) while each c_i lies in
-    [-2^(width-1), 2^(width-1)).  Whatever lands above the kept slots stays
-    above the cap and is never read.
+    and no one reads a node's slots above its cap again.  Each running series
+    is packed; whatever lands above its kept slots is never read.
 
     The width comes from a bound.  At step m a node adds q^(sm) (1-q^m)^-k
     times its child's series, whose kept slots meet the factor through
@@ -355,13 +407,17 @@ def _eval_models(tag: str, comps: Sequence[Comp], n: int) -> list[list[int]]:
     B(node) = B(child) * sum over m of norms[J] bounds every kept slot of the
     node's series.  It also bounds every step in between: a partial product
     applies fewer units of |k|, fewer doublings or fewer row terms, whose
-    absolute sums are no larger.  width is the bits of the largest B of the
-    pass plus a sign bit, rounded up to whole bytes for ``_unpack``.  Trusted:
-    the callers (``_eval_model``, ``eval_word``) check the model's domain."""
+    absolute sums are no larger.  width is ``_width`` of the largest B of the
+    pass.  Each composition's series is returned and cached as ``QPoly`` lays
+    it out, (num, w), w the width of its largest coefficient (``_fits``): B
+    is loose, by about 25 bits at order 300.  Trusted: the callers
+    (``_eval_model``, ``eval_word``) check the model's domain."""
     model = MODELS[tag]
     _check_order(n)
     got = {c: _EVAL_CACHE.get((tag, c, n)) for c in comps}  # a store below may evict these
     todo = [c for c, hit in got.items() if hit is None]
+    if not todo:
+        return [got[comp] for comp in comps]
     depth: dict[tuple[Comp, int], int] = {}  # node -> smallest j it is used at, children first
     for comp in todo:
         shifts = [model.shift(j, k) for j, k in enumerate(comp)]
@@ -384,30 +440,34 @@ def _eval_models(tag: str, comps: Sequence[Comp], n: int) -> list[list[int]]:
         plan.append((len(plan), slot[child], k, s, j, j * model.strict, row))
     if model.strict:  # longer suffixes first, so a child still stops below m
         plan.reverse()
-    width = -(-(max(bound.values()).bit_length() + 1) // 8) * 8
-    series = [0] * len(depth) + [1]
+    width = _width(max(bound.values()))
+    series, masks = [0] * len(depth) + [1], {}
     for m in range(1, n + 1):
+        masks.clear()  # the sizes of one step; at most a few per node
         for at, below, k, s, j, cut, row in plan:
             lo, cap = m * s, n - m - cut if j else n
             if lo <= cap:
                 size = cap + 1 - lo
-                t = _truncate(series[below], size, width)
+                t = _truncate(series[below], size, width, masks)
                 if t and k and m < size:  # t = 0 has a bound of 0: its row need not fit
-                    t = _truncate(_times_row(t, m, k, size, width, row), size, width)
-                series[at] += t << lo * width
+                    t = _truncate(_times_row(t, m, k, size, width, row, masks), size, width, masks)
+                series[at] += t << lo * width if lo else t  # a shift by 0 copies t
     for comp in todo:
-        at = slot[(comp, model.shift(0, comp[0]))] if comp else len(depth)
-        got[comp] = _EVAL_CACHE[(tag, comp, n)] = _unpack(series[at], n + 1, width)
+        node = (comp, model.shift(0, comp[0])) if comp else ()
+        t, own = series[slot[node]], _width(bound[node])
+        while own > 8 and _fits(t, n + 1, width, own // 8 - 1):
+            own -= 8
+        got[comp] = _EVAL_CACHE[(tag, comp, n)] = (_repack(t, n + 1, width, own), own)
     return [got[comp] for comp in comps]
 
 
-def _eval_model(tag: str, comp: Comp, n: int) -> list[int]:
+def _eval_model(tag: str, comp: Comp, n: int) -> tuple[int, int]:
     return _eval_models(tag, (MODELS[tag].check(comp),), n)[0]
 
 
 def _zeta(tag: str, comp: Iterable[int], order: int) -> QPoly:
     """The chain sum of comp in the model tag, through q^order."""
-    return QPoly._make(order, _eval_model(tag, tuple(comp), order))
+    return QPoly._make(order, *_eval_model(tag, tuple(comp), order))
 
 
 # one function per model, each also a module attribute by its own name
@@ -425,10 +485,8 @@ def eval_word(model: str, x: Union[Word, Poly], order: int) -> QPoly:
     if x.alphabet is not m.alphabet:
         raise AlphabetMismatchError(f"{model} reads {m.alphabet!r} words, got {x.alphabet!r}")
     terms = [(m.check(z_decode(w)), c) for w, c in x.terms.items()]
-    coeffs = [0] * (order + 1)
-    for (_, c), series in zip(terms, _eval_models(model, [comp for comp, _ in terms], order)):
-        coeffs = [a + c * b for a, b in zip(coeffs, series)]
-    return QPoly._make(order, coeffs)
+    series = _eval_models(model, [comp for comp, _ in terms], order)
+    return _combine(order, [(*s, 1, c) for s, (_, c) in zip(series, terms)])
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +555,7 @@ def rota_baxter_eval_OOZ(comp: Iterable[int], order: int) -> QPoly:
     coeffs = [0] * (n + 1)
     for i, row in enumerate(rows):  # t = q
         coeffs[i:] = map(add, coeffs[i:], row)
-    return QPoly._make(n, coeffs)
+    return QPoly(n, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -480,9 +480,11 @@ def poly_membership(poly: Poly, space: str) -> bool:
 class Memo(dict):
     """A module-level cache: a dict whose store, once maxsize entries are held, first
     drops the oldest half by insertion order.  A hit stays a plain ``dict.get``; stores
-    and evicted entries are counted.  Every Memo registers itself in ``MEMOS``."""
+    and evicted entries are counted.  Every Memo registers itself in ``MEMOS``, and
+    equals only itself, so ``in``, ``index`` and ``remove`` on ``MEMOS`` find that one."""
 
     __slots__ = ("maxsize", "stores", "evictions")
+    __eq__, __ne__ = object.__eq__, object.__ne__
 
     def __init__(self, maxsize: int):
         self.maxsize, self.stores, self.evictions = maxsize, 0, 0

@@ -1281,6 +1281,52 @@ def test_export_vectors_empty_bound_writes_header_only(tmp_path):
     assert json.loads(lines[0])["cases"] == 0
 
 
+def _chain_sum_passes(monkeypatch):
+    # the model of each chain-sum pass that evaluates at least one uncached composition
+    evaluate, passes = qseries._eval_models, []
+
+    def counted(tag, comps, n):
+        if any((tag, c, n) not in qseries._EVAL_CACHE for c in comps):
+            passes.append(tag)
+        return evaluate(tag, comps, n)
+
+    monkeypatch.setattr(qseries, "_eval_models", counted)
+    qseries.clear_caches()
+    return passes
+
+
+def test_a_q_suite_evaluates_its_words_in_one_pass_per_model(monkeypatch):
+    passes = _chain_sum_passes(monkeypatch)
+    assert run_suite("characters").passed
+    assert sorted(passes) == ["OOZ", "SZ", "SZstar"]  # not one pass per case
+
+
+@pytest.mark.parametrize("outside, want_passes", [(True, ["BZ", "BZ"]), (False, ["BZ"])])
+def test_a_q_suite_case_that_raises_fails_alone(monkeypatch, outside, want_passes):
+    from mzv_lab import suites
+
+    def q_suite(mw, order):
+        q, word = suites._AtOrder(order), lambda *c: z_encode(c, H2)
+        cases = [
+            cli.Case("in", {}, lambda: (q("BZ", word(2, 1)) * q("BZ", word(3)), q("BZ", word(3)) * q("BZ", word(2, 1)))),
+            cli.Case("raises", {}, lambda: (qseries.QPoly(-1), 0)),
+            cli.Case("in-too", {}, lambda: (q("BZ", word(3)) - q("BZ", word(3)), qseries.QPoly(order))),
+        ]
+        if outside:
+            cases.insert(1, cli.Case("outside", {}, lambda: (q("BZ", word(1, 1)), 0)))
+        return q.cases(cases)
+
+    monkeypatch.setitem(SUITES, "q-mixed", q_suite)
+    passes = _chain_sum_passes(monkeypatch)
+    rep = run_suite("q-mixed", None, 12)
+    want = [("raises", "raised WordError: order must be >= 0, got -1")]
+    if outside:
+        want.insert(0, ("outside", "raised NotInSubalgebraError: BZ needs first z-part >= 2, got (1, 1)"))
+    assert [(f.case_id, f.lhs) for f in rep.failures] == want
+    # one pass for all the words, unless their sum is refused: then each case evaluates its own
+    assert passes == want_passes
+
+
 def test_every_registered_suite_runs_small():
     for name in SUITES:
         rep = run_suite(name, 2, 6)

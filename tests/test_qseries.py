@@ -40,6 +40,7 @@ from mzv_lab.words import (
     Poly,
     Word,
     WordError,
+    signed_sum,
     z_encode,
 )
 
@@ -374,14 +375,13 @@ def test_packed_chain_sum_of_a_high_weight_sz_value():
     # (200000) through q^3: the bound is within a bit of the largest coefficient
     [((1,), 1), ((200000,), 3), ((3,), 60), ((2, -60, 2), 200), ((1, -200000), 300), ((3, 1, -1, 2), 250)],
 )
-def test_slot_width_covers_the_largest_coefficient_and_a_sign(monkeypatch, comp, n):
-    unpack, widths = qseries._unpack, []
-    monkeypatch.setattr(qseries, "_unpack", lambda t, size, width: widths.append(width) or unpack(t, size, width))
+def test_slot_width_covers_the_largest_coefficient_and_a_sign(comp, n):
     qseries.clear_caches()
-    zeta_OOZ(comp, n)
-    want = rota_baxter_eval_OOZ(comp, n).coeffs  # the other route: no slots
-    assert len(widths) == 1 and widths[0] % 8 == 0
-    assert max(map(abs, want)).bit_length() + 1 <= widths[0]
+    got = zeta_OOZ(comp, n)
+    width = qseries._EVAL_CACHE[("OOZ", comp, n)][1]  # the width the pass chose
+    want = rota_baxter_eval_OOZ(comp, n).coeffs  # the other route
+    assert got.width == width and width % 8 == 0 and got.coeffs == want
+    assert max(map(abs, want)).bit_length() + 1 <= width
 
 
 def test_ihara_s_turns_sz_values_into_szstar_values():
@@ -409,13 +409,15 @@ def test_both_routes_at_orders_0_and_1(comp, n):
 
 
 def test_rota_baxter_route_shares_no_code_with_the_chain_sum(monkeypatch):
+    # _pack and _unpack are QPoly's carrier codec, which both routes use; the
+    # chain sum's own kernel is patched out
     comp = (2, 1, -1, 1)
     want = zeta_OOZ(comp, 40)
 
     def chain_sum(*args, **kwargs):
         raise AssertionError("the Rota-Baxter route entered the chain sum")
 
-    for name in ("_eval_model", "_eval_models", "_times_row", "_truncate", "_pack", "_unpack", "_row"):
+    for name in ("_eval_model", "_eval_models", "_times_row", "_truncate", "_row"):
         monkeypatch.setattr(qseries, name, chain_sum)
     monkeypatch.setattr(qseries.Model, "shift", chain_sum)
     assert rota_baxter_eval_OOZ(comp, 40) == want
@@ -439,14 +441,20 @@ def comp_sets(draw):
     return tag, comps, draw(st.integers(min_value=0, max_value=30))
 
 
+def _unpacked(series, n):
+    # a chain sum as the pass returns it, (packed int, slot width), as a list
+    packed, width = series
+    return qseries._unpack(packed, n + 1, width)
+
+
 @given(comp_sets())
 @settings(max_examples=80, deadline=None)
 def test_shared_pass_equals_one_pass_per_composition(case):
     tag, comps, n = case
     qseries.clear_caches()
-    shared = [list(series) for series in qseries._eval_models(tag, comps, n)]
+    shared = [_unpacked(series, n) for series in qseries._eval_models(tag, comps, n)]
     qseries.clear_caches()
-    assert shared == [list(qseries._eval_model(tag, comp, n)) for comp in comps]
+    assert shared == [_unpacked(qseries._eval_model(tag, comp, n), n) for comp in comps]
 
 
 def test_cold_chain_sum_keeps_linear_state():
@@ -568,7 +576,7 @@ def test_chain_sum_plans_its_nodes_in_one_pass_without_sorting(monkeypatch, tag,
     qseries.clear_caches()
     got = qseries._eval_models(tag, comps, 14)
     assert calls == []
-    assert got == [brute_model(tag, c, 14) for c in comps]
+    assert [_unpacked(series, 14) for series in got] == [brute_model(tag, c, 14) for c in comps]
 
 
 def test_each_model_carries_the_alphabet_eval_word_reads():
@@ -620,6 +628,94 @@ def test_qpoly_public_constructor_still_checks():
     with pytest.raises(WordError):
         QPoly(1, (1, 2, 3))  # three coefficients exceed order 1
     assert QPoly(3, (1, 0.5)).coeffs == (1, Fraction(1, 2), 0, 0)
+
+
+# -- packed QPoly against a list reference ----------------------------------------
+
+def _list_mul(a, b):
+    # the reference product: a list convolution through the common order
+    n = min(len(a), len(b)) - 1
+    out = [0] * (n + 1)
+    for i, x in enumerate(a[: n + 1]):
+        if x:
+            out[i:] = [c + x * y for c, y in zip(out[i:], b)]
+    return out
+
+
+def _list_str(cs):
+    # the reference text of a coefficient list
+    bodies = []
+    for k, c in enumerate(cs):
+        if c:
+            a, mono = abs(c), "q" if k == 1 else f"q^{k}"
+            star = "" if a.denominator == 1 else "*"
+            bodies.append(str(a) if not k else mono if a == 1 else f"{a}{star}{mono}")
+    return signed_sum(bodies, (1 if c > 0 else -1 for c in cs if c))
+
+
+_COEFF = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**100), 2**100),  # past 64 bits, both signs
+    st.fractions(-(10**25), 10**25, max_denominator=10**6),
+)
+
+
+@st.composite
+def _series(draw):
+    order = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        cs = draw(st.lists(_COEFF, max_size=order + 1))
+    else:  # every slot at the edge of its width: sums and products reach their bounds
+        edge = draw(st.sampled_from([1, -1])) * (2 ** (8 * draw(st.integers(1, 12)) - 1) - 1)
+        cs = [edge] * (order + 1)
+    return QPoly(order, cs), [Fraction(c) for c in cs] + [0] * (order + 1 - len(cs))
+
+
+def _same(x, want):
+    # x holds the coefficients want, each an int exactly when it is integral
+    got = x.coeffs
+    return list(got) == want and all(type(c) is (int if c.denominator == 1 else Fraction) for c in got)
+
+
+@given(_series(), _series(), st.one_of(st.integers(-(2**70), 2**70), st.fractions(max_denominator=1000)))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_packed_qpoly_matches_the_list_qpoly(a, b, k):
+    (x, xs), (y, ys) = a, b
+    n = min(x.order, y.order)
+    assert _same(x, xs) and _same(y, ys)
+    assert _same(x + y, [c + d for c, d in zip(xs, ys)]) and (x + y).order == n
+    assert _same(x - y, [c - d for c, d in zip(xs, ys)])
+    assert _same(x.scale(k), [c * k for c in xs]) and _same(x.scale(-7), [c * -7 for c in xs])
+    assert _same(x * y, _list_mul(xs, ys)) and (x * y).order == n
+    assert (x == y) == (xs[: n + 1] == ys[: n + 1]) and (x != y) == (xs[: n + 1] != ys[: n + 1])
+    # equal values at other widths and denominators, and through a shorter order
+    assert x * y == QPoly(n, _list_mul(xs, ys)) and x.scale(3).scale(Fraction(1, 3)) == x
+    assert (x - x).is_zero() and x == QPoly(n, xs[: n + 1])
+    assert str(x) == _list_str(xs) and str(x * y) == _list_str(_list_mul(xs, ys))
+    assert x.to_json() == {"order": x.order, "coeffs": [str(c) for c in xs]}
+
+
+_EDGE = st.builds(lambda k, d, sign: sign * 2 ** (8 * k - 1) + d, st.integers(1, 5), st.integers(-1, 0), st.sampled_from([1, -1]))
+
+
+@given(st.lists(st.one_of(st.integers(-(2**40), 2**40), _EDGE), min_size=1, max_size=20), st.integers(1, 6))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_fits_reads_whether_every_slot_fits_fewer_bytes(cs, nbytes):
+    # the chain sum narrows each result to its largest coefficient by this test
+    t, half = qseries._pack(cs, 1, 48), 2 ** (8 * nbytes - 1)
+    assert qseries._fits(t, len(cs), 48, nbytes) == all(-half <= c < half for c in cs)
+
+
+def test_eval_word_sums_terms_cached_at_different_widths():
+    n, cache = 20, qseries._EVAL_CACHE
+    qseries.clear_caches()
+    zeta_SZ((1,), n)  # a pass of its own, at a narrow width
+    zeta_SZ((4, 3), n)  # another, at a wider one
+    assert cache[("SZ", (1,), n)][1] < cache[("SZ", (4, 3), n)][1]
+    terms = {(1,): 2, (4, 3): Fraction(-1, 3), (2, 0, 1): 5}  # the last in eval_word's own pass
+    got = eval_word("SZ", Poly(PY, {z_encode(c, PY): k for c, k in terms.items()}), n)
+    want = [sum(k * brute_model("SZ", c, n)[i] for c, k in terms.items()) for i in range(n + 1)]
+    assert _same(got, want)
 
 
 # -- float oracle -------------------------------------------------------------------

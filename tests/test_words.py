@@ -474,5 +474,17 @@ def test_memo_drops_its_oldest_half_when_full_and_clears_with_every_memo():
         assert products.clear_caches is qseries.clear_caches is words.clear_caches
         products.clear_caches()
         assert memo.cache_info() == {"size": 0, "maxsize": 4, "stores": 5, "evictions": 2}
-    finally:  # by identity: an empty Memo equals every other empty one
+    finally:
         words.MEMOS[:] = [m for m in words.MEMOS if m is not memo]
+
+
+def test_two_empty_memos_are_distinct_entries_of_the_registry():
+    first, second = words.Memo(4), words.Memo(4)
+    try:
+        assert first == first and first != second and dict(first) == dict(second)
+        assert words.MEMOS.index(second) == len(words.MEMOS) - 1
+        words.MEMOS.remove(second)
+        assert any(m is first for m in words.MEMOS) and not any(m is second for m in words.MEMOS)
+        assert second not in words.MEMOS
+    finally:
+        words.MEMOS[:] = [m for m in words.MEMOS if m is not first and m is not second]
