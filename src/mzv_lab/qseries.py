@@ -281,14 +281,13 @@ def _check_size(comp: Comp, n: int, shifts: Iterable[int], rota_baxter: bool = F
 # in [-2^(width-1), 2^(width-1)).
 # ---------------------------------------------------------------------------
 
-def _truncate(t: int, size: int, width: int, masks: dict[int, int]) -> int:
+def _truncate(t: int, size: int, width: int) -> int:
     """t with the same low size slots and nothing from slot size + 1 up:
     t mod 2^(size width), which leaves one unit in slot size when the low
-    slots read as a negative number.  masks keeps each mask built, by bits."""
-    bits = size * width
-    if t.bit_length() < bits:  # then nothing is at or above slot size
+    slots read as a negative number."""
+    if t.bit_length() < size * width:  # then nothing is at or above slot size
         return t
-    return t & (masks.get(bits) or masks.setdefault(bits, (1 << bits) - 1))
+    return t & (1 << size * width) - 1
 
 
 def _width(bound: int) -> int:
@@ -319,14 +318,6 @@ def _unpack(t: int, size: int, width: int) -> list[int]:
     nbytes, half = width // 8, 1 << width - 1
     raw = _biased(t, size, width, nbytes)
     return [int.from_bytes(raw[i : i + nbytes], "little") - half for i in range(0, len(raw), nbytes)]
-
-
-def _fits(t: int, size: int, width: int, nbytes: int) -> bool:
-    """Whether each low slot of t at width lies in [-2^(8 nbytes - 1), 2^(8 nbytes - 1)):
-    biased by 2^(8 nbytes - 1), a slot that does shows zeros above its low nbytes bytes,
-    and the lowest one that does not shows a nonzero byte there, borrow or not."""
-    raw, slot = _biased(t, size, width, nbytes), width // 8
-    return not any(raw[j::slot].strip(b"\0") for j in range(nbytes, slot))
 
 
 def _repack(t: int, size: int, width: int, new: int) -> int:
@@ -361,7 +352,7 @@ def _row(k: int, top: int) -> tuple[list[int], list[int]]:
     return row, list(accumulate(map(abs, row)))
 
 
-def _times_row(t: int, m: int, k: int, size: int, width: int, row: list[int], masks: dict) -> int:
+def _times_row(t: int, m: int, k: int, size: int, width: int, row: list[int]) -> int:
     """t (1-q^m)^-k in its low size slots, for a packed t; row is ``_row(k)``,
     and what lands above those slots is the caller's to cut.  The fewest
     big-int steps: per unit of k > 0, ceil(log2(size/m)) doublings
@@ -374,7 +365,7 @@ def _times_row(t: int, m: int, k: int, size: int, width: int, row: list[int], ma
         for _ in range(k):
             for r in range(top.bit_length()):
                 shift = m << r  # slots; only the low size - shift of t reach a kept slot
-                t += _truncate(t, size - shift, width, masks) << shift * width
+                t += _truncate(t, size - shift, width) << shift * width
         return t
     if 0 < -k <= top:
         for _ in range(-k):
@@ -409,8 +400,8 @@ def _eval_models(tag: str, comps: Sequence[Comp], n: int) -> list[tuple[int, int
     applies fewer units of |k|, fewer doublings or fewer row terms, whose
     absolute sums are no larger.  width is ``_width`` of the largest B of the
     pass.  Each composition's series is returned and cached as ``QPoly`` lays
-    it out, (num, w), w the width of its largest coefficient (``_fits``): B
-    is loose, by about 25 bits at order 300.  Trusted: the callers
+    it out, (num, w), w the width of its largest coefficient: B is loose,
+    by about 25 bits at order 300.  Trusted: the callers
     (``_eval_model``, ``eval_word``) check the model's domain."""
     model = MODELS[tag]
     _check_order(n)
@@ -441,22 +432,20 @@ def _eval_models(tag: str, comps: Sequence[Comp], n: int) -> list[tuple[int, int
     if model.strict:  # longer suffixes first, so a child still stops below m
         plan.reverse()
     width = _width(max(bound.values()))
-    series, masks = [0] * len(depth) + [1], {}
+    series = [0] * len(depth) + [1]
     for m in range(1, n + 1):
-        masks.clear()  # the sizes of one step; at most a few per node
         for at, below, k, s, j, cut, row in plan:
             lo, cap = m * s, n - m - cut if j else n
             if lo <= cap:
                 size = cap + 1 - lo
-                t = _truncate(series[below], size, width, masks)
+                t = _truncate(series[below], size, width)
                 if t and k and m < size:  # t = 0 has a bound of 0: its row need not fit
-                    t = _truncate(_times_row(t, m, k, size, width, row, masks), size, width, masks)
+                    t = _truncate(_times_row(t, m, k, size, width, row), size, width)
                 series[at] += t << lo * width if lo else t  # a shift by 0 copies t
     for comp in todo:
         node = (comp, model.shift(0, comp[0])) if comp else ()
-        t, own = series[slot[node]], _width(bound[node])
-        while own > 8 and _fits(t, n + 1, width, own // 8 - 1):
-            own -= 8
+        t = series[slot[node]]
+        own = _width(max(map(abs, _unpack(t, n + 1, width))))
         got[comp] = _EVAL_CACHE[(tag, comp, n)] = (_repack(t, n + 1, width, own), own)
     return [got[comp] for comp in comps]
 

@@ -2,16 +2,16 @@
 and golden-file export.
 
 ``SUITES`` maps each suite's name, in registry order, to a function
-``(max_weight, order) -> Iterable[Case]``.  A suite registers once, through
+``(max_weight, order) -> Iterator[Case]``.  A suite registers once, through
 ``@suite(name, max_weight=..., order=...)``, with its default bounds: a bound
 the caller leaves out (None) takes that default, while 0 is a bound like any
 other.  Most cases come from two family helpers: ``word_cases`` (per word of a
 domain, one case per check) and ``pair_cases`` (per canonical pair u <= v
 whose lengths, depths and weights sum within bounds, one case per check).  A
 check is a function of the operands that returns the two sides of its
-identity, lhs and rhs.  The q-series suites evaluate through ``_AtOrder``,
-which hands every word their cases evaluate to one chain-sum pass per model
-before the first case runs.
+identity, lhs and rhs.  A q-series suite evaluates through ``_at_order``,
+which sums the words of its domain in one chain-sum pass per model before
+the first value.
 
 ``run_suite`` runs a suite (or "all" of them) into a ``SuiteReport``, a case
 that raises counting as a failure; ``export_vectors`` writes each case's
@@ -72,7 +72,7 @@ class Case(NamedTuple):
     run: Callable[[], tuple[object, object]]
 
 
-SUITES: dict[str, Callable[[int | None, int | None], Iterable[Case]]] = {}
+SUITES: dict[str, Callable[[int | None, int | None], Iterator[Case]]] = {}
 
 
 def suite(name: str, max_weight: int | None = None, order: int | None = None):
@@ -131,44 +131,27 @@ def pair_cases(
                     yield Case(f"{tag}-{tu}-{tv}", inputs, partial(check, u, v))
 
 
-class _AtOrder:
+def _at_order(order: int, prefetch: Mapping[str, list[Word]]) -> Callable[[str, object], object]:
     """``q(model, x)``: a model's value of a word or Poly, truncated at order.
+    Before its first value, q evaluates the sum of each prefetch model's words
+    with one ``eval_word``: one chain-sum pass visits each distinct suffix
+    once, and the cases find those series cached instead of making a pass
+    each.  A q-suite prefetches the h0 words within its bounds: at its
+    default bounds, every word its cases evaluate; a word outside them costs
+    a pass of its own.  A sum the evaluator refuses leaves each case to
+    evaluate its own words."""
+    todo = dict(prefetch)
 
-    ``cases`` wraps a suite's cases so that the first of them to run first
-    runs them all through a q that only records the words it is given, and
-    answers 0; then it evaluates the sum of each model's words, so that one
-    chain-sum pass visits each distinct suffix once, not once per case.  Each
-    case still computes and returns its own values.  A case that raises there,
-    or a sum the evaluator refuses, is left to fail in its own case."""
+    def q(model: str, x: Word | Poly) -> qseries.QPoly:
+        while todo:
+            tag, words = todo.popitem()
+            try:
+                qseries.eval_word(tag, Poly(qseries.MODELS[tag].alphabet, dict.fromkeys(words, 1)), order)
+            except WordError:  # each case evaluates its own words, and fails alone
+                pass
+        return qseries.eval_word(model, x, order)
 
-    def __init__(self, order: int):
-        self.order, self.words, self.pending = order, None, None
-
-    def __call__(self, model: str, x: Word | Poly) -> qseries.QPoly:
-        if self.words is None:
-            return qseries.eval_word(model, x, self.order)
-        self.words.setdefault(model, {}).update(dict.fromkeys(as_poly(x).terms, 1))
-        return qseries.QPoly(0)
-
-    def cases(self, cases: Iterable[Case]) -> list[Case]:
-        self.pending = list(cases)
-        return [case._replace(run=partial(self._run, case.run)) for case in self.pending]
-
-    def _run(self, run: Callable[[], tuple[object, object]]) -> tuple[object, object]:
-        if self.pending:
-            cases, self.pending, self.words = self.pending, None, {}
-            for case in cases:
-                try:
-                    case.run()
-                except Exception:  # the case raises again, and fails alone, when it runs
-                    pass
-            words, self.words = self.words, None
-            for model, terms in words.items():
-                try:
-                    qseries.eval_word(model, Poly(qseries.MODELS[model].alphabet, terms), self.order)
-                except WordError:  # each case evaluates its own words, and fails alone
-                    pass
-        return run()
+    return q
 
 
 def _commutes(mul: Callable) -> Check:
@@ -331,55 +314,60 @@ def _oozdual(mw: int, order: int | None) -> Iterator[Case]:
 
 
 @suite("zhao-duality", max_weight=5, order=30)
-def _zhao(mw: int, order: int) -> list[Case]:
-    q = _AtOrder(order)
-    return q.cases(word_cases(h0_words(PY, mw, 5), {
+def _zhao(mw: int, order: int) -> Iterator[Case]:
+    words = h0_words(PY, mw, 5)
+    q = _at_order(order, {"SZ": words})
+    return word_cases(words, {
         "sz-tau~": lambda w: (q("SZ", maps.tau_tilde(w)), q("SZ", w)),
-    }, {"order": order}))
+    }, {"order": order})
 
 
 @suite("bradley-duality", max_weight=5, order=30)
-def _bradley(mw: int, order: int) -> list[Case]:
-    q = _AtOrder(order)
-    return q.cases(word_cases(h0_words(H2, mw, mw), {
+def _bradley(mw: int, order: int) -> Iterator[Case]:
+    words = h0_words(H2, mw, mw)
+    q = _at_order(order, {"BZ": words})
+    return word_cases(words, {
         "bz-tau": lambda w: (q("BZ", maps.tau(w)), q("BZ", w)),
-    }, {"order": order}))
+    }, {"order": order})
 
 
 @suite("ooz-szstar-duality", max_weight=5, order=30)
-def _ooz_szstar(mw: int, order: int) -> list[Case]:
-    q = _AtOrder(order)
-    return q.cases(word_cases(h0_words(PY, mw, 5), {
+def _ooz_szstar(mw: int, order: int) -> Iterator[Case]:
+    words = h0_words(PY, mw, 5)
+    q = _at_order(order, {"OOZ": words, "SZstar": words})
+    return word_cases(words, {
         "ooz-szstar": lambda w: (q("OOZ", w), q("SZstar", maps.tau_tilde(w))),
-    }, {"order": order}))
+    }, {"order": order})
 
 
 @suite("model-transfers", max_weight=5, order=30)
-def _transfers(mw: int, order: int) -> list[Case]:
-    q = _AtOrder(order)
+def _transfers(mw: int, order: int) -> Iterator[Case]:
+    h_words, p_words = h0_words(H2, mw, mw), h0_words(PY, mw, 5)
+    q = _at_order(order, {"BZ": h_words, "OOZ": p_words, "SZ": p_words})
 
     def ooz_bz_u(w: Word) -> tuple[object, object]:
         return qseries.zeta_OOZ(z_decode(w), order), q("BZ", maps.map_U(w))
 
-    u_cases = [
-        Case(f"ooz-bz-U-{format_word(w)}", {"comp": list(z_decode(w)), "order": order}, partial(ooz_bz_u, w))
-        for w in h0_words(H2, mw, mw)
-    ]
-    return q.cases(u_cases + list(word_cases(h0_words(PY, mw, 5), {
+    for w in h_words:
+        inputs = {"comp": list(z_decode(w)), "order": order}
+        yield Case(f"ooz-bz-U-{format_word(w)}", inputs, partial(ooz_bz_u, w))
+    yield from word_cases(p_words, {
         "ooz-sz-V": lambda w: (q("OOZ", w), q("SZ", maps.map_V(w))),
-    }, {"order": order})))
+    }, {"order": order})
 
 
 @suite("ooz-duality-families", max_weight=5, order=30)
-def _ooz_families(mw: int, order: int) -> list[Case]:
-    q = _AtOrder(order)
-    return q.cases([*word_cases(h0_words(PY, mw, 5), {
+def _ooz_families(mw: int, order: int) -> Iterator[Case]:
+    p_words = h0_words(PY, mw, 5)
+    q = _at_order(order, {"OOZ": p_words})
+    yield from word_cases(p_words, {
         "ooz-dual1": lambda w: (q("OOZ", maps.dual_family_1(w)), q("OOZ", w)),
-    }, {"order": order}), *word_cases(h0_words(H2, mw, mw), {
+    }, {"order": order})
+    yield from word_cases(h0_words(H2, mw, mw), {
         "ooz-dual2": lambda w: (
             q("OOZ", _recode(maps.dual_family_2(w), PY)), q("OOZ", _recode(w, PY))
         ),
-    }, {"order": order})])
+    }, {"order": order})
 
 
 @suite("qseries-spot-values")
@@ -396,16 +384,18 @@ def _spot(mw: int | None, order: int | None) -> Iterator[Case]:
 
 
 @suite("characters", max_weight=5, order=30)
-def _characters(mw: int, order: int) -> list[Case]:
+def _characters(mw: int, order: int) -> Iterator[Case]:
     zmax = min(5, mw)
     words = [w for w in h0_words(PY, mw, 4) if not w.is_unit and w.depth <= zmax - 1]
-    q = _AtOrder(order)
+    # each term of a product of u and v has their weight and at most their depth
+    values = h0_words(PY, mw, zmax)
+    q = _at_order(order, {"SZ": values, "SZstar": values, "OOZ": values})
 
     def character(model: str, mul: Callable) -> Check:
         # the model's value of a product is the product of the two values
         return lambda u, v: (q(model, mul(u, v)), q(model, u) * q(model, v))
 
-    return q.cases(pair_cases(words, {
+    return pair_cases(words, {
         "sz-stuffle": character("SZ", lambda u, v: products.quasi_shuffle_lambda(u, v, 1)),
         "sz-shuffle": character("SZ", lambda u, v: products.shuffle_lambda(u, v, 1)),
         "sz-double-shuffle": lambda u, v: (
@@ -417,7 +407,7 @@ def _characters(mw: int, order: int) -> list[Case]:
         "szstar-stuffle": character("SZstar", lambda u, v: products.quasi_shuffle_lambda(u, v, -1)),
         "ooz-stuffle": character("OOZ", lambda u, v: products.ooz_quasi_shuffle(u, v)),
         "ooz-shuffle": character("OOZ", lambda u, v: products.shuffle_lambda(u, v, -1)),
-    }, {"order": order}, max_depth=zmax, max_weight=mw))
+    }, {"order": order}, max_depth=zmax, max_weight=mw)
 
 
 @suite("ihara-s", max_weight=6)

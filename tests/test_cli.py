@@ -1301,12 +1301,22 @@ def test_a_q_suite_evaluates_its_words_in_one_pass_per_model(monkeypatch):
     assert sorted(passes) == ["OOZ", "SZ", "SZstar"]  # not one pass per case
 
 
+def test_a_q_suite_computes_each_case_operands_once(monkeypatch):
+    # characters calls shuffle_lambda in three of its six checks per pair, once per case
+    shuffle, calls = products.shuffle_lambda, []
+    monkeypatch.setattr(products, "shuffle_lambda", lambda *a: calls.append(a) or shuffle(*a))
+    qseries.clear_caches()
+    rep = run_suite("characters")
+    assert rep.passed and len(calls) == rep.cases // 6 * 3
+
+
 @pytest.mark.parametrize("outside, want_passes", [(True, ["BZ", "BZ"]), (False, ["BZ"])])
 def test_a_q_suite_case_that_raises_fails_alone(monkeypatch, outside, want_passes):
     from mzv_lab import suites
 
     def q_suite(mw, order):
-        q, word = suites._AtOrder(order), lambda *c: z_encode(c, H2)
+        word = lambda *c: z_encode(c, H2)
+        q = suites._at_order(order, {"BZ": [word(2, 1), word(3)] + [word(1, 1)] * outside})
         cases = [
             cli.Case("in", {}, lambda: (q("BZ", word(2, 1)) * q("BZ", word(3)), q("BZ", word(3)) * q("BZ", word(2, 1)))),
             cli.Case("raises", {}, lambda: (qseries.QPoly(-1), 0)),
@@ -1314,7 +1324,7 @@ def test_a_q_suite_case_that_raises_fails_alone(monkeypatch, outside, want_passe
         ]
         if outside:
             cases.insert(1, cli.Case("outside", {}, lambda: (q("BZ", word(1, 1)), 0)))
-        return q.cases(cases)
+        return cases
 
     monkeypatch.setitem(SUITES, "q-mixed", q_suite)
     passes = _chain_sum_passes(monkeypatch)
@@ -1325,6 +1335,7 @@ def test_a_q_suite_case_that_raises_fails_alone(monkeypatch, outside, want_passe
     assert [(f.case_id, f.lhs) for f in rep.failures] == want
     # one pass for all the words, unless their sum is refused: then each case evaluates its own
     assert passes == want_passes
+    assert rep.cases == 3 + outside
 
 
 def test_every_registered_suite_runs_small():

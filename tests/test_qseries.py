@@ -695,15 +695,16 @@ def test_packed_qpoly_matches_the_list_qpoly(a, b, k):
     assert x.to_json() == {"order": x.order, "coeffs": [str(c) for c in xs]}
 
 
-_EDGE = st.builds(lambda k, d, sign: sign * 2 ** (8 * k - 1) + d, st.integers(1, 5), st.integers(-1, 0), st.sampled_from([1, -1]))
-
-
-@given(st.lists(st.one_of(st.integers(-(2**40), 2**40), _EDGE), min_size=1, max_size=20), st.integers(1, 6))
-@settings(max_examples=300, deadline=None, derandomize=True)
-def test_fits_reads_whether_every_slot_fits_fewer_bytes(cs, nbytes):
-    # the chain sum narrows each result to its largest coefficient by this test
-    t, half = qseries._pack(cs, 1, 48), 2 ** (8 * nbytes - 1)
-    assert qseries._fits(t, len(cs), 48, nbytes) == all(-half <= c < half for c in cs)
+@pytest.mark.parametrize("k", [129, 130, 131, 32769, 32770])
+def test_a_cached_series_keeps_each_slot_strictly_inside_its_width(k):
+    # OOZ (1, -k) through q^3 is q^2 - (k-2) q^3: at k = 130 and 32770 the slot sits at
+    # -2^(w-1), which a w-bit slot reads back but whose negation it cannot hold
+    qseries.clear_caches()
+    x, want = zeta_OOZ((1, -k), 3), brute_model("OOZ", (1, -k), 3)
+    assert list(x.coeffs) == want and x.width == qseries._width(max(map(abs, want)))
+    assert list((-x).coeffs) == [-c for c in want]
+    assert list(x.scale(-2).coeffs) == [-2 * c for c in want]
+    assert list((QPoly(3, (-1,)) * x).coeffs) == [-c for c in want]
 
 
 def test_eval_word_sums_terms_cached_at_different_widths():
