@@ -26,6 +26,7 @@ from mzv_lab.words import (
     Word,
     WordError,
     add_pairs,
+    check_range,
     poly_on,
     z_decode,
 )
@@ -199,9 +200,7 @@ def _check_z_parts(X: Poly, name: str) -> Poly:
 
 
 def _check_derivation_index(n: int) -> None:
-    if not 1 <= n <= MAX_DERIVATION:
-        bound = ">= 1" if n < 1 else f"<= {MAX_DERIVATION}"
-        raise WordError(f"derivation index must be {bound}, got {n}")
+    check_range("derivation index", n, 1, MAX_DERIVATION)
 
 
 def get_map(name: str) -> LinearMap:

@@ -46,7 +46,9 @@ from mzv_lab.words import (
     Rational,
     Word,
     WordError,
+    _Frozen,
     as_poly,
+    check_range,
     clear_caches,  # re-exported: it empties every Memo, _EVAL_CACHE among them
     exact,
     reverse_swap,
@@ -58,7 +60,7 @@ from mzv_lab.words import (
 Comp = tuple[int, ...]
 
 
-class QPoly:
+class QPoly(_Frozen):
     """Truncated q-expansion with exact ``int | Fraction`` coefficients.
 
     The coefficient of q^k, k = 0..order, is c_k / den, den > 0, with c_k in
@@ -74,7 +76,7 @@ class QPoly:
     a longer one).
     """
 
-    __slots__ = ("order", "num", "width", "den")
+    __slots__ = _fields = ("order", "num", "width", "den")
 
     def __new__(cls, order: int, coeffs: Iterable[Rational] = ()) -> "QPoly":
         _check_order(order)
@@ -85,17 +87,6 @@ class QPoly:
         nums = [c.numerator * (den // c.denominator) for c in cs]
         width = _width(max(map(abs, nums), default=0))
         return cls._make(order, _repack(_pack(nums, 1, width), order + 1, width, width), width, den)
-
-    @classmethod
-    def _make(cls, order: int, num: int, width: int, den: int = 1) -> "QPoly":
-        """Trusted: num is reduced mod 2^((order+1) width)."""
-        self = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (order, num, width, den)):
-            object.__setattr__(self, name, value)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QPoly is immutable")
 
     @classmethod
     def one(cls, order: int) -> "QPoly":
@@ -209,10 +200,7 @@ MAX_ORDER = 4_000
 
 
 def _check_order(order: int) -> None:
-    if order < 0:
-        raise WordError(f"order must be >= 0, got {order}")
-    if order > MAX_ORDER:
-        raise WordError(f"order must be <= {MAX_ORDER}, got {order}")
+    check_range("order", order, 0, MAX_ORDER)
 
 
 # the most work either route may spend on one composition, in the units of
@@ -456,7 +444,7 @@ def _eval_model(tag: str, comp: Comp, n: int) -> tuple[int, int]:
 
 def _zeta(tag: str, comp: Iterable[int], order: int) -> QPoly:
     """The chain sum of comp in the model tag, through q^order."""
-    return QPoly._make(order, *_eval_model(tag, tuple(comp), order))
+    return QPoly._make(order, *_eval_model(tag, tuple(comp), order), 1)
 
 
 # one function per model, each also a module attribute by its own name

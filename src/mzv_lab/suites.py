@@ -47,6 +47,7 @@ from mzv_lab.words import (
     add_into,
     add_scaled,
     as_poly,
+    check_range,
     format_poly,
     format_tensor,
     format_word,
@@ -725,10 +726,8 @@ def _suite_cases(
     the text naming what else the caller accepts."""
     bounds = (("--max-weight", max_weight, MAX_WEIGHT), ("--order", order, qseries.MAX_ORDER))
     for flag, value, ceiling in bounds:
-        if value is not None and value < 0:
-            raise WordError(f"{flag} must be >= 0, got {value}")
-        if value is not None and value > ceiling:
-            raise WordError(f"{flag} must be <= {ceiling}, got {value}")
+        if value is not None:
+            check_range(flag, value, 0, ceiling)
     if name not in SUITES:
         raise WordError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}{others}")
     # max_weight 0 means "enumerate nothing" (header-only exports)

@@ -1,12 +1,15 @@
-"""Alphabets, normalized words, and exact-rational linear combinations.
+"""Alphabets, normalized words, exact-rational linear combinations, and the value
+base, range check and composition enumerator the other modules share.
 
-Three working alphabets:
+Three working alphabets: ``H2`` on ``x0, x1`` and ``PY`` on ``p, y``, both free, and
+``PDY`` on ``p, d, y`` subject to the rewriting rule ``pd = dp = 1``.  Weights:
+wt(p) = 1, wt(y) = 0 on PY/PDY, and every H2 letter has weight 1.  wt(d) := -1,
+forced by pd = 1 together with additivity of the grading.
 
-* ``H2``  letters ``x0, x1`` (free),
-* ``PY``  letters ``p, y``   (free),
-* ``PDY`` letters ``p, d, y`` subject to the rewriting rule ``pd = dp = 1``.
-
-A ``Word`` is an immutable ``tuple`` subclass ``(alphabet, letters)``, so its
+Every exact value (``Alphabet``, ``Word``, ``Poly``, ``hopf.Tensor2``,
+``qseries.QPoly``) derives from ``_Frozen``: it refuses setting and deleting an
+attribute, and pickles and copies through its trusted ``_make``, so memos share
+values freely.  A ``Word`` is a ``tuple`` subclass ``(alphabet, letters)``, so its
 hash and ``==`` are tuple's, computed in C.  The alphabets are singletons that
 hash and compare by identity (and pickle by name), so equal letters over two
 alphabets make two words.  Otherwise the tuple stays hidden: words order by
@@ -21,27 +24,20 @@ package, words made from valid letters go through the trusted ``Word._make``
 (no letter check, but PDY words are still normalized), or through
 ``_normal_word`` when the letters are already in normal form.
 
-Weights: wt(p) = 1, wt(y) = 0 on PY/PDY, and every H2 letter has weight 1.
-wt(d) := -1, forced by pd = 1 together with additivity of the grading; no
-other choice is consistent.
-
 ``Poly`` is the universal carrier of all products and linear maps: a finite
 formal sum of words with exact ``int | Fraction`` coefficients (zero
 coefficients are never stored; an ``int`` turns into a ``Fraction`` only when
-a rational coefficient enters).  It and the other carrier of exact linear
-combinations, ``hopf.Tensor2``, share the arithmetic and the formatter of
-``LinComb``.
-
-Every Poly and Tensor2 is written here, as text or as the JSON json.dumps
-writes for its dict form, assembled from strings (``poly_json``, ...).
+a rational coefficient enters).  It and ``hopf.Tensor2`` share the arithmetic
+of ``LinComb``, and both are written here, as text or as the JSON json.dumps
+writes for their dict form, assembled from strings (``poly_json``, ...).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import chain, islice, product
-from operator import ge, gt, itemgetter, le, lt, methodcaller
+from itertools import chain, combinations, islice, product
+from operator import add, ge, gt, itemgetter, le, lt, methodcaller, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Union
 
 if TYPE_CHECKING:
@@ -71,23 +67,46 @@ class EncodingError(WordError):
     pass
 
 
-class Alphabet:
+def check_range(what: str, value: int, lo: int, hi: int) -> None:
+    """A WordError naming what and the bound it misses, unless lo <= value <= hi."""
+    if value < lo:
+        raise WordError(f"{what} must be >= {lo}, got {value}")
+    if value > hi:
+        raise WordError(f"{what} must be <= {hi}, got {value}")
+
+
+class _Frozen:
+    """Base of every exact value: immutable once built, so memos share it freely.  Its
+    ``_fields`` are set once, by the trusted ``_make``, which copies and unpickling call."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    @classmethod
+    def _make(cls, *values):
+        self = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            _set(self, name, value)
+        return self
+
+    def __reduce__(self):
+        return (type(self)._make, tuple(getattr(self, name) for name in self._fields))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Alphabet(_Frozen):
     """One of the three singleton alphabets: immutable, equal only to itself.  Its first
     letter counts in a z-block and its last ends one: x0 and x1, or p and y."""
 
-    __slots__ = ("tag", "letters", "rank")
+    __slots__ = _fields = ("tag", "letters", "rank")
 
-    def __init__(self, tag: str, letters: tuple[str, ...]):
-        _set(self, "tag", tag)
-        _set(self, "letters", letters)
-        # letter -> its index in ``letters``: the canonical letter order
-        _set(self, "rank", {a: i for i, a in enumerate(letters)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Alphabet is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Alphabet is immutable")
+    def __new__(cls, tag: str, letters: tuple[str, ...]):
+        # rank: letter -> its index in ``letters``, the canonical letter order
+        return cls._make(tag, letters, {a: i for i, a in enumerate(letters)})
 
     def __repr__(self) -> str:
         return self.tag
@@ -135,7 +154,7 @@ def _by_sort_key(op):
     return lambda u, v: op(u.sort_key(), v.sort_key()) if isinstance(v, Word) else NotImplemented
 
 
-class Word(tuple):
+class Word(_Frozen, tuple):
     """A normalized word over one of the three alphabets.
 
     Immutable and hashable; ``w1 * w2`` concatenates (renormalizing on PDY).
@@ -143,6 +162,7 @@ class Word(tuple):
     """
 
     __slots__ = ()
+    _fields = ("alphabet", "letters")
 
     alphabet = property(itemgetter(0))
     letters = property(itemgetter(1))
@@ -161,12 +181,6 @@ class Word(tuple):
         if alphabet is PDY:
             letters = _normalize_pdy(letters)
         return tuple.__new__(cls, (alphabet, letters))
-
-    def __reduce__(self):
-        return (Word._make, (self[0], self[1]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
 
     # the tuple underneath stays hidden: no iteration, ``in``, ``+`` or repetition
     __iter__ = __contains__ = None
@@ -258,7 +272,7 @@ def signed_sum(bodies: Iterable[str], coeffs: Iterable[Rational]) -> str:
     return (text[3:] if text[1] == "+" else "-" + text[3:]) if text else "0"  # the first sign
 
 
-class LinComb:
+class LinComb(_Frozen):
     """Finite linear combination of basis keys with exact coefficients.
 
     ``terms`` maps each key to a nonzero ``int | Fraction``; a coefficient
@@ -272,31 +286,28 @@ class LinComb:
     without a copy.
     """
 
-    __slots__ = ("alphabet", "terms")
+    __slots__ = _fields = ("alphabet", "terms")
 
-    def __init__(self, alphabet, terms: Mapping | None = None):
+    def __new__(cls, alphabet, terms: Mapping | None = None):
         clean: dict = {}
         if terms:
             for key, c in terms.items():
-                self._check_key(key, alphabet)
+                cls._check_key(key, alphabet)
                 c = exact(c)
                 if c:
                     clean[key] = c
-        _set(self, "alphabet", alphabet)
-        _set(self, "terms", clean)
+        return cls._make(alphabet, clean)
 
     @classmethod
     def _make(cls, alphabet, terms: dict):
-        """Trusted constructor: ``terms`` is already clean and is kept as is."""
+        """Trusted constructor: ``terms`` is already clean and is kept as is.  Not the
+        base's loop: every product result comes through here."""
         out = object.__new__(cls)
         _set(out, "alphabet", alphabet)
         _set(out, "terms", terms)
         return out
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
+    def __reduce__(self):  # a copy's terms are its own dict
         return (type(self)._make, (self.alphabet, dict(self.terms)))
 
     def _same_space(self, other: "LinComb") -> None:
@@ -462,13 +473,8 @@ def membership(word: Word, space: str) -> bool:
         raise WordError(f"unknown space {space!r}; expected one of {sorted(_SPACES)}") from None
     if word.alphabet is not alphabet:
         raise AlphabetMismatchError(f"{space} is a space of {alphabet} words, got {word.alphabet}")
-    if word.is_unit:
-        return True
-    if first is not None and word.letters[0] != first:
-        return False
-    if last is not None and word.letters[-1] != last:
-        return False
-    return True
+    letters = word.letters
+    return not letters or (first in (None, letters[0]) and last in (None, letters[-1]))
 
 
 def poly_membership(poly: Poly, space: str) -> bool:
@@ -686,17 +692,11 @@ def iter_zcomps(total: int, depth: int, first_min: int, rest_min: int) -> Iterat
     """Compositions (k1..kn) with sum == total, n == depth, k1 >= first_min,
     kj >= rest_min for j >= 2.  Lexicographic order."""
     if depth == 0:
-        if total == 0:
-            yield ()
-        return
-
-    def rec(remaining: int, slots: int, lo: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            if remaining >= lo:
-                yield (remaining,)
-            return
-        for k in range(lo, remaining - rest_min * (slots - 1) + 1):
-            for tail in rec(remaining - k, slots - 1, rest_min):
-                yield (k,) + tail
-
-    yield from rec(total, depth, first_min)
+        return iter([()] if total == 0 else [])
+    # a row of n places holds depth - 1 bars and the units left once each part has its least
+    # value: a part is that value plus the b - a - 1 units between its bars a < b (-1 and n
+    # at the ends), and the bars' places in lexicographic order give the parts in that order
+    lows = (first_min - 1,) + (rest_min - 1,) * (depth - 1)
+    n = total - sum(lows) - 1
+    bars = combinations(range(n), depth - 1) if n >= depth - 1 else ()
+    return (tuple(map(add, lows, map(sub, (*c, n), (-1, *c)))) for c in bars)

@@ -807,13 +807,32 @@ def test_order_0_is_a_bound_not_an_absence(capsys, monkeypatch, tmp_path):
     assert all(r["inputs"]["order"] == 0 and r["lhs"]["order"] == 0 for r in records)
 
 
-# sha256 of the default-bound export of the two suites whose evaluators are
-# built on dense int rows and the shared chain-sum pass
+# sha256 of the default-bound export of every suite, in registry order: the text and
+# JSON of every case's inputs and both computed sides, byte for byte
 @pytest.mark.parametrize(
     "suite, digest",
     [
-        ("rota-baxter", "92e8da739542775fe652e304cb1a953271add0f76d30dbce945eef0f82eab999"),
+        ("classical-products", "6fd67bd4f0fe80164bd0b392ace94554d53d6edd068e6e92f501ad3cbfb325fc"),
+        ("thm-derivation", "94ddf2fc03f060bd37c927c57aecaa2c133f9e394158795c4b8b29bb8d2d33d6"),
+        ("hoffman-ohno", "8a78781d98499fe693a62c36f9594cdcbaaa5f90019b033ff1cd66f828ff1853"),
+        ("thm-szdual", "c4e7cf20ddfde87e536799bd6e6daf432eb9e595997d542bdef6270414dbe8cf"),
+        ("thm-oozdual", "ba023d85bb43b1f7bfe075a34ed106defac5b61d14d66486e573e7fc85653f55"),
+        ("zhao-duality", "a1383e52cbba7aa498df108a4d5b5ccd180f95fbd6ec3f0647a67a0e54a5e69a"),
+        ("bradley-duality", "d2c3b08db6609fac8b4faf20e44947e72aa13df717bf3890f2ce568dd98a2a49"),
+        ("ooz-szstar-duality", "23aa955c7955856fe9e8cc94ed03d34f5df1faf6640a0a24b210de97743c0c4a"),
+        ("model-transfers", "ea8da250d31e0eea0d0fb879b12de0a0da4c71ac43c2b82c9e0535a6eceb478e"),
+        ("ooz-duality-families", "2d1a4e3963b85a02398cf45428ccf66d2eaee63868674b64c2cb9cce4f3106ae"),
+        ("qseries-spot-values", "721aee0c04a02fddb7a6e3f597e3db1da72b68f7148504f9b639c2f41be2f308"),
         ("characters", "6ab6c1081be9a49e2a434d0d47f74935286af3cd1e07236b8c6ab2c4222944b9"),
+        ("ihara-s", "d018f7cf38b11f4d13371c39542ce6b89ae6f943a5d20f2c4c731a5eea6dd27f"),
+        ("pdy-shuffle", "0c52f2b21645c08b70c62ae05171ebe2ce11dcc3480c9cf76533a315336325df"),
+        ("infinitesimal", "a8becd409bd289bc28c66e2d3b740406e850e004a8d4509150afd4c127f24a86"),
+        ("ooz-explicit-vs-recursive", "e7f9fd45cf1bb864ca8f426d90872eb8213cf0d7bcdbe9fe80238178af786468"),
+        ("star-shuffle", "d62156bb2bc0ed3959a4017da52913d35c1d5eed0c6e762fb0ff9036360f5b34"),
+        ("thm-szsdual", "b6f8276bcca78b01832bedaea1ff975f31626bee114b53233ac831390124ae04"),
+        ("hopf-axioms", "2d84c227b9c1b1bc01a74b1f1d1d6d2ddd42a234d932b26dd0a0f9b8cb1ae0eb"),
+        ("rota-baxter", "92e8da739542775fe652e304cb1a953271add0f76d30dbce945eef0f82eab999"),
+        ("float-oracle", "d2e0fddfbb521f04e74afaffc9cccd3dc23a2018bda283d34e723320124e2a47"),
     ],
 )
 def test_export_vectors_output_is_pinned(tmp_path, suite, digest):

@@ -3,6 +3,7 @@
 import copy
 import pickle
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -280,6 +281,32 @@ def test_iter_zcomps():
     assert list(iter_zcomps(3, 4, 1, 1)) == []
 
 
+def _zcomps_by_recursion(total, depth, first_min, rest_min):
+    # the recursive enumerator iter_zcomps replaced, kept as its reference
+    if depth == 0:
+        if total == 0:
+            yield ()
+        return
+
+    def rec(remaining, slots, lo):
+        if slots == 1:
+            if remaining >= lo:
+                yield (remaining,)
+            return
+        for k in range(lo, remaining - rest_min * (slots - 1) + 1):
+            for tail in rec(remaining - k, slots - 1, rest_min):
+                yield (k,) + tail
+
+    yield from rec(total, depth, first_min)
+
+
+def test_iter_zcomps_matches_the_recursive_enumerator_in_order():
+    # every case of the grid: empty and negative totals, and parts below 0 as OOZ inner parts have
+    for total, depth, first_min, rest_min in product(range(-2, 9), range(6), range(-2, 4), range(-2, 4)):
+        want = list(_zcomps_by_recursion(total, depth, first_min, rest_min))
+        assert list(iter_zcomps(total, depth, first_min, rest_min)) == want
+
+
 # -- the public boundary and the trusted constructor ---------------------------
 
 def test_public_boundary_keeps_its_checks_and_messages():
@@ -358,6 +385,34 @@ def test_alphabets_words_and_polys_survive_pickle_and_copy(copy_of):
     c = copy_of(x)
     assert type(c) is Poly and c == x and c.alphabet is H2 and str(c) == str(x)
     assert c.terms is not x.terms
+    t = hopf.deconcat(x)
+    c = copy_of(t)
+    assert type(c) is hopf.Tensor2 and c == t and c.alphabet is H2 and str(c) == str(t)
+    assert c.terms is not t.terms
+    q = qseries.QPoly(6, (1, Fraction(-2, 3), 0, 5))
+    c = copy_of(q)
+    assert type(c) is qseries.QPoly and c == q and str(c) == str(q) and c.den == q.den == 3
+    assert (c.order, c.num, c.width, c.coeffs) == (q.order, q.num, q.width, q.coeffs)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        H2,
+        Word(H2, ("x0", "x1")),
+        Poly(H2, {Word(H2, ("x1",)): 2}),
+        hopf.deconcat(Word(PY, ("p", "y"))),
+        qseries.QPoly(3, (1, Fraction(1, 2))),
+    ],
+    ids=lambda v: type(v).__name__,
+)
+def test_every_value_kind_refuses_setting_and_deleting_an_attribute(value):
+    message = rf"^{type(value).__name__} is immutable$"
+    for name in ("alphabet", "letters", "terms", "order", "extra"):
+        with pytest.raises(AttributeError, match=message):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match=message):
+            delattr(value, name)
 
 
 def test_codecs_outside_their_cached_range_and_on_bad_parts():
