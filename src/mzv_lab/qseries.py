@@ -13,9 +13,9 @@ starred model relaxes to >=) with per-index factors:
 In every model the outermost factor has q-order >= m_1, so truncating the
 chain at m_1 <= N is exact through q^N.  Every q-series value is one packed
 int, coefficient i in slot i of W bits (Kronecker substitution), W a sign bit
-more than a bound on its coefficients, in whole bytes: each running
-series of the chain sum (``_eval_models``), each cached chain sum and each
-``QPoly``.  The chain sum is one pass over the summation index with one
+more than a bound on its coefficients, in whole bytes: each running series of
+the chain sum (``_eval_models``) and each ``QPoly``, the cached chain sums
+among them.  The chain sum is one pass over the summation index with one
 running series per distinct suffix of the compositions evaluated together;
 each step is a few big-int operations (``_times_row``) on at most about N W
 bits, with no Python loop over coefficients.  Orders run up to
@@ -66,8 +66,8 @@ class QPoly(_Frozen):
     The coefficient of q^k, k = 0..order, is c_k / den, den > 0, with c_k in
     slot k of width bits of num, reduced mod 2^((order+1) width), and each
     |c_k| < 2^(width-1).  So a result's width (``_width``) needs a bound on its
-    coefficients only.  A combination sum k_j s_j at a common den (``+``,
-    ``-``, ``scale``, ``eval_word``: ``_combine``) has them at most
+    coefficients only.  A combination sum k_j s_j of QPolys at a common den
+    (``+``, ``-``, ``scale``, ``eval_word``: ``_combine``) has them at most
     sum |k_j| (2^(w_j-1) - 1); a product's, through q^n, at most
     (n+1) (2^(w_a-1) - 1) (2^(w_b-1) - 1), which takes at most
     w_a + w_b + bits(n+1) - 1 bits with the sign.  ``coeffs`` unpacks at each
@@ -99,7 +99,7 @@ class QPoly(_Frozen):
         return tuple(c // den if c % den == 0 else Fraction(c, den) for c in cs)
 
     def _plus(self, sign: int, other: "QPoly") -> "QPoly":
-        return _combine(min(self.order, other.order), [self._term(1), other._term(sign)])
+        return _combine(min(self.order, other.order), [(self, 1), (other, sign)])
 
     __add__, __sub__ = partialmethod(_plus, 1), partialmethod(_plus, -1)
 
@@ -107,10 +107,7 @@ class QPoly(_Frozen):
         return self.scale(-1)
 
     def scale(self, coeff: Rational) -> "QPoly":
-        return _combine(self.order, [self._term(exact(coeff))])
-
-    def _term(self, coeff: Rational) -> tuple[int, int, int, Rational]:
-        return self.num, self.width, self.den, coeff
+        return _combine(self.order, [(self, exact(coeff))])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -188,8 +185,9 @@ MODELS: dict[str, Model] = {
 
 # 8 192 series: all 21 suites at their default bounds keep 951, and characters alone keeps
 # 3 848 at --max-weight 8 and 5 992 at 9, the ceiling; at 2 048 it ran 3.5 times slower.
-# An entry's value, (num, w) through q^n, takes about 84 + (n+1) w / 7.5 bytes (30-bit
-# digits in 4 bytes): 158 at order 30 and 1 412 at 300 in characters (mean w 18 and 33)
+# An entry's value, a QPoly of width w through q^n, takes about 92 + (n+1) w / 7.5 bytes
+# (64 for the QPoly, 30-bit digits in 4 bytes): 165 at order 30 and 1 414 at 300 in
+# characters (mean w 18 and 33)
 _EVAL_CACHE: Memo = Memo(8192)
 
 # the largest q-order either route evaluates: the largest at which both answer
@@ -321,15 +319,15 @@ def _repack(t: int, size: int, width: int, new: int) -> int:
     return int.from_bytes(out, "little") - _bias(size, keep, stride) & (1 << size * new) - 1
 
 
-def _combine(order: int, terms: Sequence[tuple[int, int, int, Rational]]) -> QPoly:
-    """sum c num / den over the terms (num, width, den, c) of packed series,
-    through q^order, at one den and width."""
-    den = math.lcm(*(d * c.denominator for _, _, d, c in terms))
-    ks = [c.numerator * (den // (d * c.denominator)) for _, _, d, c in terms]
+def _combine(order: int, terms: Sequence[tuple[QPoly, Rational]]) -> QPoly:
+    """sum c s over the terms (s, c), series of orders >= order at any width
+    and den, through q^order, at one den and width."""
+    den = math.lcm(*(s.den * c.denominator for s, c in terms))
+    ks = [c.numerator * (den // (s.den * c.denominator)) for s, c in terms]
     common = math.gcd(den, *ks)
     ks = [k // common for k in ks]
-    width = _width(sum(abs(k) * ((1 << w - 1) - 1) for k, (_, w, _, _) in zip(ks, terms)))
-    num = sum(k * _repack(t, order + 1, w, width) for k, (t, w, _, _) in zip(ks, terms) if k)
+    width = _width(sum(abs(k) * ((1 << s.width - 1) - 1) for k, (s, _) in zip(ks, terms)))
+    num = sum(k * _repack(s.num, order + 1, s.width, width) for k, (s, _) in zip(ks, terms) if k)
     return QPoly._make(order, _repack(num, order + 1, width, width), width, den // common)
 
 
@@ -368,7 +366,7 @@ def _times_row(t: int, m: int, k: int, size: int, width: int, row: list[int]) ->
     return out
 
 
-def _eval_models(tag: str, comps: Sequence[Comp], n: int) -> list[tuple[int, int]]:
+def _eval_models(tag: str, comps: Sequence[Comp], n: int) -> list[QPoly]:
     """The chain sums of several compositions, in one pass over m = 1..n.
     A level node is a distinct suffix comp[j:] with the shift of its head
     factor (OOZ's outermost one differs): the sum over chains of the suffix
@@ -387,10 +385,10 @@ def _eval_models(tag: str, comps: Sequence[Comp], n: int) -> list[tuple[int, int
     node's series.  It also bounds every step in between: a partial product
     applies fewer units of |k|, fewer doublings or fewer row terms, whose
     absolute sums are no larger.  width is ``_width`` of the largest B of the
-    pass.  Each composition's series is returned and cached as ``QPoly`` lays
-    it out, (num, w), w the width of its largest coefficient: B is loose,
-    by about 25 bits at order 300.  Trusted: the callers
-    (``_eval_model``, ``eval_word``) check the model's domain."""
+    pass.  Each composition's series is returned and cached as the ``QPoly``
+    that ``zeta_*`` return, at den 1 and w the width of its largest
+    coefficient: B is loose, by about 25 bits at order 300.  Trusted: the
+    callers (``zeta_*``, ``eval_word``) check the model's domain."""
     model = MODELS[tag]
     _check_order(n)
     got = {c: _EVAL_CACHE.get((tag, c, n)) for c in comps}  # a store below may evict these
@@ -434,17 +432,13 @@ def _eval_models(tag: str, comps: Sequence[Comp], n: int) -> list[tuple[int, int
         node = (comp, model.shift(0, comp[0])) if comp else ()
         t = series[slot[node]]
         own = _width(max(map(abs, _unpack(t, n + 1, width))))
-        got[comp] = _EVAL_CACHE[(tag, comp, n)] = (_repack(t, n + 1, width, own), own)
+        got[comp] = _EVAL_CACHE[(tag, comp, n)] = QPoly._make(n, _repack(t, n + 1, width, own), own, 1)
     return [got[comp] for comp in comps]
 
 
-def _eval_model(tag: str, comp: Comp, n: int) -> tuple[int, int]:
-    return _eval_models(tag, (MODELS[tag].check(comp),), n)[0]
-
-
 def _zeta(tag: str, comp: Iterable[int], order: int) -> QPoly:
-    """The chain sum of comp in the model tag, through q^order."""
-    return QPoly._make(order, *_eval_model(tag, tuple(comp), order), 1)
+    """The chain sum of comp in the model tag, through q^order: the cached value."""
+    return _eval_models(tag, (MODELS[tag].check(tuple(comp)),), order)[0]
 
 
 # one function per model, each also a module attribute by its own name
@@ -461,9 +455,8 @@ def eval_word(model: str, x: Union[Word, Poly], order: int) -> QPoly:
     x, m = as_poly(x), MODELS[model]
     if x.alphabet is not m.alphabet:
         raise AlphabetMismatchError(f"{model} reads {m.alphabet!r} words, got {x.alphabet!r}")
-    terms = [(m.check(z_decode(w)), c) for w, c in x.terms.items()]
-    series = _eval_models(model, [comp for comp, _ in terms], order)
-    return _combine(order, [(*s, 1, c) for s, (_, c) in zip(series, terms)])
+    series = _eval_models(model, [m.check(z_decode(w)) for w in x.terms], order)
+    return _combine(order, list(zip(series, x.terms.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +575,7 @@ def zeta_classical_float(comp: Iterable[int], cutoff: int = 1_000_000) -> FloatR
     Each factor lies in [0, 1] and is truncated from below, so a product errs
     by at most the sum of its two tails.  ``tail_bound`` adds all tails and
     |value| 2^-52 for the rounding to float.  ``cutoff`` caps each truncation
-    index.  Needs k1 >= 2, kj >= 1 and depth <= 4.
+    index.  Needs k1 >= 2 and kj >= 1.
     """
     comp = tuple(comp)
     if not comp:
@@ -591,8 +584,6 @@ def zeta_classical_float(comp: Iterable[int], cutoff: int = 1_000_000) -> FloatR
         raise NotInSubalgebraError(
             f"classical float oracle needs k1 >= 2 and kj >= 1, got {comp}"
         )
-    if len(comp) > 4:
-        raise WordError("classical float oracle supports depth <= 4")
     letters = z_encode(comp, H2).letters
     total, err = Fraction(0), Fraction(0)
     for j in range(len(letters) + 1):

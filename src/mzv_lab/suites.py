@@ -160,8 +160,12 @@ def _commutes(mul: Callable) -> Check:
 
 
 def _equals(expected: object, f: Callable, *args) -> tuple[object, object]:
-    # a worked example: f(*args) against its known value
     return f(*args), expected
+
+
+def _example(case_id: str, inputs: dict, expected: object, f: Callable, *args) -> Case:
+    """A worked example: f(*args) against its known value."""
+    return Case(case_id, inputs, partial(_equals, expected, f, *args))
 
 
 def _monoid_laws(
@@ -228,17 +232,9 @@ def _recode(x: Word | Poly, alphabet: Alphabet) -> Poly:
 
 @suite("classical-products", max_weight=4)
 def _classical(mw: int, order: int | None) -> Iterator[Case]:
-    z2 = zp((2,), H2)
-    yield Case(
-        "stuffle-z2-z2",
-        {"u": "z{2}", "v": "z{2}"},
-        lambda: (products.quasi_shuffle(z2, z2), 2 * zp((2, 2), H2) + zp((4,), H2)),
-    )
-    yield Case(
-        "shuffle-x0x1-x0x1",
-        {"u": "z{2}", "v": "z{2}"},
-        lambda: (products.shuffle(z2, z2), 2 * zp((2, 2), H2) + 4 * zp((3, 1), H2)),
-    )
+    z2, z22, inputs = zp((2,), H2), 2 * zp((2, 2), H2), {"u": "z{2}", "v": "z{2}"}
+    yield _example("stuffle-z2-z2", inputs, z22 + zp((4,), H2), products.quasi_shuffle, z2, z2)
+    yield _example("shuffle-x0x1-x0x1", inputs, z22 + 4 * zp((3, 1), H2), products.shuffle, z2, z2)
     words = words_by_length(H2, min(mw, 4), lambda w: membership(w, "h1"))
     yield from pair_cases(words, {
         "stuffle-comm": _commutes(products._quasi_word_fn(H2, 1)),
@@ -251,12 +247,9 @@ def _classical(mw: int, order: int | None) -> Iterator[Case]:
 
 @suite("thm-derivation", max_weight=8)
 def _derivation(mw: int, order: int | None) -> Iterator[Case]:
-    z2 = zp((2,), H2)
-    yield Case(
-        "square-example",
-        {"u": "z{2}", "v": "z{2}"},
-        lambda: (products.square_classical(z2, z2), 2 * zp((2, 2), H2) + zp((2, 1, 1), H2)),
-    )
+    z2, expected = zp((2,), H2), 2 * zp((2, 2), H2) + zp((2, 1, 1), H2)
+    inputs = {"u": "z{2}", "v": "z{2}"}
+    yield _example("square-example", inputs, expected, products.square_classical, z2, z2)
     yield from word_cases(h0_words(H2, mw, mw), {
         "derivation2": lambda w: (
             maps.derivation(w, 2),
@@ -267,29 +260,27 @@ def _derivation(mw: int, order: int | None) -> Iterator[Case]:
 
 @suite("hoffman-ohno", max_weight=8)
 def _hoffman(mw: int, order: int | None) -> Iterator[Case]:
-    z1 = zp((1,), H2)
     yield from word_cases(h0_words(H2, mw, mw), {
-        "derivation1": lambda w: (
-            maps.derivation(w, 1),
-            products.shuffle(w, z1) - products.quasi_shuffle(w, z1),
-        ),
-        "membership": lambda w: (poly_membership(_hoffman_difference(w), "h0"), True),
+        "derivation1": lambda w: (maps.derivation(w, 1), _hoffman_relation(w)),
+        "membership": lambda w: (poly_membership(_hoffman_relation(w), "h0"), True),
     })
-    # numeric spot checks on low-depth samples (z-parts of the difference
-    # gain one depth, so keep sample depth <= 2)
+    # numeric spot checks on the words of depth <= 2 up to weight 5 (their
+    # relations reach depth 3): the sample the export pins
     samples = [w for w in h0_words(H2, min(mw, 5), 2) if not w.is_unit]
     yield from word_cases(
         samples, {"float": lambda w: (_hoffman_float_ok(w), True)}, {"tolerance": "1e-4"}
     )
 
 
-def _hoffman_difference(w: Word) -> Poly:
-    return products.quasi_shuffle(zp((1,), H2), w) - products.shuffle(Poly.of(Word(H2, ("x1",))), w)
+def _hoffman_relation(w: Word) -> Poly:
+    # Hoffman's relation, w sh z1 - w * z1: derivation 1 of w, so in h0 and in ker zeta
+    z1 = zp((1,), H2)
+    return products.shuffle(w, z1) - products.quasi_shuffle(w, z1)
 
 
 def _hoffman_float_ok(w: Word) -> bool:
     total = 0.0
-    for term, c in _hoffman_difference(w).terms.items():
+    for term, c in _hoffman_relation(w).terms.items():
         total += float(c) * qseries.zeta_classical_float(z_decode(term), 10_000_000).value
     return abs(total) < 1e-4
 
@@ -380,8 +371,7 @@ def _spot(mw: int | None, order: int | None) -> Iterator[Case]:
         ("ooz-1-divisors", qseries.zeta_OOZ, (1,), (0, 1, 2, 2, 3, 2, 4)),
     ):
         n = len(coeffs) - 1
-        check = partial(_equals, qseries.QPoly(n, coeffs), zeta, comp, n)
-        yield Case(case_id, {"comp": list(comp), "order": n}, check)
+        yield _example(case_id, {"comp": list(comp), "order": n}, qseries.QPoly(n, coeffs), zeta, comp, n)
 
 
 @suite("characters", max_weight=5, order=30)
@@ -414,19 +404,9 @@ def _characters(mw: int, order: int) -> Iterator[Case]:
 @suite("ihara-s", max_weight=6)
 def _ihara(mw: int, order: int | None) -> Iterator[Case]:
     words = h0_words(PY, mw, min(mw, 6))
-    yield Case(
-        "s-z2z1",
-        {"w": "ppypy"},
-        lambda: (maps.ihara_S(zp((2, 1))), zp((2, 1)) + zp((3,))),
-    )
-    yield Case(
-        "s-z1z1z1",
-        {"w": "pypypy"},
-        lambda: (
-            maps.ihara_S(zp((1, 1, 1))),
-            zp((1, 1, 1)) + zp((1, 2)) + zp((2, 1)) + zp((3,)),
-        ),
-    )
+    yield _example("s-z2z1", {"w": "ppypy"}, zp((2, 1)) + zp((3,)), maps.ihara_S, zp((2, 1)))
+    expected = zp((1, 1, 1)) + zp((1, 2)) + zp((2, 1)) + zp((3,))
+    yield _example("s-z1z1z1", {"w": "pypypy"}, expected, maps.ihara_S, zp((1, 1, 1)))
     yield from word_cases(words, {
         "s-roundtrip": lambda w: (maps.ihara_S(maps.ihara_S_inv(w)), Poly.of(w)),
         "s-roundtrip-rev": lambda w: (maps.ihara_S_inv(maps.ihara_S(w)), Poly.of(w)),
@@ -454,8 +434,8 @@ def _pdy(mw: int, order: int | None) -> Iterator[Case]:
     d = Poly.of(Word(PDY, ("d",)))
     for lam in (1, -1, 2):
         for v, expected in (("d", d.scale(Fraction(-1, lam))), ("p", d.scale(-lam))):
-            check = partial(_equals, expected, products.shuffle_lambda, d, Word(PDY, (v,)), lam)
-            yield Case(f"d{v}-{lam}", {"u": "d", "v": v, "lambda": str(lam)}, check)
+            inputs, args = {"u": "d", "v": v, "lambda": str(lam)}, (d, Word(PDY, (v,)), lam)
+            yield _example(f"d{v}-{lam}", inputs, expected, products.shuffle_lambda, *args)
     words = words_by_length(PDY, min(mw - 1, 4))
     short = [w for w in words if len(w) <= 2]
     for lam in (1, -1, 2):
@@ -470,7 +450,7 @@ def _pdy(mw: int, order: int | None) -> Iterator[Case]:
 def _infinitesimal(mw: int, order: int | None) -> Iterator[Case]:
     py, one = Word(PY, ("p", "y")), Word(PY)
     expected = hopf.Tensor2(PY, {(py, one): 1, (one, py): 1})
-    yield Case("d-py", {"w": "py"}, lambda: (hopf.infinitesimal_coproduct(Poly.of(py)), expected))
+    yield _example("d-py", {"w": "py"}, expected, hopf.infinitesimal_coproduct, Poly.of(py))
     pdy_words = words_by_length(PDY, min(mw - 2, 5))
     yield from word_cases([w for w in pdy_words if len(w) >= 2], {
         "split-independent": lambda w: (
@@ -505,19 +485,9 @@ def _infinitesimal(mw: int, order: int | None) -> Iterator[Case]:
             hopf.infinitesimal_coproduct(Poly.of(w)),
         ),
     })
-    yield Case(
-        "right-coideal",
-        {"space": "H0", "side": "right", "max_len": mw},
-        lambda: (
-            hopf.coideal_check(
-                lambda w: membership(w, "H0"),
-                hopf.coproduct_square_op,
-                "right",
-                h0,
-            ),
-            True,
-        ),
-    )
+    inputs = {"space": "H0", "side": "right", "max_len": mw}
+    args = (partial(membership, space="H0"), hopf.coproduct_square_op, "right", h0)
+    yield _example("right-coideal", inputs, True, hopf.coideal_check, *args)
 
 
 def _coassoc_holds(coproduct, x: Poly) -> bool:
@@ -547,8 +517,8 @@ def _star(mw: int, order: int | None) -> Iterator[Case]:
         (x1, 2 * Poly.of(x1 * x1) - 2 * Poly.of(x0 * x1)),
         (x0, Poly.of(x1 * x0) + Poly.of(x0 * x1) - Poly.of(x0 * x0) - Poly.of(x1 * x1)),
     ):
-        check = partial(_equals, expected, products.shuffle_star, Poly.of(x1), Poly.of(v))
-        yield Case(f"star-x1-{v}", {"u": "x1", "v": str(v)}, check)
+        inputs = {"u": "x1", "v": str(v)}
+        yield _example(f"star-x1-{v}", inputs, expected, products.shuffle_star, Poly.of(x1), Poly.of(v))
     words = [w for w in words_by_length(H2, mw - 1) if not w.is_unit]
     yield from pair_cases(words, {
         "alt": lambda u, v: (products.shuffle_star_alt(u, v), products.shuffle_star(u, v)),

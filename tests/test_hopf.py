@@ -1,6 +1,5 @@
 """Coalgebra structure: deconcatenation, antipode, transfer, infinitesimal."""
 
-import copy
 import sys
 from fractions import Fraction
 from functools import partial
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 
 from mzv_lab import maps
 from mzv_lab.hopf import (
-    HopfStructure,
     Tensor2,
     antipode,
     base_hopf,
@@ -26,7 +24,6 @@ from mzv_lab.hopf import (
 )
 from mzv_lab.products import (
     IsoConsistencyError,
-    quasi_shuffle,
     square_classical,
 )
 from mzv_lab.words import (
@@ -285,12 +282,6 @@ def test_coideal_witness_validates_inputs_like_the_check():
         with pytest.raises(WordError, match=r"outside the candidate coideal$"):
             find(pred, deconcat, "left", [Word(PY, ("y",))])
     assert coideal_witness(pred, deconcat, "left", _h0_samples()) is None
-
-
-def test_tensors_survive_deepcopy():
-    t = deconcat(zp((2, 1)) - zp((1, 0), PY, Fraction(1, 2)))
-    c = copy.deepcopy(t)
-    assert type(c) is Tensor2 and c == t and c.alphabet is PY and str(c) == str(t)
 
 
 @given(

@@ -1,11 +1,13 @@
-"""Every module of the package uses each name it imports (no linter needed)."""
+"""Every module of the package, and every test file, uses each name it imports (no
+linter needed)."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mzv_lab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "mzv_lab"
 
 # names a module imports only for its users to import from it
 RE_EXPORTS = {"cli.py": {"format_word"}, "products.py": {"clear_caches"}, "qseries.py": {"clear_caches"}}
@@ -41,6 +43,11 @@ def _names(tree: ast.AST) -> set[str]:
 def test_module_uses_every_name_it_imports(module):
     unused = _unused_imports((SRC / module).read_text(encoding="utf-8"))
     assert unused <= RE_EXPORTS.get(module, set()), sorted(unused)
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in TESTS.glob("*.py")))
+def test_test_file_uses_every_name_it_imports(module):
+    assert _unused_imports((TESTS / module).read_text(encoding="utf-8")) == set()
 
 
 def test_the_check_sees_an_unused_import():

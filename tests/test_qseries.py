@@ -38,7 +38,6 @@ from mzv_lab.words import (
     AlphabetMismatchError,
     NotInSubalgebraError,
     Poly,
-    Word,
     WordError,
     signed_sum,
     z_encode,
@@ -378,7 +377,7 @@ def test_packed_chain_sum_of_a_high_weight_sz_value():
 def test_slot_width_covers_the_largest_coefficient_and_a_sign(comp, n):
     qseries.clear_caches()
     got = zeta_OOZ(comp, n)
-    width = qseries._EVAL_CACHE[("OOZ", comp, n)][1]  # the width the pass chose
+    width = qseries._EVAL_CACHE[("OOZ", comp, n)].width  # the width the pass chose
     want = rota_baxter_eval_OOZ(comp, n).coeffs  # the other route
     assert got.width == width and width % 8 == 0 and got.coeffs == want
     assert max(map(abs, want)).bit_length() + 1 <= width
@@ -417,7 +416,7 @@ def test_rota_baxter_route_shares_no_code_with_the_chain_sum(monkeypatch):
     def chain_sum(*args, **kwargs):
         raise AssertionError("the Rota-Baxter route entered the chain sum")
 
-    for name in ("_eval_model", "_eval_models", "_times_row", "_truncate", "_row"):
+    for name in ("_eval_models", "_times_row", "_truncate", "_row"):
         monkeypatch.setattr(qseries, name, chain_sum)
     monkeypatch.setattr(qseries.Model, "shift", chain_sum)
     assert rota_baxter_eval_OOZ(comp, 40) == want
@@ -442,9 +441,9 @@ def comp_sets(draw):
 
 
 def _unpacked(series, n):
-    # a chain sum as the pass returns it, (packed int, slot width), as a list
-    packed, width = series
-    return qseries._unpack(packed, n + 1, width)
+    # a chain sum as the pass returns it, a QPoly at den 1, as a list of its slots
+    assert series.den == 1
+    return qseries._unpack(series.num, n + 1, series.width)
 
 
 @given(comp_sets())
@@ -454,7 +453,15 @@ def test_shared_pass_equals_one_pass_per_composition(case):
     qseries.clear_caches()
     shared = [_unpacked(series, n) for series in qseries._eval_models(tag, comps, n)]
     qseries.clear_caches()
-    assert shared == [_unpacked(qseries._eval_model(tag, comp, n), n) for comp in comps]
+    assert shared == [_unpacked(qseries._eval_models(tag, (comp,), n)[0], n) for comp in comps]
+
+
+def test_zeta_returns_the_cached_chain_sum_itself():
+    qseries.clear_caches()
+    got = zeta_SZ((2, 1), 30)
+    assert got is qseries._EVAL_CACHE[("SZ", (2, 1), 30)]
+    assert zeta_SZ((2, 1), 30) is got
+    assert eval_word("SZ", z_encode((2, 1), PY), 30) == got
 
 
 def test_cold_chain_sum_keeps_linear_state():
@@ -712,7 +719,7 @@ def test_eval_word_sums_terms_cached_at_different_widths():
     qseries.clear_caches()
     zeta_SZ((1,), n)  # a pass of its own, at a narrow width
     zeta_SZ((4, 3), n)  # another, at a wider one
-    assert cache[("SZ", (1,), n)][1] < cache[("SZ", (4, 3), n)][1]
+    assert cache[("SZ", (1,), n)].width < cache[("SZ", (4, 3), n)].width
     terms = {(1,): 2, (4, 3): Fraction(-1, 3), (2, 0, 1): 5}  # the last in eval_word's own pass
     got = eval_word("SZ", Poly(PY, {z_encode(c, PY): k for c, k in terms.items()}), n)
     want = [sum(k * brute_model("SZ", c, n)[i] for c, k in terms.items()) for i in range(n + 1)]
@@ -743,8 +750,6 @@ def test_float_domain():
         zeta_classical_float((1,))  # divergent
     with pytest.raises(WordError):
         zeta_classical_float((2, 0))
-    with pytest.raises(WordError):
-        zeta_classical_float((2, 1, 1, 1, 1))  # depth cap
 
 
 def test_float_json_schema_has_error_bound():
@@ -807,6 +812,18 @@ def test_float_known_values_within_proven_bound(comp, exact):
     with localcontext() as ctx:
         ctx.prec = 45
         assert abs(Decimal(r.value) - exact) <= Decimal(r.tail_bound) <= Decimal("1e-12")
+
+
+def test_float_oracle_at_any_depth():
+    # duality, zeta(tau w) = zeta(w): tau takes the word of (n+2) to that of (2, {1}^n)
+    for n in range(9):
+        a, b = zeta_classical_float((2,) + (1,) * n), zeta_classical_float((n + 2,))
+        assert abs(a.value - b.value) <= a.tail_bound + b.tail_bound
+    # zeta({3,1}^n) = 2 pi^(4n) / (4n+2)! (Borwein, Bradley, Broadhurst and Lisonek) at n = 2
+    r = zeta_classical_float((3, 1, 3, 1))
+    with localcontext() as ctx:
+        ctx.prec = 45
+        assert abs(Decimal(r.value) - 2 * _PI**8 / math.factorial(10)) <= Decimal(r.tail_bound)
 
 
 def _nested_sum(comp, cutoff=2000):

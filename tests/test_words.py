@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from mzv_lab import hopf, maps, products, qseries, words
@@ -34,6 +34,7 @@ from mzv_lab.words import (
     weight_projection,
     z_decode,
     z_encode,
+    zp,
 )
 
 h2_words = st.lists(st.sampled_from(["x0", "x1"]), max_size=8).map(
@@ -385,10 +386,10 @@ def test_alphabets_words_and_polys_survive_pickle_and_copy(copy_of):
     c = copy_of(x)
     assert type(c) is Poly and c == x and c.alphabet is H2 and str(c) == str(x)
     assert c.terms is not x.terms
-    t = hopf.deconcat(x)
-    c = copy_of(t)
-    assert type(c) is hopf.Tensor2 and c == t and c.alphabet is H2 and str(c) == str(t)
-    assert c.terms is not t.terms
+    for t, a in ((hopf.deconcat(x), H2), (hopf.deconcat(zp((2, 1)) - zp((1, 0), PY, Fraction(1, 2))), PY)):
+        c = copy_of(t)
+        assert type(c) is hopf.Tensor2 and c == t and c.alphabet is a and str(c) == str(t)
+        assert c.terms is not t.terms
     q = qseries.QPoly(6, (1, Fraction(-2, 3), 0, 5))
     c = copy_of(q)
     assert type(c) is qseries.QPoly and c == q and str(c) == str(q) and c.den == q.den == 3
