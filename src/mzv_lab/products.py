@@ -22,6 +22,11 @@ composition (its merges of adjacent parts), each weighted lam per merge:
 Ihara's S and S^-1 (``maps``) and the stuffle antipode (``hopf``) are such
 sums, cached in ``_MEMO`` with the products.
 
+``_MEMO`` has two bounds: 4 096 cells inside a product, which keep its frontier
+of live cells, so none is recomputed; and, between top-level products, a budget
+of terms held (the sum of its cells' lengths), which ``_pair_sum`` and
+``_linear`` trim it to once their sum is complete, before building its words.
+
 Conventions:
 
 * ``shuffle`` / ``quasi_shuffle`` / ``shuffle_star`` / ``shuffle_star_alt``
@@ -116,6 +121,7 @@ def _pair_sum(
                 if w not in keys:
                     keys[w] = decode(w)
             add_scaled(out, kernel(keys[a], keys[b]), cu * cv)
+    _MEMO.trim()
     return encode(out, alphabet)
 
 
@@ -125,6 +131,7 @@ def _linear(X: Poly, decode: Callable, kernel: Callable, encode: Callable) -> Po
     out: CompDict = {}
     for w, c in X.terms.items():
         add_scaled(out, kernel(decode(w)), c)
+    _MEMO.trim()
     return encode(out, X.alphabet)
 
 
@@ -133,8 +140,10 @@ def _linear(X: Poly, decode: Callable, kernel: Callable, encode: Callable) -> Po
 # ---------------------------------------------------------------------------
 
 # 4 096 cells: verify's table reaches 23 314 unbounded.  A product whose frontier of
-# live cells (about |u| + |v|) fits in half the bound recomputes nothing after an eviction
-_MEMO: Memo = Memo(4096)
+# live cells (about |u| + |v|) fits in half the bound recomputes nothing after an eviction.
+# 32 768 terms between products, at about 156 bytes a held term: about 5 MB, where an
+# algebra round kept up to 157 352 terms (23 MB) and twelve 8-part stuffles 3.9 M (765 MB)
+_MEMO: Memo = Memo(4096, 32768)
 
 
 def _product(rule: Callable, u: Comp, v: Comp, lam: Rational = 1) -> CompDict:

@@ -486,27 +486,42 @@ def poly_membership(poly: Poly, space: str) -> bool:
 class Memo(dict):
     """A module-level cache: a dict whose store, once maxsize entries are held, first
     drops the oldest half by insertion order.  A hit stays a plain ``dict.get``; stores
-    and evicted entries are counted.  Every Memo registers itself in ``MEMOS``, and
-    equals only itself, so ``in``, ``index`` and ``remove`` on ``MEMOS`` find that one."""
+    and evicted entries are counted.  Under a budget it also counts the terms its values
+    hold (the sum of their lengths), and ``trim`` drops oldest halves until they fit the
+    budget.  Every Memo registers itself in ``MEMOS``, and equals only itself, so ``in``,
+    ``index`` and ``remove`` on ``MEMOS`` find that one."""
 
-    __slots__ = ("maxsize", "stores", "evictions")
+    __slots__ = ("maxsize", "budget", "stores", "evictions", "held")
     __eq__, __ne__ = object.__eq__, object.__ne__
 
-    def __init__(self, maxsize: int):
-        self.maxsize, self.stores, self.evictions = maxsize, 0, 0
+    def __init__(self, maxsize: int, budget: int | None = None):
+        self.maxsize, self.budget, self.stores, self.evictions, self.held = maxsize, budget, 0, 0, 0
         MEMOS.append(self)
 
     def __setitem__(self, key, value) -> None:
         if len(self) >= self.maxsize:
-            old = list(islice(self, (len(self) + 1) // 2))
-            self.evictions += len(old)
-            for k in old:
-                del self[k]
+            self._drop_oldest_half()
         self.stores += 1
+        if self.budget is not None:  # an overwrite replaces its key's weight
+            self.held += len(value) - len(dict.get(self, key, ()))
         dict.__setitem__(self, key, value)
 
-    def cache_info(self) -> dict[str, int]:
-        return dict(size=len(self), maxsize=self.maxsize, stores=self.stores, evictions=self.evictions)
+    def _drop_oldest_half(self) -> None:
+        old = [self.pop(k) for k in list(islice(self, (len(self) + 1) // 2))]
+        self.evictions += len(old)
+        self.held -= sum(map(len, old)) if self.budget is not None else 0
+
+    def trim(self) -> None:
+        """Drop the oldest half until the terms held fit the budget."""
+        while self.held > self.budget:
+            self._drop_oldest_half()
+
+    def clear(self) -> None:
+        dict.clear(self)
+        self.held = 0
+
+    def cache_info(self) -> dict[str, int | None]:
+        return dict(size=len(self), **{name: getattr(self, name) for name in self.__slots__})
 
 
 MEMOS: list[Memo] = []

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzv_lab import products
+from mzv_lab import hopf, maps, products
 from mzv_lab.products import (
     IsoConsistencyError,
     ihara_circ,
@@ -462,15 +462,65 @@ def test_clear_caches_runs():
 
 def test_a_bounded_memo_recomputes_no_cell_of_a_product_whose_frontier_fits(monkeypatch):
     # the shuffle of two 40-letter words stores each of its 40 * 40 + 2 * 40 suffix pairs
-    # once, unbounded or under a bound far below that, whose evictions keep its frontier
+    # once, under the default bounds (the terms budget trims only after the product) or
+    # under a cell bound far below that, whose evictions keep its frontier
     u, memo = zh(40), products._MEMO
     products.clear_caches()
-    stores, evictions = memo.stores, memo.evictions
+    stores = memo.stores
     want = shuffle(u, u)
-    assert (len(memo), memo.stores - stores, memo.evictions - evictions) == (1680, 1680, 0)
+    assert memo.stores - stores == 1680 and memo.held <= memo.budget
     monkeypatch.setattr(memo, "maxsize", 256)
     products.clear_caches()
     stores, evictions = memo.stores, memo.evictions
     assert shuffle(u, u) == want
     assert memo.stores - stores == 1680 and memo.evictions > evictions and len(memo) <= 256
     products.clear_caches()
+
+
+def test_a_cold_product_past_the_terms_budget_stores_each_cell_once(monkeypatch):
+    # the budget is checked only between products: one whose cells hold far more terms
+    # still computes each cell once, and leaves the memo within the budget
+    memo = products._MEMO
+    monkeypatch.setattr(memo, "budget", 64)
+    products.clear_caches()
+    stores = memo.stores
+    out = shuffle(zh(40), zh(40))
+    assert memo.stores - stores == 1680 and 0 < memo.held <= 64
+    assert memo.held == sum(map(len, memo.values()))
+    products.clear_caches()
+    assert out == shuffle(zh(40), zh(40)) and memo.stores - stores == 2 * 1680
+    products.clear_caches()
+
+
+_MEMO_CALLS = {
+    "shuffle": lambda a, b: shuffle(zh(*a), zh(*b)),
+    "stuffle": lambda a, b: quasi_shuffle(zh(*a), zh(*b)),
+    "star": lambda a, b: shuffle_star(zh(*a), zh(*b)),
+    "ooz": lambda a, b: ooz_quasi_shuffle(zp(a), zp(b)),
+    "S": lambda a, b: maps.ihara_S(zp(a + b)),
+    "S_inv": lambda a, b: maps.ihara_S_inv(zp(a) + zp(b)),
+    "antipode": lambda a, b: hopf.antipode(zh(*a)),
+    "t_op": lambda a, b: t_op(zp(a) - zp(b)),
+    "clear": lambda a, b: products.clear_caches(),
+}
+_memo_comps = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 50, 400, 32768]),
+    st.lists(st.tuples(st.sampled_from(sorted(_MEMO_CALLS)), _memo_comps, _memo_comps), max_size=8),
+)
+def test_the_memo_counts_the_terms_it_holds_and_keeps_them_within_its_budget(budget, calls):
+    memo = products._MEMO
+    default = memo.budget
+    memo.budget = budget
+    try:
+        products.clear_caches()
+        assert memo.held == 0
+        for name, a, b in calls:
+            _MEMO_CALLS[name](a, b)
+            assert memo.held == sum(map(len, memo.values())) <= budget
+    finally:
+        memo.budget = default
+        products.clear_caches()

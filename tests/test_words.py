@@ -526,10 +526,34 @@ def test_memo_drops_its_oldest_half_when_full_and_clears_with_every_memo():
         for k in range(5):
             memo[k] = -k
         assert list(memo.items()) == [(2, -2), (3, -3), (4, -4)]
-        assert memo.cache_info() == {"size": 3, "maxsize": 4, "stores": 5, "evictions": 2}
+        assert memo.cache_info() == {
+            "size": 3, "maxsize": 4, "stores": 5, "evictions": 2, "held": 0, "budget": None
+        }
         assert products.clear_caches is qseries.clear_caches is words.clear_caches
         products.clear_caches()
-        assert memo.cache_info() == {"size": 0, "maxsize": 4, "stores": 5, "evictions": 2}
+        assert memo.cache_info() == {
+            "size": 0, "maxsize": 4, "stores": 5, "evictions": 2, "held": 0, "budget": None
+        }
+    finally:
+        words.MEMOS[:] = [m for m in words.MEMOS if m is not memo]
+
+
+def test_a_budgeted_memo_counts_the_terms_it_holds_and_trims_to_its_budget():
+    memo = words.Memo(4, 5)
+    try:
+        memo["a"], memo["b"], memo["c"] = "xy", "xyz", "x"
+        memo["b"] = "x"  # an overwrite replaces its key's weight
+        assert memo.cache_info() == {
+            "size": 3, "maxsize": 4, "stores": 4, "evictions": 0, "held": 4, "budget": 5
+        }
+        memo["d"], memo["e"] = "xyz", "xy"  # the store of e drops a and b first
+        assert list(memo) == ["c", "d", "e"] and memo.held == 6 and memo.evictions == 2
+        memo.trim()
+        assert list(memo) == ["e"] and memo.held == 2 and memo.evictions == 4
+        memo.trim()
+        assert list(memo) == ["e"]
+        memo.clear()
+        assert memo.cache_info()["held"] == 0 and not memo
     finally:
         words.MEMOS[:] = [m for m in words.MEMOS if m is not memo]
 
