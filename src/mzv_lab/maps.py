@@ -108,14 +108,13 @@ def _binom_map(name: str, alphabet: Alphabet, first_lo: int, rest_lo: int, signe
 
     def apply(x: Operand) -> Poly:
         X = poly_on(x, f"map acts on {alphabet} words", alphabet)
-        keys = {w: z_decode(w) for w in X.terms}  # one decode per word, for the count and the sum
         terms = sum(
             prod(k - rest_lo + 1 for k in c[1:]) * (c[0] - first_lo + 1) if c else 1
-            for c in keys.values()
+            for c in map(z_decode, X.terms)
         )
         if terms > MAX_BINOMIAL_TERMS:
             raise WordError(f"{name} builds at most {MAX_BINOMIAL_TERMS} terms, got {terms}")
-        return _linear(X, keys.__getitem__, kernel, _comps_to_poly)
+        return _linear(X, z_decode, kernel, _comps_to_poly)
 
     return apply
 

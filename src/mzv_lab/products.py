@@ -5,11 +5,13 @@ combines by a rule for the two leading letters (Hoffman, "Quasi-shuffle
 products", 2000).  One memoized driver, ``_product``, runs every rule on
 plain tuples (letters or z-parts) with one memo, ``_MEMO``.  A rule yields
 terms (head, c, u', v'), each c * head (u' x v'); a boundary correction has
-u' = v' = (), as the empty product is {(): 1}.  A public product decodes each
-term of its operands once into its key (letters or z-parts), orders each pair
-of terms as words, adds every pair's product into one tuple dict, and builds
-the words of that sum once, by ``_letters_to_poly`` or ``_comps_to_poly``;
-neither ever hands out the memo's dicts.  p/d/y tuples are normalized there,
+u' = v' = (), as the empty product is {(): 1}.  A public product orders each
+pair of its operands' terms as words, reads each word's key (its letters, or
+its z-parts from ``words``' interned decode table), adds every pair's product
+into one tuple dict, and builds the words of that sum once, by
+``_letters_to_poly`` or ``_comps_to_poly`` (which looks each composition's
+word up in the interned word tables); neither ever hands out the memo's
+dicts.  p/d/y tuples are normalized there,
 by ``Word._make``, since prefixing commutes with pd = dp = 1 and the rules
 branch only on (normal) input letters.  The ``*_ordered`` functions take one
 word pair as given and are what the commutativity tests exercise.
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import chain
 from operator import itemgetter
 from typing import Callable, Mapping, Union
 
@@ -58,7 +59,7 @@ from mzv_lab.words import (
     Word,
     WordError,
     _SWAP,
-    _ZCODECS,
+    _ZWORDS,
     _normal_word,
     add_pairs,
     add_scaled,
@@ -85,9 +86,8 @@ def _dcombine(acc: CompDict, other: Mapping[Comp, Rational], scale: Rational, he
 
 def _comps_to_poly(d: Mapping[Comp, Rational], alphabet: Alphabet) -> Poly:
     # z_encode without its part check: every caller passes valid parts
-    block, join = _ZCODECS[alphabet.tag][2], chain.from_iterable
-    terms = {_normal_word((alphabet, tuple(join(map(block, k))))): c for k, c in d.items()}
-    return Poly._make(alphabet, terms)
+    word = _ZWORDS[alphabet.tag].getter(len(d))
+    return Poly._make(alphabet, dict(zip(map(word, d), d.values())))
 
 
 def _letters_to_poly(d: Mapping[Comp, Rational], alphabet: Alphabet) -> Poly:
@@ -110,17 +110,13 @@ def _pair_sum(
     u: Operand, v: Operand, alphabet: Alphabet, decode: Callable, kernel: Callable, encode: Callable
 ) -> Poly:
     # the sum of cu*cv * kernel(key a, key b) over term pairs ordered as words a <= b (the
-    # products commute); each word is decoded once, on first use, and the sum encoded once
+    # products commute), encoded once
     U, V = (poly_on(x, f"operands must be {alphabet} polynomials", alphabet) for x in (u, v))
-    keys: dict[Word, Comp] = {}
     out: CompDict = {}
     for wu, cu in U.terms.items():
         for wv, cv in V.terms.items():
             a, b = (wu, wv) if wu <= wv else (wv, wu)
-            for w in (a, b):
-                if w not in keys:
-                    keys[w] = decode(w)
-            add_scaled(out, kernel(keys[a], keys[b]), cu * cv)
+            add_scaled(out, kernel(decode(a), decode(b)), cu * cv)
     _MEMO.trim()
     return encode(out, alphabet)
 

@@ -24,6 +24,10 @@ package, words made from valid letters go through the trusted ``Word._make``
 (no letter check, but PDY words are still normalized), or through
 ``_normal_word`` when the letters are already in normal form.
 
+The z-block codecs are interned: ``z_encode`` reads a composition's word from its
+alphabet's table, and ``z_decode`` a word's composition from one more table, each a
+bounded ``Memo`` that builds and stores a missing entry itself.
+
 ``Poly`` is the universal carrier of all products and linear maps: a finite
 formal sum of words with exact ``int | Fraction`` coefficients (zero
 coefficients are never stored; an ``int`` turns into a ``Fraction`` only when
@@ -521,10 +525,39 @@ class Memo(dict):
         self.held = 0
 
     def cache_info(self) -> dict[str, int | None]:
-        return dict(size=len(self), **{name: getattr(self, name) for name in self.__slots__})
+        return dict(size=len(self), **{name: getattr(self, name) for name in Memo.__slots__})
 
 
 MEMOS: list[Memo] = []
+
+
+class _Interned(Memo):
+    """A Memo that fills itself, the values of ``make``: on a hit ``table[key]`` is one dict
+    lookup in C, and a miss stores ``make(key)`` and counts it; a key that ``make`` refuses
+    stores nothing.  A miss does not check the bound: each call applies it once, through
+    ``getter``."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, maxsize: int, make: Callable):
+        super().__init__(maxsize)
+        self.make = make
+
+    def __missing__(self, key):
+        value = self.make(key)
+        dict.__setitem__(self, key, value)
+        self.stores += 1
+        return value
+
+    def getter(self, n: int) -> Callable:
+        """The lookup for a call of n keys, once the table has room for them; for more than
+        maxsize // 32 keys, ``make`` itself: so many are mostly met once, and would only
+        push out the entries that smaller calls hit."""
+        if n > self.maxsize >> 5:
+            return self.make
+        if len(self) + n > self.maxsize:
+            self._drop_oldest_half()
+        return self.__getitem__
 
 
 def clear_caches() -> None:
@@ -562,6 +595,20 @@ def _zcodec(alphabet: Alphabet, least: int) -> tuple:
 
 _ZCODECS = {"PY": _zcodec(PY, 0), "H2": _zcodec(H2, 1)}
 
+# the entries of each interned table, composition -> its Word and Word -> its composition:
+# ooz-explicit-vs-recursive at --max-weight 8 meets 12 868 compositions
+INTERNED = 16384
+
+
+def _z_words(alphabet: Alphabet) -> _Interned:
+    # composition -> its Word, parts unchecked
+    block, join = _ZCODECS[alphabet.tag][2], chain.from_iterable
+    return _Interned(INTERNED, lambda comp: _normal_word((alphabet, tuple(join(map(block, comp))))))
+
+
+_ZWORDS = {"PY": _z_words(PY), "H2": _z_words(H2)}
+_PY_WORD_CACHE, _H2_WORD_CACHE = _ZWORDS["PY"], _ZWORDS["H2"]
+
 
 def _z_blocks(comp: tuple[int, ...], alphabet: Alphabet) -> Callable[[int], tuple[str, ...]]:
     """alphabet's z-block table, part -> its letters, once every part of comp has one."""
@@ -581,11 +628,12 @@ def z_encode(comp: Iterable[int], alphabet: Alphabet) -> Word:
     The empty composition encodes to the unit word.
     """
     comp = tuple(comp)
-    return _normal_word((alphabet, tuple(chain.from_iterable(map(_z_blocks(comp, alphabet), comp)))))
+    _z_blocks(comp, alphabet)  # the part check
+    return _ZWORDS[alphabet.tag].getter(1)(comp)
 
 
-def z_decode(word: Word) -> tuple[int, ...]:
-    """Inverse of z_encode on H1 (PY) / h1 (H2) words."""
+def _z_comp(word: Word) -> tuple[int, ...]:
+    # z_decode's miss: the composition of a z-decodable word
     if word.alphabet.tag not in _ZCODECS:
         raise NotInSubalgebraError(f"no z-block codec on alphabet {word.alphabet.tag}")
     terminal, _, _, part = _ZCODECS[word.alphabet.tag]
@@ -593,6 +641,14 @@ def z_decode(word: Word) -> tuple[int, ...]:
     if rest:
         raise NotInSubalgebraError(f"{word!r} does not end in {terminal}; not z-decodable")
     return tuple(map(part, runs))
+
+
+_COMP_CACHE = _Interned(INTERNED, _z_comp)
+
+
+def z_decode(word: Word) -> tuple[int, ...]:
+    """Inverse of z_encode on H1 (PY) / h1 (H2) words."""
+    return _COMP_CACHE.getter(1)(word)
 
 
 def zp(comp: Iterable[int], alphabet: Alphabet = PY, coeff: Rational = 1) -> Poly:

@@ -1379,7 +1379,13 @@ def test_clear_caches_empties_every_module_memo():
         for name, v in vars(m).items()
         if name.endswith(("_MEMO", "_CACHE")) and isinstance(v, dict)
     }
-    assert set(found) == {"mzv_lab.products._MEMO", "mzv_lab.qseries._EVAL_CACHE"}
+    assert set(found) == {
+        "mzv_lab.products._MEMO",
+        "mzv_lab.qseries._EVAL_CACHE",
+        "mzv_lab.words._PY_WORD_CACHE",
+        "mzv_lab.words._H2_WORD_CACHE",
+        "mzv_lab.words._COMP_CACHE",
+    }
     assert sorted(map(id, found.values())) == sorted(map(id, words.MEMOS))
     words.clear_caches()
     run_suite("all", 3, 6)

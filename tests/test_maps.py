@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzv_lab import maps, products
+from mzv_lab import maps, products, words
 from mzv_lab.cli import main
 from mzv_lab.words import (
     H2,
@@ -16,7 +16,6 @@ from mzv_lab.words import (
     Poly,
     Word,
     WordError,
-    z_decode,
     z_encode,
     zp,
 )
@@ -208,13 +207,12 @@ def test_derivation_refuses_the_indices_get_map_refuses(capsys):
     [("U", H2, [(2,), (3, 1), (4, 2, 1)]), ("Uinv", H2, [(2,), (3, 1), (4, 2, 1)]),
      ("V", PY, [(1,), (2, 0), (3, 1, 2)]), ("Vinv", PY, [(1,), (2, 0), (3, 1, 2)])],
 )
-def test_binomial_maps_decode_each_word_once(monkeypatch, name, alphabet, comps):
-    # one decode serves both the term count and the sum
-    decode, calls = maps.z_decode, []
-    monkeypatch.setattr(maps, "z_decode", lambda w: calls.append(w) or decode(w))
+def test_binomial_maps_decode_each_word_once(name, alphabet, comps):
+    # the decode table builds each word's composition once, for both the term count and the sum
     x = Poly._make(alphabet, {z_encode(c, alphabet): i + 1 for i, c in enumerate(comps)})
+    words.clear_caches()
+    stores = words._COMP_CACHE.stores
     out = maps.get_map(name).apply(x)
-    assert sorted(calls) == sorted(x.terms)
-    monkeypatch.setattr(maps, "z_decode", decode)
+    assert words._COMP_CACHE.stores - stores == len(x.terms)
     assert out == sum((maps.get_map(name).apply(Poly._make(alphabet, {w: c})) for w, c in x.terms.items()),
                       Poly.zero(alphabet))

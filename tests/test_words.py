@@ -568,3 +568,53 @@ def test_two_empty_memos_are_distinct_entries_of_the_registry():
         assert second not in words.MEMOS
     finally:
         words.MEMOS[:] = [m for m in words.MEMOS if m is not first and m is not second]
+
+
+# -- the interned tables: composition -> Word, Word -> composition -----------
+
+@given(st.sampled_from([H2, PY]).flatmap(
+    lambda a: st.tuples(
+        st.just(a),
+        st.lists(st.lists(st.integers(1 if a is H2 else 0, 6), max_size=5), min_size=2, max_size=2),
+    )
+))
+def test_a_word_from_the_table_is_the_word_built_from_its_letters(case):
+    alphabet, (c, d) = case
+    blocks = {H2: lambda k: ["x0"] * (k - 1) + ["x1"], PY: lambda k: ["p"] * k + ["y"]}[alphabet]
+    built = [Word(alphabet, [a for k in comp for a in blocks(k)]) for comp in (c, d)]
+    for _ in range(2):  # a miss, then a hit
+        interned = [z_encode(comp, alphabet) for comp in (c, d)]
+        assert interned == built and list(map(hash, interned)) == list(map(hash, built))
+        assert [w.sort_key() for w in interned] == [w.sort_key() for w in built]
+        assert (interned[0] < interned[1]) == (built[0] < built[1])
+        assert [z_decode(w) for w in interned] == [tuple(c), tuple(d)]
+
+
+def test_an_undecodable_word_raises_and_stores_nothing():
+    table = words._COMP_CACHE
+    for w in (Word(H2, ("x0",)), Word(PY, ("p", "p")), Word(PDY, ("p", "y", "d", "d", "y"))):
+        size, stores = len(table), table.stores
+        with pytest.raises(NotInSubalgebraError):
+            z_decode(w)
+        assert (len(table), table.stores) == (size, stores) and w not in table
+
+
+def test_the_word_tables_stay_within_their_bound_and_count_evictions():
+    table = words._H2_WORD_CACHE
+    comps = [(k, j) for k in range(1, 400) for j in range(1, 60)]
+    assert len(comps) > table.maxsize
+    words.clear_caches()
+    first, evictions = z_encode(comps[0], H2), table.evictions
+    for comp in comps:
+        z_encode(comp, H2)
+        assert len(table) <= table.maxsize
+    assert table.evictions > evictions and comps[0] not in table
+    again = z_encode(comps[0], H2)
+    assert again == first and hash(again) == hash(first)
+    assert products.quasi_shuffle(first, again) == products.quasi_shuffle(first, first)
+    words.clear_caches()
+    # a result of more than maxsize // 32 terms is built directly and stores nothing
+    big = dict.fromkeys(comps[: table.maxsize // 32 + 1], 1)
+    poly = products._comps_to_poly(big, H2)
+    assert not table and poly == Poly(H2, {z_encode(c, H2): 1 for c in big})
+    words.clear_caches()
