@@ -52,7 +52,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import chain
 from typing import NamedTuple, Sequence, Union
 
 from mzv_lab import maps, products
@@ -66,8 +65,7 @@ from mzv_lab.words import (
     Rational,
     Word,
     WordError,
-    _ZCODECS,
-    _z_blocks,
+    _codec_of,
     format_poly,
     format_tensor,
     format_word,
@@ -244,11 +242,11 @@ def _check_letters(count: int) -> int:
     return count
 
 
-def _encode(comp: tuple[int, ...], alphabet: Alphabet, built: int = 0) -> tuple[str, ...]:
-    # comp's z-block letters, once _z_blocks takes every part and built + their count <= MAX_LETTERS
-    block, least = _z_blocks(comp, alphabet), _ZCODECS[alphabet.tag][1]
-    _check_letters(built + sum(comp) + len(comp) * (1 - least))  # z_k has k - least + 1 letters
-    return tuple(chain.from_iterable(map(block, comp)))
+def _encode(comp: tuple[int, ...], alphabet: Alphabet, built: int = 0) -> Word:
+    # comp's interned word, once the codec takes every part and built + its letters <= MAX_LETTERS
+    codec = _codec_of(alphabet)
+    _check_letters(built + codec.size(comp))
+    return codec.words[comp]
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +266,7 @@ class _Parser:
         for kind, v in _chunk_items(chunk, pos):
             if kind == "z":
                 try:
-                    letters.extend(_encode((v,), alphabet, self.letters + len(letters)))
+                    letters.extend(_encode((v,), alphabet, self.letters + len(letters)).letters)
                 except EncodingError as exc:
                     raise ParseError(str(exc), pos) from None
             else:
@@ -321,11 +319,11 @@ class _Parser:
             return Poly.of(self._word_from_chunk(str(t.value), t.pos))
         if t.kind == "COMP":
             try:
-                letters = _encode(t.value, self.alphabet, self.letters)  # type: ignore[arg-type]
+                word = _encode(t.value, self.alphabet, self.letters)  # type: ignore[arg-type]
             except EncodingError as exc:
                 raise ParseError(str(exc), t.pos) from None
-            self.letters += len(letters)
-            return Poly.of(Word._make(self.alphabet, letters))
+            self.letters += len(word)
+            return Poly.of(word)
         if t.kind == "NUM":
             return Poly.unit(self.alphabet).scale(t.value)  # type: ignore[arg-type]
         if t.kind == "LPAREN":
@@ -437,7 +435,7 @@ def _parse_operand(text: str, alphabet: Alphabet | str | None, lam: Fraction) ->
     if isinstance(out, tuple):
         if alphabet is None:
             raise WordError("a bare composition needs --alphabet")
-        return Poly.of(Word._make(alphabet, _encode(out, alphabet)))
+        return Poly.of(_encode(out, alphabet))
     return out
 
 
@@ -556,7 +554,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         if (args.comp is None) == (args.expr is None):
             raise WordError("pass exactly one of --comp or --expr")
         if args.comp is not None:
-            comp = parse_expr(args.comp)
+            comp = parse_expr(args.comp, qseries.MODELS[args.model].alphabet)
             if not isinstance(comp, tuple):
                 raise WordError("--comp expects a composition like \"(2,1)\"")
             if args.evaluator == "rota-baxter":

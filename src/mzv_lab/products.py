@@ -59,7 +59,7 @@ from mzv_lab.words import (
     Word,
     WordError,
     _SWAP,
-    _ZWORDS,
+    _ZCODECS,
     _normal_word,
     add_pairs,
     add_scaled,
@@ -85,8 +85,11 @@ def _dcombine(acc: CompDict, other: Mapping[Comp, Rational], scale: Rational, he
 
 
 def _comps_to_poly(d: Mapping[Comp, Rational], alphabet: Alphabet) -> Poly:
-    # z_encode without its part check: every caller passes valid parts
-    word = _ZWORDS[alphabet.tag].getter(len(d))
+    # z_encode without its part check: every caller passes valid parts.  The words of more
+    # than 512 terms are built directly: so many are mostly met once, and would only push
+    # out the interned words that smaller results hit
+    table = _ZCODECS[alphabet].words
+    word = table.make if len(d) > table.maxsize >> 5 else table.__getitem__
     return Poly._make(alphabet, dict(zip(map(word, d), d.values())))
 
 

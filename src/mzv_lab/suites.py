@@ -203,7 +203,7 @@ def h0_words(alphabet: Alphabet, max_weight: int, max_depth: int) -> list[Word]:
     """The words of h0 (x0/x1 words starting x0 and ending x1) or of H0 (p/y
     words starting p and ending y), plus the unit, weight ascending; depth is
     capped because trailing zero parts of p/y words are weightless."""
-    least = _ZCODECS[alphabet.tag][1]  # the least z-part
+    least = _ZCODECS[alphabet].least
     out = [Word(alphabet)]
     for w in range(1, max_weight + 1):
         for depth in range(1, max_depth + 1):

@@ -24,9 +24,10 @@ package, words made from valid letters go through the trusted ``Word._make``
 (no letter check, but PDY words are still normalized), or through
 ``_normal_word`` when the letters are already in normal form.
 
-The z-block codecs are interned: ``z_encode`` reads a composition's word from its
-alphabet's table, and ``z_decode`` a word's composition from one more table, each a
-bounded ``Memo`` that builds and stores a missing entry itself.
+One ``_ZCodec`` per alphabet (H2, PY) owns the z-block facts: the least part, the
+counting and terminal letters, the block letters, the part check and the interned
+composition -> Word table; ``z_decode`` reads from one more table, word -> composition,
+whose misses each codec decodes.  Both tables are bounded, self-filling ``Memo``s.
 
 ``Poly`` is the universal carrier of all products and linear maps: a finite
 formal sum of words with exact ``int | Fraction`` coefficients (zero
@@ -122,8 +123,6 @@ class Alphabet(_Frozen):
 H2 = Alphabet("H2", ("x0", "x1"))
 PY = Alphabet("PY", ("p", "y"))
 PDY = Alphabet("PDY", ("p", "d", "y"))
-
-ALPHABETS = {"H2": H2, "PY": PY, "PDY": PDY}
 
 
 def _normalize_pdy(letters: tuple[str, ...]) -> tuple[str, ...]:
@@ -533,9 +532,8 @@ MEMOS: list[Memo] = []
 
 class _Interned(Memo):
     """A Memo that fills itself, the values of ``make``: on a hit ``table[key]`` is one dict
-    lookup in C, and a miss stores ``make(key)`` and counts it; a key that ``make`` refuses
-    stores nothing.  A miss does not check the bound: each call applies it once, through
-    ``getter``."""
+    lookup in C, and a miss stores ``make(key)`` through the Memo's store, so the bound and
+    the count apply to it; a key that ``make`` refuses stores nothing."""
 
     __slots__ = ("make",)
 
@@ -544,20 +542,8 @@ class _Interned(Memo):
         self.make = make
 
     def __missing__(self, key):
-        value = self.make(key)
-        dict.__setitem__(self, key, value)
-        self.stores += 1
+        value = self[key] = self.make(key)
         return value
-
-    def getter(self, n: int) -> Callable:
-        """The lookup for a call of n keys, once the table has room for them; for more than
-        maxsize // 32 keys, ``make`` itself: so many are mostly met once, and would only
-        push out the entries that smaller calls hit."""
-        if n > self.maxsize >> 5:
-            return self.make
-        if len(self) + n > self.maxsize:
-            self._drop_oldest_half()
-        return self.__getitem__
 
 
 def clear_caches() -> None:
@@ -571,7 +557,7 @@ def clear_caches() -> None:
 class _Table(dict):
     """A self-filling table of ``make``'s values, read in C by ``dict.__getitem__``, that keeps
     those of keys below ``limit`` only: the 256 least z-parts, or runs of fewer than 256
-    counting letters (as strings), so a larger part is built at each lookup, never kept."""
+    x0s (as strings), so a larger part is built at each lookup, never kept."""
 
     __slots__ = ("make", "limit")
 
@@ -585,40 +571,52 @@ class _Table(dict):
         return value
 
 
-def _zcodec(alphabet: Alphabet, least: int) -> tuple:
-    # (terminal, least part, part -> its letters, its run of counting letters, joined -> part)
-    count, terminal = alphabet.letters[0], alphabet.letters[-1]
-    block = _Table(lambda k: (count,) * (k - least) + (terminal,), least + 256)
-    part = _Table(lambda run: len(run) // len(count) + least, count * 256)
-    return terminal, least, block.__getitem__, part.__getitem__
-
-
-_ZCODECS = {"PY": _zcodec(PY, 0), "H2": _zcodec(H2, 1)}
-
 # the entries of each interned table, composition -> its Word and Word -> its composition:
 # ooz-explicit-vs-recursive at --max-weight 8 meets 12 868 compositions
 INTERNED = 16384
 
 
-def _z_words(alphabet: Alphabet) -> _Interned:
-    # composition -> its Word, parts unchecked
-    block, join = _ZCODECS[alphabet.tag][2], chain.from_iterable
-    return _Interned(INTERNED, lambda comp: _normal_word((alphabet, tuple(join(map(block, comp))))))
+class _ZCodec:
+    """One alphabet's z-block codec, z_k = count^(k - least) terminal: the counting letter
+    (x0 or p) and the terminal one (x1 or y), the table ``block`` of the 256 least parts'
+    letters, and ``words``, each composition's interned Word (parts unchecked)."""
+
+    __slots__ = ("alphabet", "least", "count", "terminal", "block", "words")
+
+    def __init__(self, alphabet: Alphabet, least: int):
+        count, terminal, join = alphabet.letters[0], alphabet.letters[-1], chain.from_iterable
+        self.alphabet, self.least, self.count, self.terminal = alphabet, least, count, terminal
+        block = self.block = _Table(lambda k: (count,) * (k - least) + (terminal,), least + 256)
+        self.words = _Interned(
+            INTERNED, lambda comp: _normal_word((alphabet, tuple(join(map(block.__getitem__, comp)))))
+        )
+
+    def size(self, comp: tuple[int, ...]) -> int:
+        """The letter count of comp's word, once every part is at least ``least``."""
+        least = self.least
+        if comp and min(comp) < least:  # name the first offending part
+            bad = next(k for k in comp if k < least)
+            raise EncodingError(f"{self.alphabet.tag} z-block needs k >= {least}, got {bad}")
+        return sum(comp) + len(comp) * (1 - least)  # z_k has k - least + 1 letters
+
+    def decode(self, word: Word) -> tuple[int, ...]:
+        """The composition of a z-decodable word: the miss of ``_COMP_CACHE``."""
+        *runs, rest = "".join(word[1]).split(self.terminal)
+        if rest:
+            raise NotInSubalgebraError(f"{word!r} does not end in {self.terminal}; not z-decodable")
+        return tuple(len(run) // len(self.count) + self.least for run in runs)
 
 
-_ZWORDS = {"PY": _z_words(PY), "H2": _z_words(H2)}
-_PY_WORD_CACHE, _H2_WORD_CACHE = _ZWORDS["PY"], _ZWORDS["H2"]
+_ZCODECS = {PY: _ZCodec(PY, 0), H2: _ZCodec(H2, 1)}
+_PY_WORD_CACHE, _H2_WORD_CACHE = _ZCODECS[PY].words, _ZCODECS[H2].words
 
 
-def _z_blocks(comp: tuple[int, ...], alphabet: Alphabet) -> Callable[[int], tuple[str, ...]]:
-    """alphabet's z-block table, part -> its letters, once every part of comp has one."""
-    if alphabet.tag not in _ZCODECS:
-        raise EncodingError(f"no z-block codec on alphabet {alphabet.tag}")
-    _, least, block, _ = _ZCODECS[alphabet.tag]
-    if comp and min(comp) < least:  # name the first offending part
-        bad = next(k for k in comp if k < least)
-        raise EncodingError(f"{alphabet.tag} z-block needs k >= {least}, got {bad}")
-    return block
+def _codec_of(alphabet: Alphabet, error: type = EncodingError) -> _ZCodec:
+    """alphabet's z-block codec; error when it has none."""
+    codec = _ZCODECS.get(alphabet)
+    if codec is None:
+        raise error(f"no z-block codec on alphabet {alphabet.tag}")
+    return codec
 
 
 def z_encode(comp: Iterable[int], alphabet: Alphabet) -> Word:
@@ -627,28 +625,18 @@ def z_encode(comp: Iterable[int], alphabet: Alphabet) -> Word:
     PY:  z_k = p^k y   (k >= 0);   H2:  z_k = x0^(k-1) x1   (k >= 1).
     The empty composition encodes to the unit word.
     """
-    comp = tuple(comp)
-    _z_blocks(comp, alphabet)  # the part check
-    return _ZWORDS[alphabet.tag].getter(1)(comp)
+    comp, codec = tuple(comp), _codec_of(alphabet)
+    codec.size(comp)  # the part check
+    return codec.words[comp]
 
 
-def _z_comp(word: Word) -> tuple[int, ...]:
-    # z_decode's miss: the composition of a z-decodable word
-    if word.alphabet.tag not in _ZCODECS:
-        raise NotInSubalgebraError(f"no z-block codec on alphabet {word.alphabet.tag}")
-    terminal, _, _, part = _ZCODECS[word.alphabet.tag]
-    *runs, rest = "".join(word.letters).split(terminal)
-    if rest:
-        raise NotInSubalgebraError(f"{word!r} does not end in {terminal}; not z-decodable")
-    return tuple(map(part, runs))
-
-
-_COMP_CACHE = _Interned(INTERNED, _z_comp)
+# word -> its composition, on both alphabets
+_COMP_CACHE = _Interned(INTERNED, lambda w: _codec_of(w[0], NotInSubalgebraError).decode(w))
 
 
 def z_decode(word: Word) -> tuple[int, ...]:
     """Inverse of z_encode on H1 (PY) / h1 (H2) words."""
-    return _COMP_CACHE.getter(1)(word)
+    return _COMP_CACHE[word]
 
 
 def zp(comp: Iterable[int], alphabet: Alphabet = PY, coeff: Rational = 1) -> Poly:
@@ -714,22 +702,7 @@ def tensor_json(t: Tensor2) -> str:
 
 # -- letter-level morphisms --------------------------------------------------
 
-_PHI = {"p": "x0", "y": "x1"}
-_PHI_INV = {"x0": "p", "x1": "y"}
 _SWAP = {"x0": "x1", "x1": "x0", "p": "y", "y": "p"}
-
-
-def phi(word: Word) -> Word:
-    """Alphabet isomorphism PY -> H2: p -> x0, y -> x1."""
-    if word.alphabet is not PY:
-        raise AlphabetMismatchError("phi acts on PY words")
-    return _normal_word((H2, tuple(map(_PHI.__getitem__, word.letters))))
-
-
-def phi_inv(word: Word) -> Word:
-    if word.alphabet is not H2:
-        raise AlphabetMismatchError("phi_inv acts on H2 words")
-    return _normal_word((PY, tuple(map(_PHI_INV.__getitem__, word.letters))))
 
 
 def reverse_swap(word: Word) -> Word:

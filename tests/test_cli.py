@@ -65,6 +65,29 @@ def test_parse_composition_inside_expression_encodes():
     assert parse_expr("(1,0)", "H") == (1, 0)
 
 
+def test_the_parser_takes_a_composition_word_from_the_interned_table():
+    for alphabet, flag, text, comp in ((H2, "h", "(2,1)", (2, 1)), (PY, "H", "(1,0,3)", (1, 0, 3))):
+        interned = z_encode(comp, alphabet)
+        (word,) = cli._parse_operand(text, flag, Fraction(1)).terms
+        assert word is interned
+        (word,) = parse_expr(f"3 * {text}", flag).terms
+        assert word is interned
+
+
+def test_a_refused_composition_leaves_the_word_tables_unchanged():
+    many = cli.MAX_LETTERS  # H2: z_k has k letters, PY: k + 1
+    for alphabet, flag, text in (
+        (H2, "h", "(2,0)"), (PY, "H", "(1,-1)"), (H2, "h", f"(1,{many})"), (PY, "H", f"({many})")
+    ):
+        table = words._ZCODECS[alphabet].words
+        before = (len(table), table.stores)
+        with pytest.raises(words.WordError):
+            cli._parse_operand(text, flag, Fraction(1))
+        with pytest.raises((ParseError, words.WordError)):
+            parse_expr(f"{text} + 1", flag)
+        assert (len(table), table.stores) == before
+
+
 def test_parse_products_and_precedence():
     assert parse_expr("z{2} * z{2}", "h") == products.quasi_shuffle(zh(2), zh(2))
     assert parse_expr("py sh py", "H") == products.shuffle_lambda(zp(1), zp(1), 1)
@@ -512,6 +535,13 @@ def test_main_exit_codes(capsys):
     assert main(["qeval", "--model", "SZ", "--comp", "(0,1)", "--order", "4"]) == 2
     assert main(["qeval", "--model", "SZ", "--order", "4"]) == 2  # needs comp or expr
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("model", ["SZ", "BZ"])
+@pytest.mark.parametrize("comp", ["z{2}", "3", "(2,1)+(1)"])
+def test_main_qeval_comp_other_than_a_composition_is_one_line_usage_error(capsys, model, comp):
+    assert main(["qeval", "--model", model, "--comp", comp, "--order", "4"]) == 2
+    assert capsys.readouterr().err == 'error: --comp expects a composition like "(2,1)"\n'
 
 
 @pytest.mark.parametrize("lam", ["abc", "1/0"])

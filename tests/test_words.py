@@ -14,7 +14,6 @@ from mzv_lab.words import (
     H2,
     PDY,
     PY,
-    ALPHABETS,
     AlphabetMismatchError,
     EncodingError,
     InvalidLetterError,
@@ -27,8 +26,6 @@ from mzv_lab.words import (
     iter_words,
     iter_zcomps,
     membership,
-    phi,
-    phi_inv,
     poly_membership,
     reverse_swap,
     weight_projection,
@@ -187,11 +184,6 @@ def test_reverse_swap_antiautomorphism(u, v):
 def test_reverse_swap_rejects_pdy():
     with pytest.raises(AlphabetMismatchError):
         reverse_swap(Word(PDY, ("d",)))
-
-
-@given(py_words)
-def test_phi_roundtrip(w):
-    assert phi_inv(phi(w)) == w
 
 
 def test_weight_projection():
@@ -376,7 +368,7 @@ def test_word_keeps_its_own_contract_over_the_tuple_api():
     "copy_of", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy]
 )
 def test_alphabets_words_and_polys_survive_pickle_and_copy(copy_of):
-    for a in ALPHABETS.values():
+    for a in (H2, PY, PDY):
         assert copy_of(a) is a
     for w in (Word(H2, ("x0", "x1")), Word(PY), Word(PDY, ("d", "y", "p"))):
         c = copy_of(w)
@@ -440,9 +432,8 @@ def test_codec_tables_keep_only_the_256_least_parts():
     for alphabet in (H2, PY):
         assert z_decode(z_encode(big, alphabet)) == big
     assert format_word(z_encode(big, H2)) == "z{30000}z{300}z{1}z{255}z{256}"
-    for (_, least, block, part), width in zip(words._ZCODECS.values(), (1, 2)):  # PY, H2
-        assert 0 < len(block.__self__) <= 256 and max(block.__self__) < least + 256
-        assert 0 < len(part.__self__) <= 256 and max(map(len, part.__self__)) < 256 * width
+    for codec in words._ZCODECS.values():
+        assert 0 < len(codec.block) <= 256 and max(codec.block) < codec.least + 256
     runs = set(words._Z_TEXT) - {"|"}
     assert 0 < len(runs) <= 256 and max(map(len, runs)) < 512
 
@@ -588,6 +579,14 @@ def test_a_word_from_the_table_is_the_word_built_from_its_letters(case):
         assert [w.sort_key() for w in interned] == [w.sort_key() for w in built]
         assert (interned[0] < interned[1]) == (built[0] < built[1])
         assert [z_decode(w) for w in interned] == [tuple(c), tuple(d)]
+
+
+@given(st.sampled_from([H2, PY]).flatmap(
+    lambda a: st.tuples(st.just(a), st.lists(st.integers(1 if a is H2 else 0, 300), max_size=6))
+))
+def test_a_codec_sizes_a_composition_as_the_letters_of_its_word(case):
+    alphabet, comp = case
+    assert words._ZCODECS[alphabet].size(tuple(comp)) == len(z_encode(comp, alphabet))
 
 
 def test_an_undecodable_word_raises_and_stores_nothing():
