@@ -554,9 +554,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         if (args.comp is None) == (args.expr is None):
             raise WordError("pass exactly one of --comp or --expr")
         if args.comp is not None:
-            comp = parse_expr(args.comp, qseries.MODELS[args.model].alphabet)
-            if not isinstance(comp, tuple):
+            # a composition is one COMP token: other text is refused before any product is built
+            tokens = tokenize(args.comp)
+            if [t.kind for t in tokens] != ["COMP", "END"]:
                 raise WordError("--comp expects a composition like \"(2,1)\"")
+            comp = tokens[0].value
             if args.evaluator == "rota-baxter":
                 if args.model != "OOZ":
                     raise WordError("the rota-baxter evaluator applies to the OOZ model")

@@ -43,9 +43,7 @@ from mzv_lab.words import (
     Word,
     WordError,
     _normal_word,
-    add_into,
     add_pairs,
-    add_scaled,
     as_poly,
     display_sorted,
     poly_on,
@@ -110,9 +108,6 @@ class Tensor2(LinComb):
 
     def __str__(self) -> str:
         return self.format_terms(lambda k: f"{k[0]} (x) {k[1]}")
-
-    def __repr__(self) -> str:
-        return f"Tensor2({self.alphabet.tag}: {self})"
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +263,7 @@ def _split_rule(u: Word, v: Word, du: Terms, dv: Terms) -> Terms:
     # u * a is injective in a (pd = dp = 1 keeps p/d/y cancellative)
     out = {(u * a, b): c for (a, b), c in dv.items()}
     add_pairs(out, (((a, b * v), c) for (a, b), c in du.items()))
-    add_into(out, (u, v), -1)
+    add_pairs(out, (((u, v), -1),))
     return out
 
 
@@ -283,7 +278,7 @@ def infinitesimal_coproduct(x: Operand) -> Tensor2:
     X = poly_on(x, "infinitesimal_coproduct lives on p/y or p/d/y words", PY, PDY)
     terms: Terms = {}
     for w, c in X.terms.items():
-        add_scaled(terms, _d_terms(w), c)
+        add_pairs(terms, _d_terms(w).items(), c)
     return Tensor2._make(X.alphabet, terms)
 
 

@@ -62,7 +62,6 @@ from mzv_lab.words import (
     _ZCODECS,
     _normal_word,
     add_pairs,
-    add_scaled,
     as_poly,
     clear_caches,  # re-exported: it empties every Memo, _MEMO among them
     poly_on,
@@ -119,7 +118,7 @@ def _pair_sum(
     for wu, cu in U.terms.items():
         for wv, cv in V.terms.items():
             a, b = (wu, wv) if wu <= wv else (wv, wu)
-            add_scaled(out, kernel(decode(a), decode(b)), cu * cv)
+            add_pairs(out, kernel(decode(a), decode(b)).items(), cu * cv)
     _MEMO.trim()
     return encode(out, alphabet)
 
@@ -129,7 +128,7 @@ def _linear(X: Poly, decode: Callable, kernel: Callable, encode: Callable) -> Po
     # once, the images summed in one tuple dict, and the words of that sum built once
     out: CompDict = {}
     for w, c in X.terms.items():
-        add_scaled(out, kernel(decode(w)), c)
+        add_pairs(out, kernel(decode(w)).items(), c)
     _MEMO.trim()
     return encode(out, X.alphabet)
 
@@ -379,12 +378,12 @@ def ooz_explicit_ordered(u: Comp, v: Comp) -> CompDict:
     return {k[::-1]: c for k, c in _product(_ooz_explicit, u[::-1], v[::-1]).items()}
 
 
-def _rcomps_to_poly(d: Mapping[Comp, Rational], alphabet: Alphabet) -> Poly:
-    # the explicit recursion's sum, on reversed z-parts, as p/y words
+def _checked_comps_to_poly(d: Mapping[Comp, Rational], alphabet: Alphabet) -> Poly:
+    # the explicit recursion's sum as p/y words, once no z-part is negative
     for k in d:
         if k and min(k) < 0:
-            raise NotInSubalgebraError(f"negative z-part in {k[::-1]}; no p/y word image")
-    return _comps_to_poly({k[::-1]: c for k, c in d.items()}, alphabet)
+            raise NotInSubalgebraError(f"negative z-part in {k}; no p/y word image")
+    return _comps_to_poly(d, alphabet)
 
 
 def ooz_explicit(u: Operand, v: Operand) -> Poly:
@@ -396,8 +395,7 @@ def ooz_explicit(u: Operand, v: Operand) -> Poly:
     left in the result).  Agrees with ooz_quasi_shuffle on words with leading
     part >= 1.
     """
-    decode = lambda w: z_decode(w)[::-1]
-    return _pair_sum(u, v, PY, decode, partial(_product, _ooz_explicit), _rcomps_to_poly)
+    return _pair_sum(u, v, PY, z_decode, ooz_explicit_ordered, _checked_comps_to_poly)
 
 
 # ---------------------------------------------------------------------------

@@ -88,10 +88,6 @@ class QPoly(_Frozen):
         width = _width(max(map(abs, nums), default=0))
         return cls._make(order, _repack(_pack(nums, 1, width), order + 1, width, width), width, den)
 
-    @classmethod
-    def one(cls, order: int) -> "QPoly":
-        return cls(order, (1,))
-
     @property
     def coeffs(self) -> tuple[Rational, ...]:
         """The coefficients of q^0..q^order: ints, and Fractions where not integral."""
@@ -513,7 +509,7 @@ def rota_baxter_eval_OOZ(comp: Iterable[int], order: int) -> QPoly:
     _check_order(n)
     _check_size(comp, n, (1,) + (0,) * (len(comp) - 1), rota_baxter=True)  # h = t (1-t)^-k1
     if not comp:
-        return QPoly.one(n)
+        return QPoly(n, (1,))
     rows = [[0] * (n + 1 - i) for i in range(n + 1)]
     if n:
         rows[1][0] = 1  # h = t

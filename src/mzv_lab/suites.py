@@ -44,8 +44,7 @@ from mzv_lab.words import (
     Word,
     WordError,
     _ZCODECS,
-    add_into,
-    add_scaled,
+    add_pairs,
     as_poly,
     check_range,
     format_poly,
@@ -494,10 +493,8 @@ def _coassoc_holds(coproduct, x: Poly) -> bool:
     left: dict = {}
     right: dict = {}
     for (a, b), c in coproduct(x).terms.items():
-        for (a1, a2), c2 in coproduct(Poly.of(a)).terms.items():
-            add_into(left, (a1, a2, b), c * c2)
-        for (b1, b2), c2 in coproduct(Poly.of(b)).terms.items():
-            add_into(right, (a, b1, b2), c * c2)
+        add_pairs(left, (((*k, b), c2) for k, c2 in coproduct(Poly.of(a)).terms.items()), c)
+        add_pairs(right, (((a, *k), c2) for k, c2 in coproduct(Poly.of(b)).terms.items()), c)
     return left == right
 
 
@@ -573,9 +570,9 @@ def _hopf(mw: int, order: int | None) -> Iterator[Case]:
 def _counit_laws(H: hopf.HopfStructure, w: Word) -> bool:
     left: dict = {}
     right: dict = {}
-    for (a, b), c in H.coproduct(Poly.of(w)).terms.items():
-        add_into(left, b, c * H.counit(Poly.of(a)))
-        add_into(right, a, c * H.counit(Poly.of(b)))
+    pairs = H.coproduct(Poly.of(w)).terms.items()
+    add_pairs(left, ((b, c * H.counit(Poly.of(a))) for (a, b), c in pairs))
+    add_pairs(right, ((a, c * H.counit(Poly.of(b))) for (a, b), c in pairs))
     return left == right == {w: 1}
 
 
@@ -584,8 +581,8 @@ def _antipode_laws(H: hopf.HopfStructure, w: Word) -> bool:
     left: dict = {}
     right: dict = {}
     for (a, b), c in H.coproduct(x).terms.items():
-        add_scaled(left, H.product(H.antipode(Poly.of(a)), Poly.of(b)).terms, c)
-        add_scaled(right, H.product(Poly.of(a), H.antipode(Poly.of(b))).terms, c)
+        add_pairs(left, H.product(H.antipode(Poly.of(a)), Poly.of(b)).terms.items(), c)
+        add_pairs(right, H.product(Poly.of(a), H.antipode(Poly.of(b))).terms.items(), c)
     target = H.unit_elem.scale(H.counit(x)).terms
     return left == right == target
 
@@ -668,8 +665,6 @@ def value_json(x: object) -> str:
         return tensor_json(x)
     if isinstance(x, qseries.QPoly):
         return json.dumps({"type": "qseries", **x.to_json()})
-    if isinstance(x, qseries.FloatResult):
-        return json.dumps({"type": "float", **x.to_json()})
     return json.dumps(x if isinstance(x, bool) else str(x))
 
 

@@ -241,16 +241,6 @@ def exact(c) -> Rational:
     return c if type(c) in _EXACT else Fraction(c)
 
 
-def add_into(terms: dict, key, c: Rational) -> None:
-    """terms[key] += c in place; a coefficient that cancels is deleted."""
-    add_pairs(terms, ((key, c),))
-
-
-def add_scaled(terms: dict, other: Mapping, c: Rational = 1) -> None:
-    """terms += c * other in place."""
-    add_pairs(terms, other.items(), c)
-
-
 def add_pairs(terms: dict, pairs: Iterable[tuple], c: Rational = 1) -> None:
     """terms[key] += c * v in place for each (key, v); cancelled keys are deleted."""
     get, one = terms.get, c == 1
@@ -322,7 +312,7 @@ class LinComb(_Frozen):
             return NotImplemented
         self._same_space(other)
         terms = dict(self.terms)
-        add_scaled(terms, other.terms, sign)
+        add_pairs(terms, other.terms.items(), sign)
         return self._make(self.alphabet, terms)
 
     def __add__(self, other):
@@ -365,6 +355,9 @@ class LinComb(_Frozen):
         coefficient c != +-1 written in front as "c*"."""
         *_, keys, coeffs = self.sorted_texts()
         return signed_sum(map(body, keys), coeffs)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.alphabet.tag}: {self})"
 
 
 class Poly(LinComb):
@@ -434,14 +427,11 @@ class Poly(LinComb):
         for w, c in self.terms.items():
             piece = f(w)
             self._same_space(piece)
-            add_scaled(terms, piece.terms, c)
+            add_pairs(terms, piece.terms.items(), c)
         return Poly._make(self.alphabet, terms)
 
     def __str__(self) -> str:
         return self.format_terms(str)
-
-    def __repr__(self) -> str:
-        return f"Poly({self.alphabet.tag}: {self})"
 
 
 def as_poly(x: Word | Poly) -> Poly:

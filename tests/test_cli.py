@@ -544,6 +544,32 @@ def test_main_qeval_comp_other_than_a_composition_is_one_line_usage_error(capsys
     assert capsys.readouterr().err == 'error: --comp expects a composition like "(2,1)"\n'
 
 
+@pytest.mark.parametrize("model, comp", [
+    ("BZ", "(1,1,1,1,1,1,1,1,1,1) * (2,1,2,1,2,1,2,1,2,1)"),
+    ("SZ", "z{60} sh z{60}"),
+])
+def test_main_qeval_comp_is_refused_before_any_product_is_built(capsys, model, comp):
+    start = time.perf_counter()
+    assert main(["qeval", "--model", model, "--comp", comp]) == 2
+    assert time.perf_counter() - start < 0.2
+    assert capsys.readouterr().err == 'error: --comp expects a composition like "(2,1)"\n'
+    # text that the tokenizer refuses keeps its own syntax error
+    assert main(["qeval", "--model", model, "--comp", comp + " $"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: syntax error at position {len(comp) + 1}: unexpected character '$'\n"
+
+
+def test_main_product_operand_counts_are_one_line_usage_errors(capsys):
+    for argv, err in (
+        (["--kind", "quasi", "z{2}"], "--kind needs exactly two operand expressions"),
+        (["--kind", "quasi", "z{2}", "z{1}", "z{3}"], "--kind needs exactly two operand expressions"),
+        (["z{2}", "z{1}"], "expected one expression (or --kind with two operands)"),
+    ):
+        assert main(["product", "--alphabet", "h", *argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {err}\n"
+
+
 @pytest.mark.parametrize("lam", ["abc", "1/0"])
 def test_main_bad_lambda_is_one_line_usage_error(capsys, lam):
     assert main(["product", "z{2} * z{2}", "--alphabet", "h", "--lambda", lam]) == 2
@@ -1145,6 +1171,21 @@ def test_main_verify_failure_exit_code(capsys, monkeypatch):
     assert main(["verify", "--suite", "broken"]) == 1
     out = capsys.readouterr().out
     assert "always-fails" in out and "FAILED" in out
+
+
+def test_failing_case_shows_both_sides_as_z_block_text():
+    from mzv_lab import suites
+
+    x = zh(2, 1)
+    f = suites._failure(cli.Case("unequal", {"w": "z{2}z{1}"}, lambda: (x, hopf.deconcat(x))))
+    assert f == ("unequal", {"w": "z{2}z{1}"}, "z{2}z{1}", "1 (x) z{2}z{1} + z{2} (x) z{1} + z{2}z{1} (x) 1")
+
+
+def test_main_export_into_a_missing_directory_is_one_line_runtime_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "vec.jsonl"
+    assert main(["export-vectors", "--suite", "zhao-duality", "--max-weight", "0", "--out", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: [Errno 2] No such file or directory: '{path}'\n"
 
 
 def test_main_verify_passing(capsys):

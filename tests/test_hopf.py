@@ -68,6 +68,7 @@ def test_tensor_int_and_fraction_coefficients_are_interchangeable():
     a = Tensor2(PY, {(py, one): 3, (one, py): -1})
     b = Tensor2(PY, {(py, one): Fraction(3), (one, py): Fraction(-1)})
     assert a == b and str(a) == str(b) == "-1 (x) py + 3*py (x) 1"
+    assert repr(a) == "Tensor2(PY: -1 (x) py + 3*py (x) 1)"
     assert hash(frozenset(a.terms.items())) == hash(frozenset(b.terms.items()))
 
 
@@ -213,6 +214,13 @@ def test_infinitesimal_split_point_independent(w):
     reference = infinitesimal_coproduct(Poly.of(w))
     for i in range(1, len(w)):
         assert infinitesimal_coproduct_at(w, i) == reference
+
+
+def test_infinitesimal_split_position_must_cut_the_word():
+    w = Word(PY, ("p", "y"))
+    for i in (0, len(w)):
+        with pytest.raises(WordError, match=rf"^split position {i} out of range for Word\(PY:py\)$"):
+            infinitesimal_coproduct_at(w, i)
 
 
 @given(pdy_words)

@@ -21,7 +21,7 @@ from mzv_lab.words import (
     Poly,
     Word,
     WordError,
-    add_into,
+    add_pairs,
     format_word,
     iter_words,
     iter_zcomps,
@@ -216,6 +216,9 @@ def test_poly_concatenation_is_bilinear():
     u = Poly.of(Word(PY, ("p",))) + Poly.of(Word(PY, ("y",)))
     v = Poly.of(Word(PY, ("y",)), 3)
     assert u * v == Poly.of(Word(PY, ("p", "y")), 3) + Poly.of(Word(PY, ("y", "y")), 3)
+    # a scalar or a word on the right, as Poly.of(word)
+    assert u * 3 == 3 * u == u.scale(3) and u * Word(PY, ("y",)) * 3 == u * v
+    assert repr(u * v) == "Poly(PY: 3*py + 3*yy)"
 
 
 def test_poly_alphabet_mismatch():
@@ -241,9 +244,9 @@ def test_int_and_fraction_coefficients_are_interchangeable():
 
 def test_in_place_accumulation_never_keeps_a_zero():
     terms: dict = {}
-    add_into(terms, "a", 1)
-    add_into(terms, "a", Fraction(-1))
-    add_into(terms, "b", 0)
+    add_pairs(terms, [("a", 1)])
+    add_pairs(terms, [("a", Fraction(-1))])
+    add_pairs(terms, [("b", 0)])
     assert terms == {}
     a, b = Word(PY, ("y",)), Word(PY, ("p", "y"))
     x = Poly.of(a) - Poly.of(b)
@@ -504,6 +507,9 @@ _X0, _P = Word(H2, ("x0",)), Word(PY, ("p",))
     (lambda: hopf.infinitesimal_coproduct(_X0), "infinitesimal_coproduct lives on p/y or p/d/y words"),
     (lambda: qseries.eval_word("BZ", _P, 3), "BZ reads H2 words, got PY"),
     (lambda: qseries.eval_word("SZ", _X0, 3), "SZ reads PY words, got H2"),
+    (lambda: _P * _X0, "PY * H2"),
+    (lambda: hopf.Tensor2(PY, {(_P, _X0): 1}), "tensor factors must share the alphabet"),
+    (lambda: hopf.antipode(Word(PDY, ("p", "d", "y"))), "no stuffle bialgebra on p/d/y words"),
 ])
 def test_alphabet_mismatch_messages(call, message):
     with pytest.raises(AlphabetMismatchError) as err:
