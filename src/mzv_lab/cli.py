@@ -52,7 +52,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from mzv_lab import maps, products
 from mzv_lab.words import (
@@ -429,8 +429,12 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--json", action="store_true")
 
 
-def _parse_operand(text: str, alphabet: Alphabet | str | None, lam: Fraction) -> Poly:
+def _parse_operand(
+    text: str, alphabet: Alphabet | str | None, lam: Fraction, use: Callable | None = None
+) -> Poly:
     alphabet = _alphabet(alphabet)  # once: parse_expr takes the Alphabet as it is
+    if use and alphabet:  # use's own check refuses an alphabet on its zero, before any product
+        use(Poly.zero(alphabet))
     out = parse_expr(text, alphabet, lam)
     if isinstance(out, tuple):
         if alphabet is None:
@@ -531,20 +535,19 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "map":
         lm = maps.get_map(args.name)
-        x = _parse_operand(args.expr, args.alphabet or lm.alphabet, _parse_lambda(args.lam))
+        x = _parse_operand(args.expr, args.alphabet or lm.alphabet, _parse_lambda(args.lam), lm.apply)
         _emit_poly(lm.apply(x), args.json)
         return 0
 
     if args.command == "coproduct":
         from mzv_lab import hopf
 
-        x = _parse_operand(args.expr, args.alphabet, _parse_lambda(args.lam))
         fn = {
             "deconcat": hopf.deconcat,
             "square-op": hopf.coproduct_square_op,
             "infinitesimal": hopf.infinitesimal_coproduct,
         }[args.kind]
-        t = fn(x)
+        t = fn(_parse_operand(args.expr, args.alphabet, _parse_lambda(args.lam), fn))
         print(tensor_json(t) if args.json else format_tensor(t))
         return 0
 
@@ -553,38 +556,33 @@ def _dispatch(args: argparse.Namespace) -> int:
 
         if (args.comp is None) == (args.expr is None):
             raise WordError("pass exactly one of --comp or --expr")
+        rota_baxter = args.evaluator == "rota-baxter"  # refused from the flags, before any parse
+        if rota_baxter and args.comp is None:
+            raise WordError("the rota-baxter evaluator takes --comp")
+        if rota_baxter and args.model != "OOZ":
+            raise WordError("the rota-baxter evaluator applies to the OOZ model")
         if args.comp is not None:
             # a composition is one COMP token: other text is refused before any product is built
             tokens = tokenize(args.comp)
             if [t.kind for t in tokens] != ["COMP", "END"]:
                 raise WordError("--comp expects a composition like \"(2,1)\"")
-            comp = tokens[0].value
-            if args.evaluator == "rota-baxter":
-                if args.model != "OOZ":
-                    raise WordError("the rota-baxter evaluator applies to the OOZ model")
-                out = qseries.rota_baxter_eval_OOZ(comp, args.order)
-            else:
-                out = qseries._ZETAS[args.model](comp, args.order)
+            evaluate = qseries.rota_baxter_eval_OOZ if rota_baxter else qseries._ZETAS[args.model]
+            out = evaluate(tokens[0].value, args.order)
         else:
             x = _parse_operand(args.expr, qseries.MODELS[args.model].alphabet, Fraction(1))
-            if args.evaluator == "rota-baxter":
-                raise WordError("the rota-baxter evaluator takes --comp")
             out = qseries.eval_word(args.model, x, args.order)
         print(json.dumps({"type": "qseries", **out.to_json()}) if args.json else str(out))
         return 0
 
-    if args.command in ("verify", "export-vectors"):
-        from mzv_lab import suites
+    from mzv_lab import suites  # verify or export-vectors: argparse admits no other command
 
-        if args.command == "verify":
-            report = suites.run_suite(args.suite, args.max_weight, args.order)
-            print(json.dumps(report.to_json()) if args.json else report.text())
-            return 0 if report.passed else 1
-        n = suites.export_vectors(args.suite, args.out, args.max_weight, args.order)
-        print(f"wrote {n} cases to {args.out}")
-        return 0
-
-    raise WordError(f"unknown command {args.command!r}")
+    if args.command == "verify":
+        report = suites.run_suite(args.suite, args.max_weight, args.order)
+        print(json.dumps(report.to_json()) if args.json else report.text())
+        return 0 if report.passed else 1
+    n = suites.export_vectors(args.suite, args.out, args.max_weight, args.order)
+    print(f"wrote {n} cases to {args.out}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -250,18 +250,15 @@ def _derivation(mw: int, order: int | None) -> Iterator[Case]:
     inputs = {"u": "z{2}", "v": "z{2}"}
     yield _example("square-example", inputs, expected, products.square_classical, z2, z2)
     yield from word_cases(h0_words(H2, mw, mw), {
-        "derivation2": lambda w: (
-            maps.derivation(w, 2),
-            products.square_classical(w, z2) - products.quasi_shuffle(w, z2),
-        ),
+        "derivation2": lambda w: (maps.derivation(w, 2), _hoffman_ohno(w, 2)),
     })
 
 
 @suite("hoffman-ohno", max_weight=8)
 def _hoffman(mw: int, order: int | None) -> Iterator[Case]:
     yield from word_cases(h0_words(H2, mw, mw), {
-        "derivation1": lambda w: (maps.derivation(w, 1), _hoffman_relation(w)),
-        "membership": lambda w: (poly_membership(_hoffman_relation(w), "h0"), True),
+        "derivation1": lambda w: (maps.derivation(w, 1), _hoffman_ohno(w, 1)),
+        "membership": lambda w: (poly_membership(_hoffman_ohno(w, 1), "h0"), True),
     })
     # numeric spot checks on the words of depth <= 2 up to weight 5 (their
     # relations reach depth 3): the sample the export pins
@@ -271,15 +268,16 @@ def _hoffman(mw: int, order: int | None) -> Iterator[Case]:
     )
 
 
-def _hoffman_relation(w: Word) -> Poly:
-    # Hoffman's relation, w sh z1 - w * z1: derivation 1 of w, so in h0 and in ker zeta
-    z1 = zp((1,), H2)
-    return products.shuffle(w, z1) - products.quasi_shuffle(w, z1)
+def _hoffman_ohno(w: Word, n: int) -> Poly:
+    # w sh z1 - w * z1 (Hoffman) or w sq z2 - w * z2 (Hoffman-Ohno): derivation n of w,
+    # so in h0, and for n = 1 in ker zeta
+    zn, mul = zp((n,), H2), products.shuffle if n == 1 else products.square_classical
+    return mul(w, zn) - products.quasi_shuffle(w, zn)
 
 
 def _hoffman_float_ok(w: Word) -> bool:
     total = 0.0
-    for term, c in _hoffman_relation(w).terms.items():
+    for term, c in _hoffman_ohno(w, 1).terms.items():
         total += float(c) * qseries.zeta_classical_float(z_decode(term), 10_000_000).value
     return abs(total) < 1e-4
 
@@ -412,11 +410,8 @@ def _ihara(mw: int, order: int | None) -> Iterator[Case]:
     })
 
     def square(lam: int) -> Check:
-        # a side of the square: the lam-shuffle is the tau~-conjugate of the lam-stuffle
-        return lambda u, v: (
-            products.shuffle_lambda(u, v, lam),
-            maps.tau_tilde(products.quasi_shuffle_lambda(maps.tau_tilde(u), maps.tau_tilde(v), lam)),
-        )
+        # a side of the square: the lam-shuffle is the lam-square, the tau~-conjugate lam-stuffle
+        return lambda u, v: (products.shuffle_lambda(u, v, lam), products.square_lambda(u, v, lam))
 
     yield from pair_cases([w for w in words if not w.is_unit], {
         "s-homomorphism": lambda u, v: (
@@ -524,22 +519,17 @@ def _star(mw: int, order: int | None) -> Iterator[Case]:
 
 @suite("thm-szsdual", max_weight=6)
 def _szsdual(mw: int, order: int | None) -> Iterator[Case]:
-    py = zp((1,))
-    yield Case(
-        "worked-top",
-        {"u": "py", "v": "py"},
-        lambda: (
-            _recode(weight_projection(products.ooz_square(py, py), 2), H2),
-            products.shuffle_star(zp((1,), H2), zp((1,), H2)),
-        ),
-    )
-    words = [w for w in h0_words(PY, mw, mw) if not w.is_unit and all(k >= 1 for k in z_decode(w))]
-    yield from pair_cases(words, {
-        "block-top": lambda u, v: (
+    def block_top(u: Word, v: Word) -> tuple[Poly, Poly]:
+        # the top-weight block of the OOZ square is the star-shuffle, read in x0/x1
+        return (
             _recode(weight_projection(products.ooz_square(u, v), u.weight + v.weight), H2),
             products.shuffle_star(_recode(u, H2), _recode(v, H2)),
-        ),
-    }, max_depth=mw, max_weight=mw)
+        )
+
+    py = z_encode((1,), PY)
+    yield Case("worked-top", {"u": "py", "v": "py"}, partial(block_top, py, py))
+    words = [w for w in h0_words(PY, mw, mw) if not w.is_unit and all(k >= 1 for k in z_decode(w))]
+    yield from pair_cases(words, {"block-top": block_top}, max_depth=mw, max_weight=mw)
 
 
 @suite("hopf-axioms", max_weight=6)

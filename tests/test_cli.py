@@ -122,6 +122,16 @@ def test_parse_alphabet_inference():
         parse_expr("x0 py")  # mixed alphabets
 
 
+def test_a_scalar_zero_star_a_word_is_the_zero_poly():
+    assert parse_expr("0 * py", "H") == Poly.zero(PY)
+    assert parse_expr("py * 0", "H") == Poly.zero(PY)
+
+
+def test_an_unknown_alphabet_flag_names_the_three_flags():
+    with pytest.raises(words.WordError, match=r"expected one of \['H', 'h', 'pdy'\]"):
+        parse_expr("py", "q")
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as err:
         parse_expr("py ?? py", "H")
@@ -557,6 +567,42 @@ def test_main_qeval_comp_is_refused_before_any_product_is_built(capsys, model, c
     assert main(["qeval", "--model", model, "--comp", comp + " $"]) == 2
     err = capsys.readouterr().err
     assert err == f"error: syntax error at position {len(comp) + 1}: unexpected character '$'\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["qeval", "--model", "OOZ", "--expr", "z{60} sh z{60}", "--evaluator", "rota-baxter"],
+     "the rota-baxter evaluator takes --comp"),
+    (["map", "--alphabet", "H", "--name", "tau", "z{60} sh z{60}"], "tau acts on x0/x1 words"),
+    (["coproduct", "--kind", "square-op", "--alphabet", "h", "z{200} sh z{200}"],
+     "coproduct_square_op lives on p/y words"),
+])
+def test_main_flag_refusals_come_before_the_operand_is_built(capsys, argv, err):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 0.2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["qeval", "--model", "SZ", "--comp", "x", "--evaluator", "rota-baxter"],
+     "the rota-baxter evaluator applies to the OOZ model"),
+    (["qeval", "--model", "OOZ", "--expr", "py ??", "--evaluator", "rota-baxter"],
+     "the rota-baxter evaluator takes --comp"),
+    (["map", "--name", "tau", "--alphabet", "H", "py ??"], "tau acts on x0/x1 words"),
+    (["coproduct", "--kind", "infinitesimal", "--alphabet", "h", "py ??"],
+     "infinitesimal_coproduct lives on p/y or p/d/y words"),
+])
+def test_main_flag_refusals_come_before_an_operand_syntax_error(capsys, argv, err):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_main_deconcat_on_pdy_parses_its_operand_before_it_refuses(capsys):
+    # deconcat takes the zero of every alphabet: the operand's syntax error still comes first
+    assert main(["coproduct", "--alphabet", "pdy", "py ??"]) == 2
+    assert capsys.readouterr().err == "error: syntax error at position 3: unexpected character '?'\n"
+    assert main(["coproduct", "--alphabet", "pdy", "pd"]) == 2
+    assert capsys.readouterr().err == "error: no z-block codec on alphabet PDY\n"
 
 
 def test_main_product_operand_counts_are_one_line_usage_errors(capsys):

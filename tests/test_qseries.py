@@ -867,3 +867,15 @@ def test_cli_import_leaves_numpy_unloaded():
     code = "import sys, mzv_lab.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_a_series_equals_no_number_and_multiplies_by_no_text():
+    series = QPoly(2, (0, 1))
+    assert (series == 3) is False
+    with pytest.raises(TypeError):
+        series * "x"
+    assert repr(series) == "QPoly[2](q)"
+
+
+def test_the_float_oracle_of_the_empty_composition_is_one():
+    assert tuple(zeta_classical_float((), 1000)) == (1.0, 0.0, 1000)

@@ -623,3 +623,13 @@ def test_the_word_tables_stay_within_their_bound_and_count_evictions():
     poly = products._comps_to_poly(big, H2)
     assert not table and poly == Poly(H2, {z_encode(c, H2): 1 for c in big})
     words.clear_caches()
+
+
+def test_a_poly_adds_no_tensor_and_multiplies_by_no_text():
+    x1 = Poly.of(Word(H2, ("x1",)))
+    with pytest.raises(TypeError):
+        x1 + hopf.deconcat(x1)
+    with pytest.raises(TypeError):
+        x1 * "x"
+    with pytest.raises(TypeError):
+        "x" * x1
