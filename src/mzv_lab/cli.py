@@ -52,7 +52,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from mzv_lab import maps, products
 from mzv_lab.words import (
@@ -429,12 +429,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--json", action="store_true")
 
 
-def _parse_operand(
-    text: str, alphabet: Alphabet | str | None, lam: Fraction, use: Callable | None = None
-) -> Poly:
+def _parse_operand(text: str, alphabet: Alphabet | str | None, lam: Fraction) -> Poly:
     alphabet = _alphabet(alphabet)  # once: parse_expr takes the Alphabet as it is
-    if use and alphabet:  # use's own check refuses an alphabet on its zero, before any product
-        use(Poly.zero(alphabet))
     out = parse_expr(text, alphabet, lam)
     if isinstance(out, tuple):
         if alphabet is None:
@@ -450,9 +446,12 @@ def _parse_lambda(text: str) -> Fraction:
         raise WordError(f"--lambda expects a rational like 1/2, got {text!r}") from None
 
 
-def _emit_poly(p: Poly, as_json: bool) -> None:
-    print(poly_json(p) if as_json else format_poly(p))
-
+# each coproduct kind: its function's name in hopf, read there on use (hopf loads lazily)
+_COPRODUCTS = {
+    "deconcat": "deconcat",
+    "square-op": "coproduct_square_op",
+    "infinitesimal": "infinitesimal_coproduct",
+}
 
 # sorted(qseries.MODELS), spelled out so that the parser loads no q-series code
 _MODEL_CHOICES = ["BZ", "OOZ", "SZ", "SZstar"]
@@ -479,9 +478,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sc = sub.add_parser("coproduct", help="apply a coproduct")
     _add_common(sc)
-    sc.add_argument(
-        "--kind", choices=["deconcat", "square-op", "infinitesimal"], default="deconcat"
-    )
+    sc.add_argument("--kind", choices=list(_COPRODUCTS), default="deconcat")
     sc.add_argument("expr")
 
     sq = sub.add_parser("qeval", help="evaluate a q-series model")
@@ -519,36 +516,29 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "product":
+    if args.command in ("product", "map", "coproduct"):
+        # pick the operation, refuse a flagged alphabet on its zeros, then parse, apply and write
+        alphabet, texts, show, to_json = args.alphabet, [args.expr], format_poly, poly_json
+        if args.command == "map":
+            lm = maps.get_map(args.name)
+            op, alphabet = lm.apply, alphabet or lm.alphabet
+        elif args.command == "coproduct":
+            from mzv_lab import hopf
+
+            op, show, to_json = getattr(hopf, _COPRODUCTS[args.kind]), format_tensor, tensor_json
         lam = _parse_lambda(args.lam)
-        if args.kind is not None:
-            if len(args.expr) != 2:
-                raise WordError("--kind needs exactly two operand expressions")
-            a = _parse_operand(args.expr[0], args.alphabet, lam)
-            b = _parse_operand(args.expr[1], args.alphabet, lam)
-            _emit_poly(_PRODUCT_KINDS[args.kind](a, b, lam), args.json)
-        else:
-            if len(args.expr) != 1:
+        if args.command == "product":
+            texts, kind = args.expr, _PRODUCT_KINDS.get(args.kind)
+            if kind is None and len(texts) != 1:
                 raise WordError("expected one expression (or --kind with two operands)")
-            _emit_poly(_parse_operand(args.expr[0], args.alphabet, lam), args.json)
-        return 0
-
-    if args.command == "map":
-        lm = maps.get_map(args.name)
-        x = _parse_operand(args.expr, args.alphabet or lm.alphabet, _parse_lambda(args.lam), lm.apply)
-        _emit_poly(lm.apply(x), args.json)
-        return 0
-
-    if args.command == "coproduct":
-        from mzv_lab import hopf
-
-        fn = {
-            "deconcat": hopf.deconcat,
-            "square-op": hopf.coproduct_square_op,
-            "infinitesimal": hopf.infinitesimal_coproduct,
-        }[args.kind]
-        t = fn(_parse_operand(args.expr, args.alphabet, _parse_lambda(args.lam), fn))
-        print(tensor_json(t) if args.json else format_tensor(t))
+            if kind is not None and len(texts) != 2:
+                raise WordError("--kind needs exactly two operand expressions")
+            op = (lambda x: x) if kind is None else (lambda a, b: kind(a, b, lam))
+        alphabet = _alphabet(alphabet)
+        if alphabet:
+            op(*[Poly.zero(alphabet)] * len(texts))
+        out = op(*[_parse_operand(text, alphabet, lam) for text in texts])
+        print(to_json(out) if args.json else show(out))
         return 0
 
     if args.command == "qeval":

@@ -60,6 +60,7 @@ from mzv_lab.words import (
     WordError,
     _SWAP,
     _ZCODECS,
+    _codec_of,
     _normal_word,
     add_pairs,
     as_poly,
@@ -407,6 +408,7 @@ def ihara_circ(u: Operand, v: Operand) -> Poly:
     (extended bilinearly in both slots)."""
     U = as_poly(u)
     V = poly_on(v, "ihara_circ needs a common alphabet", U.alphabet)
+    _codec_of(U.alphabet, NotInSubalgebraError)  # a p/d/y operand is refused, zero included
     right = None  # V's z-parts, decoded once after the first left factor is checked
     out: CompDict = {}
     for wu, cu in U.terms.items():
@@ -416,7 +418,7 @@ def ihara_circ(u: Operand, v: Operand) -> Poly:
         if right is None:
             right = [(z_decode(wv), cv) for wv, cv in V.terms.items()]
         add_pairs(out, (((k[0] + c[0],) + c[1:], cu * cv) for c, cv in right if c))
-    return _comps_to_poly(out, U.alphabet) if out else Poly._make(U.alphabet, {})
+    return _comps_to_poly(out, U.alphabet)
 
 
 class IsoConsistencyError(WordError):
@@ -446,15 +448,16 @@ def transferred_product(
     return iso_inv(base(iso(U), iso(V)))
 
 
-def _rs(x: Poly) -> Poly:
-    # reverse_swap is a bijection on words that undoes itself: the terms map one to one, and
-    # the squares conjugate by it with no check of the transfer (transferred_product's)
-    return Poly._make(x.alphabet, {reverse_swap(w): c for w, c in x.terms.items()})
+def _rs(x: Operand) -> Poly:
+    # reverse_swap undoes itself and maps words one to one: the squares conjugate by it with no
+    # check of the transfer (transferred_product's). p/d/y is refused by alphabet, zero included
+    X = poly_on(x, "reverse_swap is not defined on p/d/y words", H2, PY)
+    return Poly._make(X.alphabet, {reverse_swap(w): c for w, c in X.terms.items()})
 
 
 def square_classical(u: Operand, v: Operand) -> Poly:
     """tau-transfer of the stuffle to x0/x1 words starting with x0."""
-    return _rs(quasi_shuffle(_rs(as_poly(u)), _rs(as_poly(v))))
+    return _rs(quasi_shuffle(_rs(u), _rs(v)))
 
 
 def square_lambda(u: Operand, v: Operand, lam: Rational = 1) -> Poly:
@@ -462,10 +465,10 @@ def square_lambda(u: Operand, v: Operand, lam: Rational = 1) -> Poly:
 
     Coincides with shuffle_lambda at the same lam on its whole domain.
     """
-    return _rs(quasi_shuffle_lambda(_rs(as_poly(u)), _rs(as_poly(v)), lam))
+    return _rs(quasi_shuffle_lambda(_rs(u), _rs(v), lam))
 
 
 def ooz_square(u: Operand, v: Operand) -> Poly:
     """tau~-transfer of the once-out-of-zeta stuffle; domain: p/y words that
     start with p and end in y (so that both the word and its reversal decode)."""
-    return _rs(ooz_quasi_shuffle(_rs(as_poly(u)), _rs(as_poly(v))))
+    return _rs(ooz_quasi_shuffle(_rs(u), _rs(v)))

@@ -533,9 +533,6 @@ class FloatResult(NamedTuple):
     tail_bound: float
     cutoff: int
 
-    def to_json(self) -> dict:
-        return {"value": self.value, "tail_bound": self.tail_bound, "cutoff": self.cutoff}
-
 
 def _li_half(s: Comp, cutoff: int) -> tuple[Fraction, Fraction]:
     """Li_s(1/2), the sum over n_1 > ... > n_d of 2^-n_1 / prod n_i^s_i, exact

@@ -575,6 +575,8 @@ def test_main_qeval_comp_is_refused_before_any_product_is_built(capsys, model, c
     (["map", "--alphabet", "H", "--name", "tau", "z{60} sh z{60}"], "tau acts on x0/x1 words"),
     (["coproduct", "--kind", "square-op", "--alphabet", "h", "z{200} sh z{200}"],
      "coproduct_square_op lives on p/y words"),
+    (["product", "--kind", "star", "--alphabet", "H", "z{60} sh z{60}", "py"],
+     "operands must be H2 polynomials"),
 ])
 def test_main_flag_refusals_come_before_the_operand_is_built(capsys, argv, err):
     start = time.perf_counter()
@@ -591,10 +593,27 @@ def test_main_flag_refusals_come_before_the_operand_is_built(capsys, argv, err):
     (["map", "--name", "tau", "--alphabet", "H", "py ??"], "tau acts on x0/x1 words"),
     (["coproduct", "--kind", "infinitesimal", "--alphabet", "h", "py ??"],
      "infinitesimal_coproduct lives on p/y or p/d/y words"),
+    (["product", "--kind", "star", "--alphabet", "H", "py ??", "py"],
+     "operands must be H2 polynomials"),
 ])
 def test_main_flag_refusals_come_before_an_operand_syntax_error(capsys, argv, err):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("flag, word", [("h", "x0x1"), ("H", "py"), ("pdy", "d")])
+@pytest.mark.parametrize("kind", sorted(cli._PRODUCT_KINDS))
+def test_each_product_kind_refuses_a_zero_operand_as_it_refuses_a_word(kind, flag, word):
+    # so the flagged alphabet's zeros stand for its operands before they are parsed
+    def outcome(x):
+        try:
+            cli._PRODUCT_KINDS[kind](x, x, Fraction(1))
+        except words.WordError as exc:
+            return type(exc), str(exc)
+        return "answer"
+
+    zero = Poly.zero(cli._alphabet(flag))
+    assert outcome(zero) == outcome(cli._parse_operand(word, flag, Fraction(1)))
 
 
 def test_main_deconcat_on_pdy_parses_its_operand_before_it_refuses(capsys):

@@ -121,6 +121,15 @@ def test_ihara_circ():
         ihara_circ(zp((2, 1)), zp((3,)))  # left slot takes a single z letter
 
 
+def test_p_d_y_is_refused_from_the_alphabet_on_a_zero_operand_as_on_a_word():
+    for x in (Poly.zero(PDY), Word(PDY, ("d",))):
+        with pytest.raises(NotInSubalgebraError, match=r"^no z-block codec on alphabet PDY$"):
+            ihara_circ(x, x)
+        for square in (square_lambda, ooz_square):
+            with pytest.raises(WordError, match=r"^reverse_swap is not defined on p/d/y words$"):
+                square(x, x)
+
+
 def test_ihara_circ_decodes_each_word_once(monkeypatch):
     decode, calls = products.z_decode, []
     monkeypatch.setattr(products, "z_decode", lambda w: calls.append(w) or decode(w))

@@ -752,12 +752,6 @@ def test_float_domain():
         zeta_classical_float((2, 0))
 
 
-def test_float_json_schema_has_error_bound():
-    j = zeta_classical_float((2,), 100_000).to_json()
-    assert set(j) >= {"value", "tail_bound", "cutoff"}
-    assert isinstance(j["value"], float)
-
-
 # -- scaling diagnostics ---------------------------------------------------------------
 
 def test_limit_scaling_errors_shrink_toward_q_1():
