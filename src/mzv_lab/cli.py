@@ -32,6 +32,11 @@ So, on either evaluator, is a composition whose answer may have coefficients
 past the digits str() writes, or whose estimated work passes
 ``qseries.MAX_WORK`` (the size ceiling, ``qseries._check_size``).
 
+``product``, ``map``, ``coproduct`` and ``qeval --expr`` share one operand path.
+Each operand's alphabet is ``--alphabet``, the map's or the model's, else the one
+its tokens name (``_infer_alphabet``); the operation is applied to those zeros
+first, so what it refuses there (``--order`` too) is refused before any is built.
+
 Exit codes: 0 success, 1 verification failure or runtime error, 2 usage or
 syntax error.  A suite case that raises is recorded as a failure and the
 run goes on.
@@ -223,13 +228,15 @@ def _chunk_items(chunk: str, pos: int) -> list[tuple[str, object]]:
     return items
 
 
-def _infer_alphabet(tokens: Sequence[Token]) -> Alphabet | None:
+def _infer_alphabet(tokens: Sequence[Token]) -> Alphabet:
+    if len(tokens) == 2 and tokens[0].kind == "COMP":
+        raise WordError("a bare composition needs --alphabet")
     letters = {
         str(v) for t in tokens if t.kind == "WORD"
         for kind, v in _chunk_items(str(t.value), t.pos) if kind == "letter"
     }
     if not letters:
-        return None
+        raise ParseError("alphabet is ambiguous; pass --alphabet", 0)
     for alphabet in (H2, PY, PDY):  # the first that has them all
         if letters.issubset(alphabet.letters):
             return alphabet
@@ -399,11 +406,7 @@ def parse_expr(
     tokens = tokenize(text)
     if len(tokens) == 2 and tokens[0].kind == "COMP":
         return tokens[0].value  # type: ignore[return-value]
-    if alphabet is None:
-        alphabet = _infer_alphabet(tokens)
-    if alphabet is None:
-        raise ParseError("alphabet is ambiguous; pass --alphabet", 0)
-    parser = _Parser(tokens, alphabet, Fraction(lam))
+    parser = _Parser(tokens, alphabet or _infer_alphabet(tokens), Fraction(lam))
     out = parser.expr()
     parser.expect("END")
     return out
@@ -429,14 +432,10 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--json", action="store_true")
 
 
-def _parse_operand(text: str, alphabet: Alphabet | str | None, lam: Fraction) -> Poly:
+def _parse_operand(text: str, alphabet: Alphabet | str, lam: Fraction) -> Poly:
     alphabet = _alphabet(alphabet)  # once: parse_expr takes the Alphabet as it is
     out = parse_expr(text, alphabet, lam)
-    if isinstance(out, tuple):
-        if alphabet is None:
-            raise WordError("a bare composition needs --alphabet")
-        return Poly.of(_encode(out, alphabet))
-    return out
+    return Poly.of(_encode(out, alphabet)) if isinstance(out, tuple) else out
 
 
 def _parse_lambda(text: str) -> Fraction:
@@ -516,9 +515,42 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command in ("product", "map", "coproduct"):
-        # pick the operation, refuse a flagged alphabet on its zeros, then parse, apply and write
-        alphabet, texts, show, to_json = args.alphabet, [args.expr], format_poly, poly_json
+    if args.command in ("verify", "export-vectors"):
+        from mzv_lab import suites
+
+        if args.command == "verify":
+            report = suites.run_suite(args.suite, args.max_weight, args.order)
+            print(json.dumps(report.to_json()) if args.json else report.text())
+            return 0 if report.passed else 1
+        n = suites.export_vectors(args.suite, args.out, args.max_weight, args.order)
+        print(f"wrote {n} cases to {args.out}")
+        return 0
+    # product, map, coproduct or qeval: pick the operation and the operands' alphabets
+    texts, show, to_json = [args.expr], format_poly, poly_json
+    if args.command == "qeval":
+        from mzv_lab import qseries
+
+        if (args.comp is None) == (args.expr is None):
+            raise WordError("pass exactly one of --comp or --expr")
+        rota_baxter = args.evaluator == "rota-baxter"  # refused from the flags, before any parse
+        if rota_baxter and args.comp is None:
+            raise WordError("the rota-baxter evaluator takes --comp")
+        if rota_baxter and args.model != "OOZ":
+            raise WordError("the rota-baxter evaluator applies to the OOZ model")
+        show, to_json = str, lambda out: json.dumps({"type": "qseries", **out.to_json()})
+        if args.comp is not None:
+            # a composition is one COMP token: other text is refused before any product is built
+            tokens = tokenize(args.comp)
+            if [t.kind for t in tokens] != ["COMP", "END"]:
+                raise WordError("--comp expects a composition like \"(2,1)\"")
+            evaluate = qseries.rota_baxter_eval_OOZ if rota_baxter else qseries._ZETAS[args.model]
+            out = evaluate(tokens[0].value, args.order)
+            print(to_json(out) if args.json else show(out))
+            return 0
+        op = functools.partial(qseries.eval_word, args.model, order=args.order)
+        alphabet, lam = qseries.MODELS[args.model].alphabet, Fraction(1)
+    else:
+        alphabet = _alphabet(args.alphabet)
         if args.command == "map":
             lm = maps.get_map(args.name)
             op, alphabet = lm.apply, alphabet or lm.alphabet
@@ -534,44 +566,10 @@ def _dispatch(args: argparse.Namespace) -> int:
             if kind is not None and len(texts) != 2:
                 raise WordError("--kind needs exactly two operand expressions")
             op = (lambda x: x) if kind is None else (lambda a, b: kind(a, b, lam))
-        alphabet = _alphabet(alphabet)
-        if alphabet:
-            op(*[Poly.zero(alphabet)] * len(texts))
-        out = op(*[_parse_operand(text, alphabet, lam) for text in texts])
-        print(to_json(out) if args.json else show(out))
-        return 0
-
-    if args.command == "qeval":
-        from mzv_lab import qseries
-
-        if (args.comp is None) == (args.expr is None):
-            raise WordError("pass exactly one of --comp or --expr")
-        rota_baxter = args.evaluator == "rota-baxter"  # refused from the flags, before any parse
-        if rota_baxter and args.comp is None:
-            raise WordError("the rota-baxter evaluator takes --comp")
-        if rota_baxter and args.model != "OOZ":
-            raise WordError("the rota-baxter evaluator applies to the OOZ model")
-        if args.comp is not None:
-            # a composition is one COMP token: other text is refused before any product is built
-            tokens = tokenize(args.comp)
-            if [t.kind for t in tokens] != ["COMP", "END"]:
-                raise WordError("--comp expects a composition like \"(2,1)\"")
-            evaluate = qseries.rota_baxter_eval_OOZ if rota_baxter else qseries._ZETAS[args.model]
-            out = evaluate(tokens[0].value, args.order)
-        else:
-            x = _parse_operand(args.expr, qseries.MODELS[args.model].alphabet, Fraction(1))
-            out = qseries.eval_word(args.model, x, args.order)
-        print(json.dumps({"type": "qseries", **out.to_json()}) if args.json else str(out))
-        return 0
-
-    from mzv_lab import suites  # verify or export-vectors: argparse admits no other command
-
-    if args.command == "verify":
-        report = suites.run_suite(args.suite, args.max_weight, args.order)
-        print(json.dumps(report.to_json()) if args.json else report.text())
-        return 0 if report.passed else 1
-    n = suites.export_vectors(args.suite, args.out, args.max_weight, args.order)
-    print(f"wrote {n} cases to {args.out}")
+    alphabets = [alphabet or _infer_alphabet(tokenize(text)) for text in texts]
+    op(*map(Poly.zero, alphabets))
+    out = op(*[_parse_operand(text, a, lam) for text, a in zip(texts, alphabets)])
+    print(to_json(out) if args.json else show(out))
     return 0
 
 

@@ -42,6 +42,7 @@ from mzv_lab.words import (
     Rational,
     Word,
     WordError,
+    _codec_of,
     _normal_word,
     add_pairs,
     as_poly,
@@ -125,6 +126,7 @@ def deconcat(x: Operand) -> Tensor2:
     """Cut a z-decodable word at every z-letter boundary: sum of u (x) v."""
     X = as_poly(x)
     make, alphabet = Word._make, X.alphabet
+    _codec_of(alphabet, NotInSubalgebraError)  # a p/d/y operand is refused, zero included
     # (u, v) determines w = uv and the cut, so no two terms share a key
     cuts = ((w.letters, j, c) for w, c in X.terms.items() for j in _z_cuts(w))
     terms = {(make(alphabet, ls[:j]), make(alphabet, ls[j:])): c for ls, j, c in cuts}

@@ -577,6 +577,18 @@ def test_main_qeval_comp_is_refused_before_any_product_is_built(capsys, model, c
      "coproduct_square_op lives on p/y words"),
     (["product", "--kind", "star", "--alphabet", "H", "z{60} sh z{60}", "py"],
      "operands must be H2 polynomials"),
+    # no flag: each operand's alphabet is read from its tokens, before anything is built
+    (["product", "--kind", "star", "py + z{60} sh z{60}", "py"], "operands must be H2 polynomials"),
+    (["coproduct", "--kind", "square-op", "x0x1 + z{200} sh z{200}"],
+     "coproduct_square_op lives on p/y words"),
+    # the model's alphabet, and the order checked on its zero
+    (["qeval", "--model", "SZ", "--expr", "z{60} sh z{60}", "--order", "99999"],
+     "order must be <= 4000, got 99999"),
+    (["qeval", "--model", "BZ", "--expr", "z{2} + z{200} sh z{200}", "--order", "-1"],
+     "order must be >= 0, got -1"),
+    # deconcat refuses p/d/y from the alphabet, zero included
+    (["coproduct", "--alphabet", "pdy", "p" * 60 + "y sh " + "p" * 60 + "y"],
+     "no z-block codec on alphabet PDY"),
 ])
 def test_main_flag_refusals_come_before_the_operand_is_built(capsys, argv, err):
     start = time.perf_counter()
@@ -595,6 +607,8 @@ def test_main_flag_refusals_come_before_the_operand_is_built(capsys, argv, err):
      "infinitesimal_coproduct lives on p/y or p/d/y words"),
     (["product", "--kind", "star", "--alphabet", "H", "py ??", "py"],
      "operands must be H2 polynomials"),
+    (["product", "--kind", "star", "x0x1", "py +"], "operands must be H2 polynomials"),
+    (["qeval", "--model", "SZ", "--expr", "py +", "--order", "-1"], "order must be >= 0, got -1"),
 ])
 def test_main_flag_refusals_come_before_an_operand_syntax_error(capsys, argv, err):
     assert main(argv) == 2
@@ -602,12 +616,15 @@ def test_main_flag_refusals_come_before_an_operand_syntax_error(capsys, argv, er
 
 
 @pytest.mark.parametrize("flag, word", [("h", "x0x1"), ("H", "py"), ("pdy", "d")])
-@pytest.mark.parametrize("kind", sorted(cli._PRODUCT_KINDS))
+@pytest.mark.parametrize("kind", sorted(cli._PRODUCT_KINDS) + list(cli._COPRODUCTS))
 def test_each_product_kind_refuses_a_zero_operand_as_it_refuses_a_word(kind, flag, word):
     # so the flagged alphabet's zeros stand for its operands before they are parsed
     def outcome(x):
         try:
-            cli._PRODUCT_KINDS[kind](x, x, Fraction(1))
+            if kind in cli._COPRODUCTS:
+                getattr(hopf, cli._COPRODUCTS[kind])(x)
+            else:
+                cli._PRODUCT_KINDS[kind](x, x, Fraction(1))
         except words.WordError as exc:
             return type(exc), str(exc)
         return "answer"
@@ -616,12 +633,11 @@ def test_each_product_kind_refuses_a_zero_operand_as_it_refuses_a_word(kind, fla
     assert outcome(zero) == outcome(cli._parse_operand(word, flag, Fraction(1)))
 
 
-def test_main_deconcat_on_pdy_parses_its_operand_before_it_refuses(capsys):
-    # deconcat takes the zero of every alphabet: the operand's syntax error still comes first
-    assert main(["coproduct", "--alphabet", "pdy", "py ??"]) == 2
-    assert capsys.readouterr().err == "error: syntax error at position 3: unexpected character '?'\n"
-    assert main(["coproduct", "--alphabet", "pdy", "pd"]) == 2
-    assert capsys.readouterr().err == "error: no z-block codec on alphabet PDY\n"
+def test_main_deconcat_on_pdy_refuses_before_it_parses_its_operand(capsys):
+    # deconcat refuses p/d/y from the alphabet, zero included: before the operand's syntax error
+    for text in ("py ??", "pd", "0"):
+        assert main(["coproduct", "--alphabet", "pdy", text]) == 2
+        assert capsys.readouterr().err == "error: no z-block codec on alphabet PDY\n"
 
 
 def test_main_product_operand_counts_are_one_line_usage_errors(capsys):
@@ -1164,7 +1180,10 @@ def test_cli_output_is_pinned(capsys, argv, text_digest, json_digest):
         (["product", "--alphabet", "h", "x0p"], "syntax error at position 0: letter 'p' not in alphabet H2"),
         (["product", "--alphabet", "h", "z{2}x0q"], "syntax error at position 6: unknown letter 'q'"),
         (["map", "--name", "tau", "x0 + x1p"], "syntax error at position 5: letter 'p' not in alphabet H2"),
-        (["coproduct", "--alphabet", "pdy", "px1"], "syntax error at position 0: letter 'x1' not in alphabet PDY"),
+        (
+            ["coproduct", "--kind", "infinitesimal", "--alphabet", "pdy", "px1"],
+            "syntax error at position 0: letter 'x1' not in alphabet PDY",
+        ),
     ],
 )
 def test_main_bad_letter_is_one_line_usage_error(capsys, argv, err):
